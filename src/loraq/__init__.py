@@ -57,7 +57,6 @@ from .numerics import (
     cayley_retract,
     finite_diff_grad,
     frobenius_norm,
-    matmul,
     skew_project,
     truncated_svd,
 )
@@ -69,6 +68,7 @@ from .pipeline import (
     ErrorReport,
     LayerBundle,
     RankCapWarning,
+    ablate_layer,
     assemble_batch,
     assemble_layer,
     default_absorb_lr,
@@ -77,6 +77,7 @@ from .pipeline import (
     forward,
     rank_for_budget,
     reconstruct_weight,
+    weight_error,
 )
 from .rotation import (
     RotationConfig,

@@ -62,8 +62,6 @@ class AbsorbConfig:
     learning_rate: float
     steps: int
     quantizer: FormatSpec
-    seed: int = 0
-    keep_best: bool = True
 
     def __post_init__(self):
         if self.steps < 0:
@@ -98,6 +96,12 @@ def absorption_loss(w, factors: LowRankFactors, quantizer: FormatSpec) -> float:
     return float(np.mean(np.square(err)))
 
 
+def _grads_from_error(err: np.ndarray,
+                      factors: LowRankFactors) -> tuple[np.ndarray, np.ndarray]:
+    coeff = -2.0 / err.size
+    return coeff * (err @ factors.right.T), coeff * (factors.left.T @ err)
+
+
 def absorption_grads(w, factors: LowRankFactors,
                      quantizer: FormatSpec) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form loss gradients with the quantizer output held constant.
@@ -106,23 +110,25 @@ def absorption_grads(w, factors: LowRankFactors,
     gradients are ``(-2/N) E @ R.T`` and ``(-2/N) L.T @ E``.
     """
     w = as_matrix(w)
-    err = _shift_error(w, factors, quantizer)
-    coeff = -2.0 / err.size
-    return coeff * (err @ factors.right.T), coeff * (factors.left.T @ err)
+    return _grads_from_error(_shift_error(w, factors, quantizer), factors)
 
 
-def optimize_factors(w, rank: int,
+def optimize_factors(w, factors: LowRankFactors,
                      cfg: AbsorbConfig) -> tuple[LowRankFactors, list[float]]:
-    """Run Adam on the factor pair and return (factors, loss trace).
+    """Run Adam on the factor pair from ``factors`` and return (best, trace).
 
-    The trace holds one loss value per iterate, starting at the SVD
-    initialization, so its length is ``cfg.steps + 1``.  With
-    ``keep_best`` the lowest-loss iterate is returned; the trace always
-    reflects the visited iterates.  Deterministic for fixed inputs.
+    ``factors`` is the starting point, normally :func:`init_factors`.  The
+    trace holds one loss value per iterate, starting at ``factors``, so
+    its length is ``cfg.steps + 1``; the lowest-loss iterate is returned
+    (``factors`` itself, copied, when ``cfg.steps`` is 0).  Deterministic
+    for fixed inputs.
     """
     w = as_matrix(w)
-    factors = init_factors(w, rank)
-    n_entries = w.size
+    if (factors.left.shape[0], factors.right.shape[1]) != w.shape:
+        raise ShapeError(
+            f"factor shapes {factors.left.shape} x {factors.right.shape} do "
+            f"not match weight shape {w.shape}"
+        )
     state_l = AdamState.for_param(factors.left.shape)
     state_r = AdamState.for_param(factors.right.shape)
 
@@ -158,9 +164,7 @@ def optimize_factors(w, rank: int,
 
     err = record(current)
     for _ in range(cfg.steps):
-        coeff = -2.0 / n_entries
-        grad_l = coeff * (err @ current.right.T)
-        grad_r = coeff * (current.left.T @ err)
+        grad_l, grad_r = _grads_from_error(err, current)
         new_left = adam_step(state_l, current.left, grad_l, cfg.learning_rate)
         new_right = adam_step(state_r, current.right, grad_r, cfg.learning_rate)
         if not (np.all(np.isfinite(new_left)) and np.all(np.isfinite(new_right))):
@@ -169,9 +173,7 @@ def optimize_factors(w, rank: int,
                 trace=trace,
                 last_iterate=best if best is not None else factors,
             )
-        current = LowRankFactors(new_left, new_right, rank)
+        current = LowRankFactors(new_left, new_right, factors.rank)
         err = record(current)
 
-    result = best if cfg.keep_best else current
-    assert result is not None
-    return result, trace
+    return best, trace

@@ -2,24 +2,26 @@
 
 Four subcommands: ``quantize`` turns LQT1 weight files into LRQB bundles,
 ``evaluate`` reports reconstruction/matmul errors for a bundle against its
-source weight, ``ablate`` runs the 2x2 optimization/rotation toggle grid,
-and ``inspect`` dumps a bundle's manifest and bit accounting.
+source weight, ``ablate`` runs the 2x2 optimization/rotation toggle grid
+(sharing one SVD and one absorption run per weight), and ``inspect`` dumps
+a bundle's manifest and bit accounting.
 
-Every flag has a config-file twin (JSON, see ``CONFIG_KEYS``); flags win
-over the file.  Results go to stdout, diagnostics to stderr.  On failure
-the last stderr line is machine-parsable: ``error: [E_XXX] message``.
-Exit codes: 0 success, 2 usage/config, 3 file or codec format, 4 shape
+Every run flag except ``--config`` and ``--machine`` has a config-file
+twin (JSON, see ``CONFIG_KEYS``); flags win over the file.  Results go to
+stdout, diagnostics to stderr.  On failure, usage errors included, the
+last stderr line is machine-parsable: ``error: [E_XXX] message``.  Exit
+codes: 0 success, 2 usage/config, 3 file or codec format, 4 shape
 mismatch, 5 numeric failure, 1 internal.
 
-``LORAQ_THREADS`` caps parallelism across input weights; output order is
-always input order.
+``LORAQ_THREADS`` caps parallelism across input weights (empty means
+unset, a non-integer is a config error); output order is always input
+order and the output bytes do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,14 +38,13 @@ from .errors import (
 )
 from .formats import FormatSpec, make_format
 from .pipeline import (
-    DEFAULT_ABSORB_STEPS,
-    DEFAULT_ROTATION_STEPS,
     LayerBundle,
+    ablate_layer,
     assemble_layer,
     error_report,
-    reconstruct_weight,
+    ordered_map,
+    weight_error,
 )
-from .smoothing import compute_channel_stats
 
 __all__ = ["main", "entrypoint", "CONFIG_KEYS"]
 
@@ -53,7 +54,6 @@ CONFIG_KEYS = (
     "budget",
     "rank",
     "act_format",
-    "lr_act_format",
     "optimized_lr",
     "rotations",
     "steps",
@@ -75,7 +75,6 @@ class RunConfig:
     budget: int | None
     rank: int | None
     act_format: FormatSpec | None
-    lr_act_format: FormatSpec | None
     optimized_lr: bool
     rotations: bool
     steps: int | None
@@ -133,14 +132,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         rotations = bool(file_cfg.get("rotations", True))
 
     act_name = pick(getattr(args, "act_format", None), "act_format")
-    lr_act_name = pick(getattr(args, "lr_act_format", None), "lr_act_format")
     return RunConfig(
         q1=make_format(str(pick(getattr(args, "q1", None), "q1", "SINT4"))),
         q2=make_format(str(pick(getattr(args, "q2", None), "q2", "SINT4"))),
         budget=None if budget is None else int(budget),
         rank=None if rank is None else int(rank),
         act_format=None if act_name is None else make_format(str(act_name)),
-        lr_act_format=None if lr_act_name is None else make_format(str(lr_act_name)),
         optimized_lr=optimized_lr,
         rotations=rotations,
         steps=_maybe_int(pick(getattr(args, "steps", None), "steps")),
@@ -171,27 +168,11 @@ def _load_calibration(path: str | None):
     return bundle_io.load_tensor(path)
 
 
-def _assemble_from_config(w: np.ndarray, cfg: RunConfig, seed: int) -> LayerBundle:
-    bundle = assemble_layer(
-        w,
-        cfg.q1,
-        cfg.q2,
-        budget=cfg.budget,
-        rank=cfg.rank,
-        optimized_lr=cfg.optimized_lr,
-        rotations=cfg.rotations,
-        calibration=_load_calibration(cfg.stats),
-        seed=seed,
-        absorb_steps=cfg.steps,
-        absorb_lr=cfg.lr,
-        rotation_steps=cfg.rot_steps,
-        rotation_lr=cfg.rot_lr,
-    )
-    bundle.meta.act_format = None if cfg.act_format is None else cfg.act_format.name
-    bundle.meta.lowrank_act_format = (
-        None if cfg.lr_act_format is None else cfg.lr_act_format.name
-    )
-    return bundle
+def _layer_kwargs(cfg: RunConfig) -> dict:
+    """The ``assemble_layer`` keywords that quantize and ablate share."""
+    return dict(budget=cfg.budget, rank=cfg.rank, absorb_steps=cfg.steps,
+                absorb_lr=cfg.lr, rotation_steps=cfg.rot_steps,
+                rotation_lr=cfg.rot_lr)
 
 
 def _out_path(inputs: list[str], out: str | None, index: int) -> Path:
@@ -205,23 +186,8 @@ def _out_path(inputs: list[str], out: str | None, index: int) -> Path:
     return out_path / src.with_suffix(".lrqb").name
 
 
-def _parallel_map(job, n_items: int):
-    threads = 1
-    env = os.environ.get("LORAQ_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"LORAQ_THREADS must be an integer, got {env!r}")
-    if threads == 1 or n_items <= 1:
-        return [job(i) for i in range(n_items)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, range(n_items)))
-
-
-def _quantize_summary(name: str, bundle: LayerBundle, report) -> dict:
+def _quantize_summary(name: str, bundle: LayerBundle,
+                      errors: tuple[float, float]) -> dict:
     meta = bundle.meta
     return {
         "weight": name,
@@ -232,8 +198,8 @@ def _quantize_summary(name: str, bundle: LayerBundle, report) -> dict:
         "q2": meta.q2.name,
         "absorb": meta.absorb,
         "rotation": meta.rotation,
-        "weight_err": report.weight_err,
-        "weight_err_rel": report.weight_err_rel,
+        "weight_err": errors[0],
+        "weight_err_rel": errors[1],
         "budget": meta.budget_accounting(),
     }
 
@@ -260,18 +226,23 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     inputs = list(args.weights)
     weights = [bundle_io.load_tensor(p) for p in inputs]
+    calibration = _load_calibration(cfg.stats)
 
-    def job(i: int):
-        bundle = _assemble_from_config(weights[i], cfg, cfg.seed + i)
-        report = error_report(weights[i], np.eye(weights[i].shape[0]), bundle)
-        return bundle, report
+    def job(item):
+        i, w = item
+        bundle = assemble_layer(
+            w, cfg.q1, cfg.q2, optimized_lr=cfg.optimized_lr,
+            rotations=cfg.rotations, calibration=calibration, seed=cfg.seed + i,
+            **_layer_kwargs(cfg),
+        )
+        bundle.meta.act_format = None if cfg.act_format is None else cfg.act_format.name
+        return bundle, weight_error(w, bundle)
 
-    results = _parallel_map(job, len(inputs))
     summaries = []
-    for i, (bundle, report) in enumerate(results):
+    for i, (bundle, errors) in enumerate(ordered_map(job, enumerate(weights))):
         path = _out_path(inputs, cfg.out, i)
         bundle_io.save_bundle(path, bundle)
-        summary = _quantize_summary(inputs[i], bundle, report)
+        summary = _quantize_summary(inputs[i], bundle, errors)
         summary["out"] = str(path)
         summaries.append(summary)
     if args.machine:
@@ -305,40 +276,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-_GRID = ((True, True), (True, False), (False, True), (False, False))
-
-
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     inputs = list(args.weights)
     weights = [bundle_io.load_tensor(p) for p in inputs]
 
-    def job(i: int):
-        row = []
-        for optimized, rotated in _GRID:
-            bundle = assemble_layer(
-                weights[i],
-                cfg.q1,
-                cfg.q2,
-                budget=cfg.budget,
-                rank=cfg.rank,
-                optimized_lr=optimized,
-                rotations=rotated,
-                seed=cfg.seed + i,
-                absorb_steps=cfg.steps,
-                absorb_lr=cfg.lr,
-                rotation_steps=cfg.rot_steps,
-                rotation_lr=cfg.rot_lr,
-            )
-            report = error_report(weights[i], np.eye(weights[i].shape[0]), bundle)
-            row.append((report.weight_err, report.weight_err_rel))
-        return row
+    def job(item):
+        i, w = item
+        cells = ablate_layer(w, cfg.q1, cfg.q2, seed=cfg.seed + i, **_layer_kwargs(cfg))
+        return {key: weight_error(w, bundle) for key, bundle in cells.items()}
 
-    rows = _parallel_map(job, len(inputs))
+    rows = ordered_map(job, enumerate(weights))
     cells = []
-    for k, (optimized, rotated) in enumerate(_GRID):
-        errs = [rows[i][k][0] for i in range(len(inputs))]
-        rels = [rows[i][k][1] for i in range(len(inputs))]
+    for optimized, rotated in rows[0]:
+        errs, rels = zip(*(row[optimized, rotated] for row in rows))
         cells.append(
             {
                 "optimized_lr": optimized,
@@ -397,8 +348,17 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns usage errors into :class:`ParameterError`, so that they end in
+    the same ``error: [E_CONFIG]`` line and exit code as a bad config."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loraq",
         description="Quantize dense weight matrices into a 4-bit residual "
         "plus a quantized low-rank compensation branch.",
@@ -413,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, help="explicit rank (excludes --budget)")
         p.add_argument("--act-format", dest="act_format",
                        help="activation format recorded for evaluation")
-        p.add_argument("--lr-act-format", dest="lr_act_format",
-                       help="low-rank branch activation format")
         p.add_argument("--no-optimize", dest="no_optimize", action="store_const",
                        const=True, help="skip factor optimization (SVD init only)")
         p.add_argument("--no-rotate", dest="no_rotate", action="store_const",
@@ -476,14 +434,12 @@ def _classify(exc: Exception) -> tuple[str, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:  # --help
         code = exc.code
         return code if isinstance(code, int) else 2
-    try:
-        return args.func(args)
     except (LoraqError, OSError) as exc:
         code_name, code = _classify(exc)
         print(f"error: [{code_name}] {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ShapeError, UnknownFormatError
+from .errors import FormatError, ParameterError, UnknownFormatError
 from .numerics import as_matrix
 
 __all__ = [

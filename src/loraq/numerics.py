@@ -1,4 +1,4 @@
-"""Dense float64 matrix numerics: products, norms, truncated SVD, Adam,
+"""Dense float64 matrix numerics: norms, truncated SVD, Adam,
 Cayley retraction, and a finite-difference gradient checker.
 
 Everything operates on plain 2-D ``numpy.float64`` arrays and is pure:
@@ -7,7 +7,7 @@ functions never mutate their inputs except where documented (Adam state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .errors import ConvergenceError, NumericError, ParameterError, ShapeError
 
 __all__ = [
     "as_matrix",
-    "matmul",
     "frobenius_norm",
     "truncated_svd",
     "AdamState",
@@ -35,17 +34,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with float64 accumulation."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"inner dimensions differ: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def frobenius_norm(a) -> float:

@@ -13,11 +13,11 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .absorber import AbsorbConfig, init_factors, optimize_factors
+from .absorber import AbsorbConfig, LowRankFactors, init_factors, optimize_factors
 from .errors import BudgetError, NumericError, ParameterError, ShapeError
 from .formats import (
     FormatSpec,
@@ -27,7 +27,7 @@ from .formats import (
     fake_quant,
     quantize_blockwise,
 )
-from .numerics import as_matrix, frobenius_norm
+from .numerics import as_matrix
 from .rotation import RotationConfig, fuse_rotation, optimize_rotation
 from .smoothing import (
     ChannelStats,
@@ -48,8 +48,10 @@ __all__ = [
     "DEFAULT_ABSORB_STEPS",
     "DEFAULT_ROTATION_STEPS",
     "assemble_layer",
+    "ablate_layer",
     "reconstruct_weight",
     "forward",
+    "weight_error",
     "error_report",
     "assemble_batch",
 ]
@@ -248,26 +250,129 @@ class ErrorReport:
     lowrank_q2_mse: float
 
     def to_dict(self) -> dict:
-        return {
-            "weight_err": self.weight_err,
-            "weight_err_rel": self.weight_err_rel,
-            "weight_err_smoothed": self.weight_err_smoothed,
-            "matmul_err": self.matmul_err,
-            "matmul_err_rel": self.matmul_err_rel,
-            "bound_rhs": self.bound_rhs,
-            "residual_mse": self.residual_mse,
-            "lowrank_q2_mse": self.lowrank_q2_mse,
-        }
+        return asdict(self)
 
 
-def _trace_summary(trace: list[float], steps: int, lr: float) -> dict:
+def _trace_summary(trace: list[float], lr: float) -> dict:
     return {
-        "steps": steps,
+        "steps": len(trace) - 1,
         "learning_rate": lr,
         "init_loss": trace[0],
         "best_loss": min(trace),
         "final_loss": trace[-1],
     }
+
+
+def _smooth(w: np.ndarray, q1: FormatSpec, rank: int, calibration):
+    """Smoothing stage: ``(gamma, manifest entry)``, both None without data."""
+    if calibration is None:
+        return None, None
+    if isinstance(calibration, ChannelStats):
+        alpha, beta = _STATS_ONLY_MIGRATION
+        gamma = smoothing_vector(calibration, w, alpha, beta)
+        return gamma, {
+            "alpha_mig": alpha,
+            "beta_mig": beta,
+            "search_score": None,
+            "source": "stats",
+        }
+    found = grid_search_migration(calibration, w, default_migration_grid(), rank, q1)
+    return found.gamma, {
+        "alpha_mig": found.alpha_mig,
+        "beta_mig": found.beta_mig,
+        "search_score": found.search_score,
+        "source": "grid-search",
+    }
+
+
+def _rotate_and_pack(work: np.ndarray, factors: LowRankFactors, q1: FormatSpec,
+                     q2: FormatSpec, rotation: RotationConfig | None):
+    """Rotation (when configured) and dual quantization: returns the three
+    tensors, the rotation summary and the low-rank branch's ``q2`` error."""
+    branch_left, branch_right = -factors.left, factors.right
+    rotation_meta = None
+    if rotation is not None:
+        omega, rtrace = optimize_rotation(branch_left, branch_right, rotation)
+        branch_left, branch_right = fuse_rotation(branch_left, branch_right, omega)
+        rotation_meta = _trace_summary(rtrace, rotation.learning_rate)
+
+    left_q = quantize_blockwise(branch_left, q2)
+    right_q = quantize_blockwise(branch_right, q2)
+    left_hat = dequantize(left_q)
+    right_hat = dequantize(right_q)
+    lowrank_q2_mse = float(
+        np.mean(np.square(left_hat - branch_left))
+        + np.mean(np.square(right_hat - branch_right))
+    )
+    residual_q = quantize_blockwise(work - left_hat @ right_hat, q1)
+    return (residual_q, left_q, right_q), rotation_meta, lowrank_q2_mse
+
+
+def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]], *,
+              budget=None, rank=None, calibration=None, seed=0, absorb_steps=None,
+              absorb_lr=None, rotation_steps=None, rotation_lr=None) -> list[LayerBundle]:
+    """The stage sequence, with one bundle per ``(optimized_lr, rotations)``
+    cell.  Smoothing, SVD init and absorption run once for all cells; an
+    un-optimized cell starts from the SVD factors, scored by the first
+    entry of the absorption trace (a 0-step run if no cell optimizes)."""
+    w = as_matrix(w, "weight")
+    d, n = w.shape
+    if (budget is None) == (rank is None):
+        raise ParameterError("exactly one of budget and rank must be given")
+    if rank is not None:
+        if rank < 1:
+            raise ParameterError(f"rank must be >= 1, got {rank}")
+        requested = rank
+    else:
+        requested = rank_for_budget(BudgetPolicy(budget, q2.bits_per_value))
+    effective_rank = min(requested, d, n)
+    if effective_rank < requested:
+        warnings.warn(
+            f"rank {requested} exceeds matrix dimensions {d}x{n}; "
+            f"capped to {effective_rank}",
+            RankCapWarning,
+            stacklevel=3,
+        )
+
+    gamma, smoothing_meta = _smooth(w, q1, effective_rank, calibration)
+    work = w if gamma is None else gamma[:, None] * w
+
+    a_steps = DEFAULT_ABSORB_STEPS if absorb_steps is None else absorb_steps
+    a_lr = default_absorb_lr(q1) if absorb_lr is None else absorb_lr
+    r_steps = DEFAULT_ROTATION_STEPS if rotation_steps is None else rotation_steps
+    r_lr = default_rotation_lr(q2) if rotation_lr is None else rotation_lr
+
+    init = init_factors(work, effective_rank)
+    steps = a_steps if any(optimized for optimized, _ in cells) else 0
+    best, trace = optimize_factors(work, init, AbsorbConfig(a_lr, steps, q1))
+    starts = {True: (best, trace), False: (init, trace[:1])}
+
+    bundles = []
+    for optimized, rotated in cells:
+        factors, absorb_trace = starts[optimized]
+        rotation = None
+        if rotated and not q2.is_passthrough:
+            rotation = RotationConfig(r_lr, r_steps, q2)
+        tensors, rotation_meta, lowrank_q2_mse = _rotate_and_pack(
+            work, factors, q1, q2, rotation
+        )
+        meta = BundleMeta(
+            q1=q1,
+            q2=q2,
+            shape=(d, n),
+            rank=effective_rank,
+            rank_requested=requested,
+            budget_bits_per_channel=budget,
+            optimized_lr=optimized,
+            rotations=rotated,
+            seed=seed,
+            absorb=_trace_summary(absorb_trace, a_lr),
+            rotation=rotation_meta,
+            smoothing=smoothing_meta,
+            lowrank_q2_mse=lowrank_q2_mse,
+        )
+        bundles.append(LayerBundle(*tensors, gamma, meta))
+    return bundles
 
 
 def assemble_layer(
@@ -285,120 +390,38 @@ def assemble_layer(
     absorb_lr: float | None = None,
     rotation_steps: int | None = None,
     rotation_lr: float | None = None,
-    smoothing_grid=None,
-    smoothing_rank: int | None = None,
-    keep_best: bool = True,
 ) -> LayerBundle:
     """Run the full per-weight pipeline and return the packed bundle.
 
     Stages: optional smoothing from calibration data, SVD factor
-    initialization, optional absorption optimization against ``q1``,
-    optional rotation optimization against ``q2``, then dual quantization
-    of the fused factors and of the recomputed residual.  Exactly one of
-    ``budget`` (bits per channel) and ``rank`` must be given; a rank larger
-    than the matrix dimensions is capped with a warning.  Deterministic
-    for fixed inputs and seed.
+    initialization, absorption optimization against ``q1`` (0 steps
+    without ``optimized_lr``), optional rotation optimization against
+    ``q2``, then dual quantization of the fused factors and of the
+    recomputed residual.  Exactly one of ``budget`` (bits per channel) and
+    ``rank`` must be given; a rank larger than the matrix dimensions is
+    capped with a warning.  ``seed`` is recorded in the manifest; nothing
+    is random, so the result is deterministic for fixed inputs.
     """
-    w = as_matrix(w, "weight")
-    d, n = w.shape
-    if (budget is None) == (rank is None):
-        raise ParameterError("exactly one of budget and rank must be given")
-    if rank is not None:
-        if rank < 1:
-            raise ParameterError(f"rank must be >= 1, got {rank}")
-        requested = rank
-    else:
-        requested = rank_for_budget(BudgetPolicy(budget, q2.bits_per_value))
-    effective_rank = min(requested, d, n)
-    if effective_rank < requested:
-        warnings.warn(
-            f"rank {requested} exceeds matrix dimensions {d}x{n}; "
-            f"capped to {effective_rank}",
-            RankCapWarning,
-            stacklevel=2,
-        )
-
-    gamma = None
-    smoothing_meta = None
-    work = w
-    if calibration is not None:
-        if isinstance(calibration, ChannelStats):
-            alpha, beta = _STATS_ONLY_MIGRATION
-            gamma = smoothing_vector(calibration, w, alpha, beta)
-            smoothing_meta = {
-                "alpha_mig": alpha,
-                "beta_mig": beta,
-                "search_score": None,
-                "source": "stats",
-            }
-        else:
-            grid = smoothing_grid if smoothing_grid is not None else default_migration_grid()
-            found = grid_search_migration(
-                calibration, w, grid,
-                smoothing_rank if smoothing_rank is not None else effective_rank,
-                q1,
-            )
-            gamma = found.gamma
-            smoothing_meta = {
-                "alpha_mig": found.alpha_mig,
-                "beta_mig": found.beta_mig,
-                "search_score": found.search_score,
-                "source": "grid-search",
-            }
-        work = gamma[:, None] * w
-
-    a_steps = DEFAULT_ABSORB_STEPS if absorb_steps is None else absorb_steps
-    a_lr = default_absorb_lr(q1) if absorb_lr is None else absorb_lr
-    r_steps = DEFAULT_ROTATION_STEPS if rotation_steps is None else rotation_steps
-    r_lr = default_rotation_lr(q2) if rotation_lr is None else rotation_lr
-
-    if optimized_lr:
-        cfg = AbsorbConfig(a_lr, a_steps, q1, seed=seed, keep_best=keep_best)
-        factors, trace = optimize_factors(work, effective_rank, cfg)
-        absorb_meta = _trace_summary(trace, a_steps, a_lr)
-    else:
-        factors = init_factors(work, effective_rank)
-        shifted = work + factors.left @ factors.right
-        init_loss = float(np.mean(np.square(fake_quant(shifted, q1) - shifted)))
-        absorb_meta = _trace_summary([init_loss], 0, a_lr)
-
-    branch_left = -factors.left
-    branch_right = factors.right
-
-    rotation_meta = None
-    if rotations and not q2.is_passthrough:
-        rcfg = RotationConfig(r_lr, r_steps, q2, seed=seed, keep_best=keep_best)
-        omega, rtrace = optimize_rotation(branch_left, branch_right, rcfg)
-        branch_left, branch_right = fuse_rotation(branch_left, branch_right, omega)
-        rotation_meta = _trace_summary(rtrace, r_steps, r_lr)
-
-    left_q = quantize_blockwise(branch_left, q2)
-    right_q = quantize_blockwise(branch_right, q2)
-    left_hat = dequantize(left_q)
-    right_hat = dequantize(right_q)
-    lowrank_q2_mse = float(
-        np.mean(np.square(left_hat - branch_left))
-        + np.mean(np.square(right_hat - branch_right))
+    [bundle] = _assemble(
+        w, q1, q2, [(optimized_lr, rotations)], budget=budget, rank=rank,
+        calibration=calibration, seed=seed, absorb_steps=absorb_steps,
+        absorb_lr=absorb_lr, rotation_steps=rotation_steps, rotation_lr=rotation_lr,
     )
-    residual = work - left_hat @ right_hat
-    residual_q = quantize_blockwise(residual, q1)
+    return bundle
 
-    meta = BundleMeta(
-        q1=q1,
-        q2=q2,
-        shape=(d, n),
-        rank=effective_rank,
-        rank_requested=requested,
-        budget_bits_per_channel=budget,
-        optimized_lr=optimized_lr,
-        rotations=rotations,
-        seed=seed,
-        absorb=absorb_meta,
-        rotation=rotation_meta,
-        smoothing=smoothing_meta,
-        lowrank_q2_mse=lowrank_q2_mse,
-    )
-    return LayerBundle(residual_q, left_q, right_q, gamma, meta)
+
+def ablate_layer(w, q1: FormatSpec, q2: FormatSpec,
+                 **kwargs) -> dict[tuple[bool, bool], LayerBundle]:
+    """All four ``(optimized_lr, rotations)`` cells of :func:`assemble_layer`.
+
+    ``kwargs`` are the other keywords of ``assemble_layer``.  The cell for
+    ``(o, r)`` equals ``assemble_layer(w, q1, q2, optimized_lr=o,
+    rotations=r, **kwargs)``, but the cells share one smoothing stage, one
+    SVD and one absorption run.  Cells come in the order (True, True),
+    (True, False), (False, True), (False, False).
+    """
+    cells = [(o, r) for o in (True, False) for r in (True, False)]
+    return dict(zip(cells, _assemble(w, q1, q2, cells, **kwargs)))
 
 
 def reconstruct_weight(bundle: LayerBundle, *, desmoothed: bool = False) -> np.ndarray:
@@ -448,6 +471,35 @@ def forward(
     return x_res @ dequantize(bundle.residual) + x_lr @ branch
 
 
+def _bundle_weight(w, bundle: LayerBundle) -> np.ndarray:
+    w = as_matrix(w, "weight")
+    if w.shape != bundle.meta.shape:
+        raise ShapeError(f"weight shape {w.shape} != bundle shape {bundle.meta.shape}")
+    return w
+
+
+def _weight_error(w: np.ndarray, w_hat_s: np.ndarray,
+                  gamma: np.ndarray | None) -> tuple[float, float]:
+    w_hat = w_hat_s if gamma is None else w_hat_s / gamma[:, None]
+    weight_err = float(np.linalg.norm(w - w_hat, "fro"))
+    if not np.isfinite(weight_err):
+        raise NumericError("the reconstructed weight is not finite")
+    w_norm = float(np.linalg.norm(w, "fro"))
+    return weight_err, weight_err / w_norm if w_norm else 0.0
+
+
+def weight_error(w, bundle: LayerBundle) -> tuple[float, float]:
+    """``(weight_err, weight_err_rel)`` of a bundle against its source weight.
+
+    The figures :func:`error_report` gives, without activations: the
+    Frobenius error of the de-smoothed reconstruction, absolute and
+    relative to ``||w||``.  A non-finite reconstruction raises
+    :class:`NumericError`.
+    """
+    w = _bundle_weight(w, bundle)
+    return _weight_error(w, reconstruct_weight(bundle), bundle.gamma)
+
+
 def error_report(
     w,
     x,
@@ -460,11 +512,9 @@ def error_report(
     ``||X - Q(X)|| * ||W|| + ||Q(X)|| * ||W - What||``; a violation beyond
     float roundoff raises :class:`NumericError`.
     """
-    w = as_matrix(w, "weight")
+    w = _bundle_weight(w, bundle)
     x = as_matrix(x, "activations")
-    d, n = bundle.meta.shape
-    if w.shape != (d, n):
-        raise ShapeError(f"weight shape {w.shape} != bundle shape {(d, n)}")
+    d = bundle.meta.shape[0]
     if x.shape[1] != d:
         raise ShapeError(f"activations have {x.shape[1]} columns, layer expects {d}")
 
@@ -490,22 +540,17 @@ def error_report(
             f"{bound_rhs:.6e}"
         )
 
-    if gamma is not None:
-        weight_err = float(np.linalg.norm(w - w_hat_s / gamma[:, None], "fro"))
-    else:
-        weight_err = weight_err_smoothed
-
+    weight_err, weight_err_rel = _weight_error(w, w_hat_s, gamma)
     branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
     residual_exact = w_s - branch
     residual_mse = float(
         np.mean(np.square(dequantize(bundle.residual) - residual_exact))
     )
 
-    orig_w_norm = float(np.linalg.norm(w, "fro"))
     exact_norm = float(np.linalg.norm(exact, "fro"))
     return ErrorReport(
         weight_err=weight_err,
-        weight_err_rel=weight_err / orig_w_norm if orig_w_norm else 0.0,
+        weight_err_rel=weight_err_rel,
         weight_err_smoothed=weight_err_smoothed,
         matmul_err=matmul_err,
         matmul_err_rel=matmul_err / exact_norm if exact_norm else 0.0,
@@ -515,16 +560,26 @@ def error_report(
     )
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("LORAQ_THREADS")
-    if env is not None:
+def ordered_map(fn, items, threads: int | None = None) -> list:
+    """``[fn(item) for item in items]``, spread over worker threads.
+
+    The worker count is ``threads`` if given, else the ``LORAQ_THREADS``
+    environment variable (an empty value counts as unset), else 1.
+    Results keep the input order.
+    """
+    if threads is None:
+        env = os.environ.get("LORAQ_THREADS", "")
         try:
-            return max(1, int(env))
+            threads = int(env) if env else 1
         except ValueError:
-            raise ParameterError(f"LORAQ_THREADS must be an integer, got {env!r}")
-    return 1
+            raise ParameterError(
+                f"LORAQ_THREADS must be an integer, got {env!r}"
+            ) from None
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def assemble_batch(
@@ -535,25 +590,21 @@ def assemble_batch(
     threads: int | None = None,
     seed: int = 0,
     **kwargs,
-) -> list[tuple[str, LayerBundle, ErrorReport]]:
-    """Assemble many weights; results keep the input order.
+) -> list[tuple[str, LayerBundle, tuple[float, float]]]:
+    """Assemble many weights; returns ``(name, bundle, weight errors)`` in
+    input order.
 
-    Each weight gets its own derived seed (``seed + index``), so results
-    are identical whether the batch runs serially or across threads.
-    The worker count comes from ``threads`` or the ``LORAQ_THREADS``
-    environment variable, defaulting to 1.
+    The weight errors are ``(weight_err, weight_err_rel)`` from
+    :func:`weight_error`.  Each weight gets its own derived seed
+    (``seed + index``), so results are identical whether the batch runs
+    serially or across threads.  The worker count comes from ``threads``
+    or the ``LORAQ_THREADS`` environment variable, where an empty value
+    means unset, defaulting to 1.
     """
-    items = list(named_weights)
 
-    def job(arg):
-        index, (name, w) = arg
+    def job(item):
+        index, (name, w) = item
         bundle = assemble_layer(w, q1, q2, seed=seed + index, **kwargs)
-        w_arr = as_matrix(w)
-        report = error_report(w_arr, np.eye(w_arr.shape[0]), bundle)
-        return name, bundle, report
+        return name, bundle, weight_error(w, bundle)
 
-    workers = _thread_count(threads)
-    if workers == 1 or len(items) <= 1:
-        return [job(arg) for arg in enumerate(items)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, enumerate(items)))
+    return ordered_map(job, enumerate(named_weights), threads)

@@ -42,8 +42,6 @@ class RotationConfig:
     learning_rate: float
     steps: int
     quantizer: FormatSpec
-    seed: int = 0
-    keep_best: bool = True
 
     def __post_init__(self):
         if self.steps < 0:
@@ -117,9 +115,9 @@ def optimize_rotation(left, right,
                       cfg: RotationConfig) -> tuple[np.ndarray, list[float]]:
     """Adam on the skew parameter from the identity; returns (rotation, trace).
 
-    The identity start is the first recorded iterate, so with ``keep_best``
-    the returned rotation never does worse than no rotation at all.
-    Deterministic for fixed inputs.
+    The lowest-loss iterate is returned.  The identity start is the first
+    recorded iterate, so the returned rotation never does worse than no
+    rotation at all.  Deterministic for fixed inputs.
     """
     left = as_matrix(left, "left factor")
     right = as_matrix(right, "right factor")
@@ -166,9 +164,7 @@ def optimize_rotation(left, right,
         skew.assign(updated)
         record(cayley_retract(skew))
 
-    if cfg.keep_best:
-        return best_omega, trace
-    return cayley_retract(skew), trace
+    return best_omega, trace
 
 
 def fuse_rotation(left, right, omega) -> tuple[np.ndarray, np.ndarray]:

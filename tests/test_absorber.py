@@ -4,8 +4,12 @@ import pytest
 from loraq import (
     PASSTHROUGH,
     AbsorbConfig,
+    AdamState,
+    LowRankFactors,
     NumericError,
     ParameterError,
+    ShapeError,
+    adam_step,
     absorption_grads,
     absorption_loss,
     fake_quant,
@@ -123,7 +127,7 @@ class TestOptimizeFactors:
         w = rng.normal(size=(12, 10))
         spec = make_format("SINT4")
         cfg = AbsorbConfig(1e-4, 0, spec)
-        factors, trace = optimize_factors(w, 3, cfg)
+        factors, trace = optimize_factors(w, init_factors(w, 3), cfg)
         ref = init_factors(w, 3)
         assert np.array_equal(factors.left, ref.left)
         assert np.array_equal(factors.right, ref.right)
@@ -136,7 +140,7 @@ class TestOptimizeFactors:
         for seed in range(5):
             w = np.random.default_rng(seed).normal(size=(24, 16))
             cfg = AbsorbConfig(1e-3, 50, spec)
-            factors, trace = optimize_factors(w, 4, cfg)
+            factors, trace = optimize_factors(w, init_factors(w, 4), cfg)
             assert absorption_loss(w, factors, spec) <= trace[0] + 1e-18
 
     def test_keep_best_returns_min_of_trace(self):
@@ -144,13 +148,13 @@ class TestOptimizeFactors:
         w = rng.normal(size=(16, 12))
         spec = make_format("MXFP4e2")
         cfg = AbsorbConfig(1e-2, 40, spec)
-        factors, trace = optimize_factors(w, 4, cfg)
+        factors, trace = optimize_factors(w, init_factors(w, 4), cfg)
         assert absorption_loss(w, factors, spec) == pytest.approx(min(trace), rel=1e-12)
 
     def test_trace_length_is_steps_plus_one(self):
         w = np.random.default_rng(11).normal(size=(8, 8))
         cfg = AbsorbConfig(1e-4, 17, make_format("SINT4"))
-        _, trace = optimize_factors(w, 2, cfg)
+        _, trace = optimize_factors(w, init_factors(w, 2), cfg)
         assert len(trace) == 18
 
     def test_improves_on_svd_init(self):
@@ -159,25 +163,42 @@ class TestOptimizeFactors:
         for seed in range(5):
             w = np.random.default_rng(seed).normal(size=(64, 48))
             cfg = AbsorbConfig(1e-4, 300, spec)
-            _, trace = optimize_factors(w, 8, cfg)
+            _, trace = optimize_factors(w, init_factors(w, 8), cfg)
             if min(trace) < trace[0]:
                 wins += 1
         assert wins >= 4
 
     def test_deterministic(self):
         w = np.random.default_rng(12).normal(size=(16, 16))
-        cfg = AbsorbConfig(1e-3, 25, make_format("MXINT4"), seed=3)
-        f1, t1 = optimize_factors(w, 4, cfg)
-        f2, t2 = optimize_factors(w, 4, cfg)
+        cfg = AbsorbConfig(1e-3, 25, make_format("MXINT4"))
+        f1, t1 = optimize_factors(w, init_factors(w, 4), cfg)
+        f2, t2 = optimize_factors(w, init_factors(w, 4), cfg)
         assert np.array_equal(f1.left, f2.left)
         assert np.array_equal(f1.right, f2.right)
         assert t1 == t2
+
+    def test_first_step_uses_absorption_grads(self):
+        w = np.random.default_rng(15).normal(size=(12, 16))
+        spec = make_format("MXINT4")
+        init = init_factors(w, 3)
+        gl, gr = absorption_grads(w, init, spec)
+        left = adam_step(AdamState.for_param(gl.shape), init.left, gl, 1e-2)
+        right = adam_step(AdamState.for_param(gr.shape), init.right, gr, 1e-2)
+        stepped = LowRankFactors(left, right, 3)
+        _, trace = optimize_factors(w, init, AbsorbConfig(1e-2, 1, spec))
+        assert trace[1] == absorption_loss(w, stepped, spec)
+
+    def test_factor_shape_must_match_weight(self):
+        w = np.ones((6, 5))
+        with pytest.raises(ShapeError):
+            optimize_factors(w, init_factors(np.ones((5, 6)), 2),
+                             AbsorbConfig(1e-3, 1, make_format("SINT4")))
 
     def test_divergence_aborts_with_diagnostic(self):
         w = np.random.default_rng(13).normal(size=(8, 8))
         cfg = AbsorbConfig(1e150, 50, make_format("SINT4"))
         with pytest.raises(NumericError) as info:
-            optimize_factors(w, 2, cfg)
+            optimize_factors(w, init_factors(w, 2), cfg)
         assert info.value.last_iterate is not None
         assert len(info.value.trace) >= 1
 
@@ -197,7 +218,7 @@ class TestReconstructionIdentity:
         w = rng.normal(size=(16, 12))
         spec = make_format("MXINT4")
         cfg = AbsorbConfig(1e-3, 30, spec)
-        factors, _ = optimize_factors(w, 4, cfg)
+        factors, _ = optimize_factors(w, init_factors(w, 4), cfg)
         branch = -(factors.left @ factors.right)
         w_hat = fake_quant(w - branch, spec) + branch
         loss = absorption_loss(w, factors, spec)

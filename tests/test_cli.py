@@ -1,0 +1,160 @@
+"""The command-line contract: --machine output, exit codes and the last
+stderr line, LORAQ_THREADS, and the ablate grid's shared stages."""
+
+import json
+
+import numpy as np
+import pytest
+
+from loraq import (
+    absorber,
+    assemble_layer,
+    cli,
+    compute_channel_stats,
+    load_bundle,
+    load_tensor,
+    make_format,
+    pipeline,
+    save_stats,
+    save_tensor,
+    weight_error,
+)
+
+RUN = ["--q1", "SINT4", "--q2", "MXINT4", "--rank", "4", "--steps", "6",
+       "--rot-steps", "3"]
+
+
+def _weights(tmp_path, count=2):
+    rng = np.random.default_rng(30)
+    paths = []
+    for i in range(count):
+        path = tmp_path / f"w{i}.lqt"
+        save_tensor(path, rng.standard_t(df=5, size=(24 + 8 * i, 40)))
+        paths.append(str(path))
+    return paths
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _last_error_line(err: str) -> str:
+    return err.strip().splitlines()[-1]
+
+
+def test_quantize_machine_output(tmp_path, capsys):
+    inputs = _weights(tmp_path)
+    out_dir = tmp_path / "out"
+    code, out, _ = _run(capsys, ["quantize", *inputs, *RUN, "--seed", "11",
+                                 "--out", str(out_dir), "--machine"])
+    assert code == 0
+    summaries = json.loads(out)
+    assert [s["weight"] for s in summaries] == inputs
+    for i, summary in enumerate(summaries):
+        assert set(summary) == {"weight", "shape", "rank", "rank_requested", "q1",
+                                "q2", "absorb", "rotation", "weight_err",
+                                "weight_err_rel", "budget", "out"}
+        assert summary["shape"] == [24 + 8 * i, 40]
+        bundle = load_bundle(summary["out"])
+        assert bundle.meta.seed == 11 + i
+        assert (summary["weight_err"], summary["weight_err_rel"]) == weight_error(
+            load_tensor(inputs[i]), bundle)
+
+
+def test_serial_and_threaded_runs_write_identical_bytes(tmp_path, capsys, monkeypatch):
+    inputs = _weights(tmp_path, count=3)
+    outputs = {}
+    for threads in ("", "1", "3"):
+        monkeypatch.setenv("LORAQ_THREADS", threads)
+        out_dir = tmp_path / f"out{threads or 'unset'}"
+        code, out, _ = _run(capsys, ["quantize", *inputs, *RUN, "--out",
+                                     str(out_dir), "--machine"])
+        assert code == 0
+        summaries = json.loads(out)
+        for s in summaries:
+            s.pop("out")
+        files = sorted(out_dir.iterdir())
+        outputs[threads] = (summaries, [f.read_bytes() for f in files])
+    assert outputs[""] == outputs["1"] == outputs["3"]
+
+
+def test_non_integer_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LORAQ_THREADS", "many")
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN])
+    assert code == 2
+    assert _last_error_line(err).startswith("error: [E_CONFIG] LORAQ_THREADS")
+
+
+def test_ablate_cells_match_independent_runs(tmp_path, capsys, monkeypatch):
+    inputs = _weights(tmp_path)
+    calls = {"svd": 0, "absorb": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(absorber, "truncated_svd",
+                        counting("svd", absorber.truncated_svd))
+    monkeypatch.setattr(pipeline, "optimize_factors",
+                        counting("absorb", pipeline.optimize_factors))
+    code, out, _ = _run(capsys, ["ablate", *inputs, *RUN, "--seed", "4",
+                                 "--machine"])
+    assert code == 0
+    assert calls == {"svd": len(inputs), "absorb": len(inputs)}
+
+    result = json.loads(out)
+    assert result["weights"] == inputs
+    weights = [load_tensor(p) for p in inputs]
+    q1, q2 = make_format("SINT4"), make_format("MXINT4")
+    for cell in result["cells"]:
+        errs = []
+        for i, w in enumerate(weights):
+            bundle = assemble_layer(w, q1, q2, rank=4, absorb_steps=6,
+                                    rotation_steps=3, seed=4 + i,
+                                    optimized_lr=cell["optimized_lr"],
+                                    rotations=cell["rotations"])
+            errs.append(weight_error(w, bundle))
+        assert cell["mean_weight_err"] == float(np.mean([e for e, _ in errs]))
+        assert cell["mean_weight_err_rel"] == float(np.mean([r for _, r in errs]))
+    assert [(c["optimized_lr"], c["rotations"]) for c in result["cells"]] == [
+        (True, True), (True, False), (False, True), (False, False)]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--budget", "64", "--rank", "4"],
+    ["--lr-act-format", "MXINT8"],
+])
+def test_usage_errors_exit_2(tmp_path, capsys, extra):
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *extra])
+    assert code == 2
+    assert _last_error_line(err).startswith("error: [E_CONFIG] ")
+
+
+def test_removed_config_key_is_rejected(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lr_act_format": "MXINT8"}))
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), "--config",
+                                 str(config)])
+    assert code == 2
+    assert _last_error_line(err) == "error: [E_CONFIG] unknown config keys: lr_act_format"
+
+
+def test_non_lqt1_input_exits_3(tmp_path, capsys):
+    stats = tmp_path / "stats.lqs"
+    save_stats(stats, compute_channel_stats(np.ones((3, 8))))
+    code, _, err = _run(capsys, ["quantize", str(stats), *RUN])
+    assert code == 3
+    assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+
+
+def test_evaluate_shape_mismatch_exits_4(tmp_path, capsys):
+    small, large = _weights(tmp_path)
+    bundle = tmp_path / "small.lrqb"
+    assert _run(capsys, ["quantize", small, *RUN, "--out", str(bundle)])[0] == 0
+    code, _, err = _run(capsys, ["evaluate", str(bundle), large, "--machine"])
+    assert code == 4
+    assert _last_error_line(err).startswith("error: [E_SHAPE] ")

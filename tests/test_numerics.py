@@ -13,57 +13,9 @@ from loraq import (
     cayley_retract,
     finite_diff_grad,
     frobenius_norm,
-    matmul,
     skew_project,
     truncated_svd,
 )
-
-
-def _naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_example(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_against_naive_triple_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.allclose(matmul(a, b), _naive_matmul(a, b), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            a = rng.normal(size=(6, 4))
-            b = rng.normal(size=(4, 5))
-            c = rng.normal(size=(5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.linalg.norm(left - right) <= 1e-9 * np.linalg.norm(left)
-
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 0.0]])
-        with pytest.raises(NumericError):
-            matmul(bad, np.ones((2, 1)))
 
 
 class TestFrobeniusNorm:

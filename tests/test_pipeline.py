@@ -1,3 +1,8 @@
+import os
+import tempfile
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,8 @@ from loraq import (
     NumericError,
     ParameterError,
     RankCapWarning,
+    ShapeError,
+    ablate_layer,
     assemble_batch,
     assemble_layer,
     default_absorb_lr,
@@ -20,8 +27,20 @@ from loraq import (
     make_format,
     rank_for_budget,
     reconstruct_weight,
+    save_bundle,
     truncated_svd,
+    weight_error,
 )
+from loraq.pipeline import ordered_map
+
+
+def save_bytes(bundle) -> bytes:
+    """The exact bytes ``save_bundle`` writes for a bundle."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.lrqb")
+        save_bundle(path, bundle)
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 class TestRankForBudget:
@@ -354,17 +373,80 @@ class TestBatch:
         monkeypatch.setenv("LORAQ_THREADS", "4")
         threaded = assemble_batch(weights, q1, q2, **kwargs)
         assert [name for name, _, _ in serial] == ["w0", "w1", "w2", "w3"]
-        for (n1, b1, r1), (n2, b2, r2) in zip(serial, threaded):
+        for (n1, b1, e1), (n2, b2, e2) in zip(serial, threaded):
             assert n1 == n2
             assert b1 == b2
-            assert r1.to_dict() == r2.to_dict()
+            assert save_bytes(b1) == save_bytes(b2)
+            assert e1 == e2
+            assert b1.meta.seed == int(n1[1:])
 
-    def test_reports_use_identity_activations(self):
+    @pytest.mark.parametrize("smoothed", [False, True])
+    def test_weight_errors_match_error_report(self, smoothed):
         rng = np.random.default_rng(19)
-        weights = [("only", rng.normal(size=(10, 8)))]
-        [(_, bundle, report)] = assemble_batch(
-            weights, make_format("SINT4"), make_format("SINT4"),
-            rank=2, optimized_lr=False, rotations=False,
+        w = rng.normal(size=(10, 8))
+        cal = rng.normal(size=(20, 10)) * 10.0 if smoothed else None
+        [(_, bundle, errors)] = assemble_batch(
+            [("only", w)], make_format("SINT4"), make_format("SINT4"),
+            rank=2, optimized_lr=False, rotations=False, calibration=cal,
         )
-        direct = error_report(weights[0][1], np.eye(10), bundle)
-        assert report.to_dict() == direct.to_dict()
+        assert (bundle.gamma is not None) == smoothed
+        rep = error_report(w, rng.normal(size=(7, 10)), bundle)
+        assert errors == (rep.weight_err, rep.weight_err_rel) == weight_error(w, bundle)
+
+    @pytest.mark.parametrize("value, workers", [("", 1), ("3", 3), (" 2 ", 2), ("0", 1)])
+    def test_thread_count_from_environment(self, monkeypatch, value, workers):
+        monkeypatch.setenv("LORAQ_THREADS", value)
+        seen = set()
+
+        def job(item):
+            seen.add(threading.get_ident())
+            time.sleep(0.05)
+            return item * 2
+
+        assert ordered_map(job, range(6)) == [0, 2, 4, 6, 8, 10]
+        if workers == 1:
+            assert seen == {threading.get_ident()}
+        else:
+            assert 1 < len(seen) <= workers
+
+    def test_non_integer_thread_count_is_a_parameter_error(self, monkeypatch):
+        monkeypatch.setenv("LORAQ_THREADS", "two")
+        with pytest.raises(ParameterError, match="LORAQ_THREADS"):
+            assemble_batch([("w", np.ones((4, 4)))], make_format("SINT4"),
+                           make_format("SINT4"), rank=1)
+
+
+class TestWeightError:
+    def test_non_finite_reconstruction_raises(self):
+        rng = np.random.default_rng(20)
+        w = rng.normal(size=(8, 8))
+        b = _quick(w, make_format("SINT4"), make_format("SINT4"), rank=2,
+                   optimized_lr=False, rotations=False)
+        b.residual.scales[0, 0] = 0x7C00  # float16 +inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError):
+                weight_error(w, b)
+            with pytest.raises(NumericError):
+                error_report(w, np.eye(8), b)
+
+    def test_shape_mismatch(self):
+        b = _quick(np.ones((4, 4)), make_format("SINT4"), make_format("SINT4"),
+                   rank=1, optimized_lr=False, rotations=False)
+        with pytest.raises(ShapeError):
+            weight_error(np.ones((5, 4)), b)
+
+
+class TestAblateLayer:
+    @pytest.mark.parametrize("q1, q2", [("SINT4", "SINT4"), ("MXFP4e2", "MXFP6e2")])
+    def test_cells_equal_independent_runs(self, q1, q2):
+        w = np.random.default_rng(21).standard_t(df=5, size=(24, 40))
+        q1, q2 = make_format(q1), make_format(q2)
+        kwargs = dict(rank=4, seed=3, absorb_steps=12, rotation_steps=6)
+        cells = ablate_layer(w, q1, q2, **kwargs)
+        assert list(cells) == [(True, True), (True, False), (False, True),
+                               (False, False)]
+        for (optimized, rotated), bundle in cells.items():
+            alone = assemble_layer(w, q1, q2, optimized_lr=optimized,
+                                   rotations=rotated, **kwargs)
+            assert bundle == alone
+            assert save_bytes(bundle) == save_bytes(alone)
