@@ -206,19 +206,21 @@ def save_bundle(path, bundle: LayerBundle) -> None:
 
 
 def _decode_tensor(spec, shape, chunk_codes: bytes, chunk_scales: bytes,
-                   pad_count: int, offset: int) -> QuantizedTensor:
+                   pad_count: int, offset: int, scale_offset: int) -> QuantizedTensor:
     rows, cols = shape
     if spec.is_passthrough:
         expected_codes = rows * cols * 8
         n_blocks = 0
         scale_dtype = "<u2"
         expected_scales = 0
+        expected_pad = 0
     else:
         n_blocks = -(-cols // spec.block_size)
         padded = n_blocks * spec.block_size
         expected_codes = rows * (-(-(padded * spec.codec.width) // 8))
         scale_dtype = "<u2" if spec.scale_kind == "fp16" else "u1"
         expected_scales = rows * n_blocks * (2 if spec.scale_kind == "fp16" else 1)
+        expected_pad = padded - cols
     if len(chunk_codes) != expected_codes:
         raise CorruptFileError(
             f"code chunk holds {len(chunk_codes)} bytes, expected {expected_codes}",
@@ -227,12 +229,22 @@ def _decode_tensor(spec, shape, chunk_codes: bytes, chunk_scales: bytes,
     if len(chunk_scales) != expected_scales:
         raise CorruptFileError(
             f"scale chunk holds {len(chunk_scales)} bytes, expected {expected_scales}",
-            offset=offset,
+            offset=scale_offset,
         )
     codes = np.frombuffer(chunk_codes, dtype=np.uint8).reshape(rows, -1).copy()
     scales = np.frombuffer(chunk_scales, dtype=scale_dtype).reshape(rows, n_blocks).copy()
-    if pad_count < 0 or (not spec.is_passthrough and pad_count >= spec.block_size):
-        raise CorruptFileError(f"invalid pad count {pad_count}", offset=offset)
+    if spec.scale_kind == "fp16":
+        values = scales.view(np.float16)
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise CorruptFileError(
+                "scale chunk holds a float16 scale that is not finite and positive",
+                offset=scale_offset,
+            )
+    if pad_count != expected_pad:
+        raise CorruptFileError(
+            f"pad count {pad_count} does not match the shape, expected {expected_pad}",
+            offset=offset,
+        )
     return QuantizedTensor(
         shape=(rows, cols), spec=spec, codes=codes, scales=scales, pad_count=pad_count
     )
@@ -243,7 +255,10 @@ def load_bundle(path) -> LayerBundle:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     _check_magic(reader, _BUNDLE_MAGIC, "bundle")
+    version_offset = reader.offset
     version = reader.u16("version")
+    if version == 0:
+        raise CorruptFileError("bundle version 0 does not exist", offset=version_offset)
     if version > BUNDLE_VERSION:
         raise VersionError(
             f"bundle version {version} is newer than supported {BUNDLE_VERSION}"
@@ -302,15 +317,15 @@ def load_bundle(path) -> LayerBundle:
     d, n = meta.shape
     residual = _decode_tensor(
         meta.q1, (d, n), payloads["PCOD"], payloads["PSCL"], pad_residual,
-        offsets["PCOD"],
+        offsets["PCOD"], offsets["PSCL"],
     )
     left = _decode_tensor(
         meta.q2, (d, meta.rank), payloads["LCOD"], payloads["LSCL"], pad_left,
-        offsets["LCOD"],
+        offsets["LCOD"], offsets["LSCL"],
     )
     right = _decode_tensor(
         meta.q2, (meta.rank, n), payloads["RCOD"], payloads["RSCL"], pad_right,
-        offsets["RCOD"],
+        offsets["RCOD"], offsets["RSCL"],
     )
     gamma = None
     if has_gamma:
@@ -321,4 +336,9 @@ def load_bundle(path) -> LayerBundle:
                 offset=offsets["GAMA"],
             )
         gamma = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        if not np.all(np.isfinite(gamma) & (gamma > 0)):
+            raise CorruptFileError(
+                "gamma chunk holds an entry that is not finite and positive",
+                offset=offsets["GAMA"],
+            )
     return LayerBundle(residual, left, right, gamma, meta)

@@ -16,8 +16,35 @@ code.  Two scale families exist:
   positive float16 (bit pattern 0x0001).
 
 Elements are rounded to the nearest representable value with ties to even
-and saturated at the codec maximum.  Codes are packed LSB-first into
-little-endian bytes; each row is padded to a whole byte independently.
+and saturated at the codec maximum.  Rounding works on the values alone and
+in place; codes are derived from the rounded values only when a tensor is
+encoded, so :func:`fake_quant` never builds them.  Integers round with
+``rint`` and are then clamped to ``[-codec_max, codec_max]``.  Minifloats
+round by arithmetic, with no table lookup:
+
+1. the binade exponent ``e = floor(log2|x|)`` comes from ``np.frexp`` and
+   is clamped below at ``1 - bias``, the binade of the smallest normal,
+   which subnormals share;
+2. ``x`` is rounded with ``rint`` at the quantum ``2^(e - mantissa_bits)``
+   (scaling by a power of two is exact);
+3. the result is saturated at ``codec_max``.  The code saturates before
+   step 1, which gives the same values because rounding is monotone and
+   ``codec_max`` is on the grid, and keeps huge inputs from overflowing.
+
+Inside the binade ``[2^e, 2^(e+1))``, and in the subnormal range below
+``2^(1 - bias)``, the representable values are exactly the integer
+multiples of that quantum, and the binade's upper edge ``2^(e+1)`` is both
+a multiple and the next binade's first value.  So the nearest multiple is
+the nearest representable value, and ``rint``'s ties-to-even picks the
+even multiple, whose code has an even mantissa (the implicit leading bit
+of a normal adds ``2^mantissa_bits``, which is even).  Anything past
+``codec_max`` rounds to ``codec_max`` or beyond and saturates, so the e4m3
+NaN pattern is never produced.  The result is bit-identical to choosing
+the nearest entry of the value table with ties to the even code.  A
+negative value that rounds to zero gives +0.0 with no sign bit.
+
+Codes are packed LSB-first into little-endian bytes; each row is padded to
+a whole byte independently.
 """
 
 from __future__ import annotations
@@ -70,10 +97,15 @@ class IntCodec:
     def cmax(self) -> float:
         return float(2 ** (self.bits - 1) - 1)
 
-    def round_scaled(self, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.clip(np.rint(scaled), -self.cmax, self.cmax)
-        codes = (q.astype(np.int64) & ((1 << self.bits) - 1)).astype(np.uint8)
-        return codes, q
+    def round_values(self, scaled: np.ndarray) -> np.ndarray:
+        """Round onto the integer grid in place and saturate; returns ``scaled``."""
+        np.rint(scaled, out=scaled)
+        np.minimum(scaled, self.cmax, out=scaled)
+        return np.maximum(scaled, -self.cmax, out=scaled)
+
+    def encode_values(self, values: np.ndarray) -> np.ndarray:
+        """Two's-complement codes of values already on the grid."""
+        return (values.astype(np.int64) & ((1 << self.bits) - 1)).astype(np.uint8)
 
     def decode_codes(self, codes: np.ndarray) -> np.ndarray:
         half = 1 << (self.bits - 1)
@@ -90,7 +122,8 @@ def _minifloat_tables(exp_bits: int, mantissa_bits: int, bias: int):
     """Enumerate the non-negative value set of a minifloat codec.
 
     Returns (values ascending, code per value, full decode table indexed by
-    code with NaN at invalid patterns).  The e4m3 all-ones pattern is the
+    code with NaN at invalid patterns).  Only decoding and ``cmax`` read
+    these; rounding is arithmetic.  The e4m3 all-ones pattern is the
     single invalid (NaN) code; e2mX layouts have none.
     """
     mdiv = float(1 << mantissa_bits)
@@ -132,26 +165,40 @@ class MinifloatCodec:
         values, _, _ = _minifloat_tables(self.exp_bits, self.mantissa_bits, self.bias)
         return float(values[-1])
 
-    def round_scaled(self, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, codes, _ = _minifloat_tables(
-            self.exp_bits, self.mantissa_bits, self.bias
-        )
-        mag = np.abs(scaled)
-        idx = np.searchsorted(values, mag)
-        lo = np.maximum(idx - 1, 0)
-        hi = np.minimum(idx, len(values) - 1)
-        d_lo = mag - values[lo]
-        d_hi = values[hi] - mag
-        # ties go to the neighbor with an even mantissa; adjacent
-        # representables always differ in mantissa parity
-        pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & ((codes[hi] & 1) == 0))
-        chosen = np.where(pick_hi, hi, lo)
-        out_codes = codes[chosen]
-        out_values = values[chosen]
-        negative = (scaled < 0) & (out_values != 0)
-        sign_bit = np.uint8(1 << (self.width - 1))
-        out_codes = np.where(negative, out_codes | sign_bit, out_codes)
-        return out_codes.astype(np.uint8), np.where(negative, -out_values, out_values)
+    def round_values(self, scaled: np.ndarray) -> np.ndarray:
+        """Round to the nearest value in place, ties to even; returns ``scaled``."""
+        # cmax is on the grid and rounding is monotone, so saturating first
+        # gives the same result and keeps the rescaling below from overflowing
+        np.minimum(scaled, self.cmax, out=scaled)
+        np.maximum(scaled, -self.cmax, out=scaled)
+        _, shift = np.frexp(scaled)  # |x| in [2^(shift-1), 2^shift)
+        np.maximum(shift, 2 - self.bias, out=shift)
+        np.subtract(self.mantissa_bits + 1, shift, out=shift)
+        np.ldexp(scaled, shift, out=scaled)
+        np.rint(scaled, out=scaled)
+        np.negative(shift, out=shift)
+        np.ldexp(scaled, shift, out=scaled)
+        scaled += 0.0  # -0.0 becomes +0.0; every other value is unchanged
+        return scaled
+
+    def encode_values(self, values: np.ndarray) -> np.ndarray:
+        """Codes of values already on the grid.
+
+        With the exponent clamped as in :meth:`round_values`, the integer
+        significand ``|v| / 2^(e - mantissa_bits)`` is the mantissa field
+        plus ``2^mantissa_bits`` for a normal and the mantissa field alone
+        for a subnormal, so ``(e + bias - 1) << mantissa_bits`` plus the
+        significand is the code without its sign bit.
+        """
+        mag = np.abs(values)
+        _, exp = np.frexp(mag)
+        exp[mag == 0.0] = 2 - self.bias  # frexp gives 0 there, not the minimum
+        np.maximum(exp, 2 - self.bias, out=exp)
+        significand = np.ldexp(mag, self.mantissa_bits + 1 - exp)
+        codes = (exp + (self.bias - 2)) << self.mantissa_bits
+        codes += significand.astype(codes.dtype)
+        codes[values < 0] |= 1 << (self.width - 1)
+        return codes.astype(np.uint8)
 
     def decode_codes(self, codes: np.ndarray) -> np.ndarray:
         _, _, decode = _minifloat_tables(
@@ -414,13 +461,17 @@ def _block_scales(spec: FormatSpec, block_max: np.ndarray):
     return _fp16_scales(block_max, spec.codec.cmax)
 
 
-def _quantize_core(m: np.ndarray, spec: FormatSpec):
-    """Shared scale/round stage; returns (codes, values, stored scales, pad)."""
+def _round_blocks(m: np.ndarray, spec: FormatSpec):
+    """Shared scale/round stage.
+
+    Returns (block values on the codec grid before rescaling, float scales,
+    stored scales, pad).
+    """
     blocked, pad = _blocked(m, spec.block_size)
-    block_max = np.abs(blocked).max(axis=2)
-    stored, scales = _block_scales(spec, block_max)
-    codes, values = spec.codec.round_scaled(blocked / scales[:, :, None])
-    return codes, values * scales[:, :, None], stored, pad
+    grid = np.abs(blocked)
+    stored, scales = _block_scales(spec, grid.max(axis=2))
+    np.divide(blocked, scales[:, :, None], out=grid)
+    return spec.codec.round_values(grid), scales, stored, pad
 
 
 def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
@@ -436,7 +487,8 @@ def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
             scales=np.zeros((rows, 0), dtype=np.uint16),
             pad_count=0,
         )
-    codes, _, stored, pad = _quantize_core(m, spec)
+    grid, _, stored, pad = _round_blocks(m, spec)
+    codes = spec.codec.encode_values(grid)
     packed = _pack_codes(codes.reshape(rows, -1), spec.codec.width)
     return QuantizedTensor(
         shape=(rows, cols), spec=spec, codes=packed, scales=stored, pad_count=pad
@@ -476,18 +528,21 @@ def fake_quant(m, spec: FormatSpec) -> np.ndarray:
     if spec.is_passthrough:
         return m.copy()
     rows, cols = m.shape
-    _, values, _, _ = _quantize_core(m, spec)
-    return values.reshape(rows, -1)[:, :cols]
+    grid, scales, _, _ = _round_blocks(m, spec)
+    grid *= scales[:, :, None]
+    return grid.reshape(rows, -1)[:, :cols]
 
 
 def encode_element(v: float, codec: Codec, scale: float) -> int:
-    """Round one value to the codec grid at the given scale; returns the code."""
+    """Round one finite value to the codec grid at the given scale; returns the code."""
     if scale <= 0:
         raise ParameterError(f"scale must be positive, got {scale}")
     if isinstance(codec, PassthroughCodec):
         raise ParameterError("the passthrough codec has no element codes")
-    codes, _ = codec.round_scaled(np.array([v / scale], dtype=np.float64))
-    return int(codes[0])
+    if not np.isfinite(v):
+        raise ParameterError(f"value must be finite, got {v}")
+    grid = codec.round_values(np.array([v / scale], dtype=np.float64))
+    return int(codec.encode_values(grid)[0])
 
 
 def decode_element(code: int, codec: Codec, scale: float) -> float:

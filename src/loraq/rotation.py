@@ -76,14 +76,32 @@ def _branch_errors(left, right, omega, quantizer):
     return err_left, err_right
 
 
+def _loss(err_left: np.ndarray, err_right: np.ndarray) -> float:
+    return float(np.mean(np.square(err_left)) + np.mean(np.square(err_right)))
+
+
 def rotation_loss(left, right, omega, quantizer: FormatSpec) -> float:
     """Sum of the per-factor mean squared quantization errors after rotation."""
     left = as_matrix(left, "left factor")
     right = as_matrix(right, "right factor")
     omega = as_matrix(omega, "rotation")
     _check_rotation_inputs(left, right, omega)
-    err_left, err_right = _branch_errors(left, right, omega, quantizer)
-    return float(np.mean(np.square(err_left)) + np.mean(np.square(err_right)))
+    return _loss(*_branch_errors(left, right, omega, quantizer))
+
+
+def _grad_from_errors(left, right, a, omega, err_left, err_right) -> np.ndarray:
+    """Skew gradient at ``omega = cayley_retract(a)`` from its branch errors."""
+    grad_omega = (
+        (-2.0 / err_left.size) * (left.T @ err_left)
+        + (-2.0 / err_right.size) * (right @ err_right.T)
+    )
+    # chain rule through omega(A) = (I - A/2)^-1 (I + A/2):
+    # dOmega = S (dA/2) (Omega + I) with S = (I - A/2)^-1, hence
+    # grad_A = 0.5 * S.T @ grad_omega @ (I + Omega).T
+    eye = np.eye(a.shape[0])
+    st_g = np.linalg.solve((eye - a / 2.0).T, grad_omega)
+    grad_a = 0.5 * st_g @ (eye + omega).T
+    return skew_project(grad_a)
 
 
 def rotation_grad(left, right, skew, quantizer: FormatSpec) -> np.ndarray:
@@ -98,17 +116,7 @@ def rotation_grad(left, right, skew, quantizer: FormatSpec) -> np.ndarray:
     omega = cayley_retract(a)
     _check_rotation_inputs(left, right, omega)
     err_left, err_right = _branch_errors(left, right, omega, quantizer)
-    grad_omega = (
-        (-2.0 / err_left.size) * (left.T @ err_left)
-        + (-2.0 / err_right.size) * (right @ err_right.T)
-    )
-    # chain rule through omega(A) = (I - A/2)^-1 (I + A/2):
-    # dOmega = S (dA/2) (Omega + I) with S = (I - A/2)^-1, hence
-    # grad_A = 0.5 * S.T @ grad_omega @ (I + Omega).T
-    eye = np.eye(a.shape[0])
-    st_g = np.linalg.solve((eye - a / 2.0).T, grad_omega)
-    grad_a = 0.5 * st_g @ (eye + omega).T
-    return skew_project(grad_a)
+    return _grad_from_errors(left, right, a, omega, err_left, err_right)
 
 
 def optimize_rotation(left, right,
@@ -133,13 +141,12 @@ def optimize_rotation(left, right,
     best_omega = np.eye(rank)
     best_loss = np.inf
 
-    def record(omega: np.ndarray) -> None:
+    def record(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score one iterate; its branch errors also give the next gradient."""
         nonlocal best_omega, best_loss
         err_left, err_right = _branch_errors(left, right, omega, cfg.quantizer)
         with np.errstate(over="ignore"):
-            loss = float(
-                np.mean(np.square(err_left)) + np.mean(np.square(err_right))
-            )
+            loss = _loss(err_left, err_right)
         if not np.isfinite(loss):
             raise NumericError(
                 f"rotation loss became non-finite at step {len(trace)}",
@@ -150,10 +157,12 @@ def optimize_rotation(left, right,
         if loss < best_loss:
             best_loss = loss
             best_omega = omega.copy()
+        return err_left, err_right
 
-    record(cayley_retract(skew))
+    omega = cayley_retract(skew)
+    errors = record(omega)
     for _ in range(cfg.steps):
-        grad = rotation_grad(left, right, skew, cfg.quantizer)
+        grad = _grad_from_errors(left, right, skew.matrix, omega, *errors)
         updated = adam_step(state, skew.matrix, grad, cfg.learning_rate)
         if not np.all(np.isfinite(updated)):
             raise NumericError(
@@ -162,7 +171,8 @@ def optimize_rotation(left, right,
                 last_iterate=best_omega,
             )
         skew.assign(updated)
-        record(cayley_retract(skew))
+        omega = cayley_retract(skew)
+        errors = record(omega)
 
     return best_omega, trace
 

@@ -1,9 +1,11 @@
 """Byte-identity oracle: ``save_bundle`` output on a fixed corpus.
 
-The sha256 of every bundle below was recorded before the pipeline was
-split into stages; a refactor that keeps these hashes keeps every byte of
-every bundle.  Floating-point results depend on the numpy build and on
-the BLAS kernels, so the test skips on any other numpy or BLAS version.
+The sha256 of every bundle below was recorded before the refactor of the
+code it exercises: the staged pipeline, and for the 8-bit low-rank branches
+the arithmetic minifloat rounder.  A refactor that keeps these hashes keeps
+every byte of every bundle.  Floating-point results depend on the numpy
+build and on the BLAS kernels, so the test skips on any other numpy or BLAS
+version.
 """
 
 import hashlib
@@ -38,6 +40,11 @@ ASSEMBLED = {
         "aa92d20797581cbf9e0e4f9f8ab1e503e5ef0974b40caa37e88b0b30d142f074",
     ("MXFP4e2", "MXFP6e2", False, False):
         "5f029a6dbee21f06fd4fad0b76a3238fbc53144abac1fee73ffca7bda3e33b6c",
+    # the 8-bit low-rank branches (W8A8 in the paper's mixed-precision pairs)
+    ("SINT4", "MXINT8", True, True):
+        "ffd625ab4d78b3d53b76dfc9d88a898dd8a1dc4352dec7b39e4261ef505204e5",
+    ("MXFP4e2", "MXFP8e4", True, True):
+        "a463cdd29522606b9f54490cc423269e7acdfb80be877153d2d106671ee8170a",
 }
 
 # calibration file kind -> sha256 of the bundle ``loraq quantize --stats`` wrote

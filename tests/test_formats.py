@@ -6,6 +6,7 @@ from loraq import (
     FormatError,
     IntCodec,
     MinifloatCodec,
+    ParameterError,
     UnknownFormatError,
     decode_element,
     dequantize,
@@ -17,6 +18,7 @@ from loraq import (
     quantize_blockwise,
     registry_names,
 )
+from loraq.formats import _minifloat_tables
 
 ALL_FORMATS = ["SINT4", "MXINT4", "MXINT8", "MXFP4e2", "MXFP6e2", "MXFP8e4"]
 
@@ -34,6 +36,122 @@ def _codebook(codec: MinifloatCodec) -> np.ndarray:
             else:
                 out.append(2.0 ** (e - codec.bias) * (1 + m / mdiv))
     return np.array(sorted(out))
+
+
+def _table_round(codec: MinifloatCodec, scaled: np.ndarray):
+    """Reference rounder: nearest entry of the value table, ties to the even code.
+
+    This is the lookup the codec used before it rounded by arithmetic;
+    returns (codes, values).
+    """
+    values, codes, _ = _minifloat_tables(codec.exp_bits, codec.mantissa_bits, codec.bias)
+    mag = np.abs(scaled)
+    idx = np.searchsorted(values, mag)
+    lo = np.maximum(idx - 1, 0)
+    hi = np.minimum(idx, len(values) - 1)
+    d_lo = mag - values[lo]
+    d_hi = values[hi] - mag
+    pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & ((codes[hi] & 1) == 0))
+    chosen = np.where(pick_hi, hi, lo)
+    out_codes = codes[chosen]
+    out_values = values[chosen]
+    negative = (scaled < 0) & (out_values != 0)
+    sign_bit = np.uint8(1 << (codec.width - 1))
+    out_codes = np.where(negative, out_codes | sign_bit, out_codes)
+    return out_codes.astype(np.uint8), np.where(negative, -out_values, out_values)
+
+
+def _rounded(codec, x: np.ndarray):
+    """The codec's own path: (codes, values) for the unscaled input ``x``."""
+    values = codec.round_values(x.copy())
+    return codec.encode_values(values), values
+
+
+MINIFLOATS = {"e2m1": MinifloatCodec(2, 1, 1), "e2m3": MinifloatCodec(2, 3, 1),
+              "e4m3": MinifloatCodec(4, 3, 7)}
+
+
+def _edge_inputs(codec: MinifloatCodec) -> np.ndarray:
+    book = _codebook(codec)
+    mids = (book[:-1] + book[1:]) / 2.0  # exact: few significant bits
+    cmax = codec.cmax
+    beyond = np.array([np.nextafter(cmax, np.inf), cmax * 1.01, cmax * 1.5,
+                       cmax * 2.0, cmax * 1e3, 1e300, np.finfo(np.float64).max])
+    smallest_normal = 2.0 ** (1 - codec.bias)
+    subnormals = np.concatenate([
+        book[book < smallest_normal],
+        [5e-324, 1e-310, np.finfo(np.float64).tiny, smallest_normal / 1024],
+    ])
+    mags = np.concatenate([book, mids, np.nextafter(mids, 0.0),
+                           np.nextafter(mids, np.inf), beyond, subnormals])
+    return np.concatenate([mags, -mags, [0.0, -0.0]])
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", sorted(MINIFLOATS))
+class TestMinifloatOracle:
+    def test_edges_match_table_rounder(self, kind):
+        codec = MINIFLOATS[kind]
+        x = _edge_inputs(codec)
+        ref_codes, ref_values = _table_round(codec, x)
+        codes, values = _rounded(codec, x)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(_bits(values), _bits(ref_values))
+
+    def test_random_values_match_table_rounder(self, kind):
+        codec = MINIFLOATS[kind]
+        rng = np.random.default_rng(2024)
+        n = 1_000_000
+        # log-uniform magnitudes from deep in the subnormals to past saturation
+        low = -(codec.bias + codec.mantissa_bits + 4)
+        x = rng.choice([-1.0, 1.0], n) * codec.cmax * np.exp2(rng.uniform(low, 2.0, n))
+        ref_codes, ref_values = _table_round(codec, x)
+        codes, values = _rounded(codec, x)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(_bits(values), _bits(ref_values))
+
+    def test_nan_pattern_and_negative_zero_never_emitted(self, kind):
+        codec = MINIFLOATS[kind]
+        codes, values = _rounded(codec, _edge_inputs(codec))
+        sign_bit = 1 << (codec.width - 1)
+        assert not np.any(codes == sign_bit)
+        assert not np.any(_bits(values) == _bits(np.array([-0.0]))[0])
+        if kind == "e4m3":
+            assert not np.any((codes & 0x7F) == 0x7F)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_int_codec_matches_clip_of_rint(bits):
+    codec = IntCodec(bits)
+    rng = np.random.default_rng(bits)
+    x = np.concatenate([rng.normal(size=100_000) * codec.cmax,
+                        np.arange(-2 * codec.cmax, 2 * codec.cmax + 1, 0.5),
+                        [0.0, -0.0, -0.25, 1e300, -1e300]])
+    codes, values = _rounded(codec, x)
+    expected = np.clip(np.rint(x), -codec.cmax, codec.cmax)
+    assert np.array_equal(_bits(values), _bits(expected))
+    assert np.array_equal(codec.decode_codes(codes), expected)
+
+
+@pytest.mark.parametrize("name", ALL_FORMATS)
+def test_encode_of_decode_is_identity_on_valid_codes(name):
+    codec = make_format(name).codec
+    every = np.arange(1 << codec.width, dtype=np.uint8)
+    valid = []
+    for code in every:
+        try:
+            value = codec.decode_codes(np.array([code], dtype=np.uint8))[0]
+        except FormatError:
+            continue
+        if value == 0.0 and code != 0:
+            continue  # a zero with the sign bit set; encoding emits +0 only
+        valid.append(code)
+    valid = np.array(valid, dtype=np.uint8)
+    codes, _ = _rounded(codec, codec.decode_codes(valid))
+    assert np.array_equal(codes, valid)
 
 
 class TestRegistry:
@@ -166,6 +284,12 @@ class TestElementCodecs:
                 pos = decode_element(encode_element(v, codec, 1.0), codec, 1.0)
                 neg = decode_element(encode_element(-v, codec, 1.0), codec, 1.0)
                 assert neg == -pos
+
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, v):
+        for codec in (IntCodec(4), MinifloatCodec(4, 3, 7)):
+            with pytest.raises(ParameterError):
+                encode_element(v, codec, 1.0)
 
     def test_invalid_int_code_rejected(self):
         with pytest.raises(FormatError):

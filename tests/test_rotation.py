@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from loraq import (
+    AdamState,
     ParameterError,
     RotationConfig,
     SkewParam,
+    adam_step,
     cayley_retract,
     fake_quant,
     finite_diff_grad,
@@ -16,6 +18,7 @@ from loraq import (
     rotation_loss,
     skew_project,
 )
+from loraq import rotation
 
 
 def _random_rotation(rng, size):
@@ -183,6 +186,53 @@ class TestOptimizeRotation:
         o2, t2 = optimize_rotation(left, right, cfg)
         assert np.array_equal(o1, o2)
         assert t1 == t2
+
+
+def _reference_rotation(left, right, cfg):
+    """The rotation loop written from the public loss and gradient alone."""
+    rank = left.shape[1]
+    skew = SkewParam.zeros(rank)
+    state = AdamState.for_param((rank, rank))
+    best_omega = np.eye(rank)
+    trace = [rotation_loss(left, right, best_omega, cfg.quantizer)]
+    for _ in range(cfg.steps):
+        grad = rotation_grad(left, right, skew, cfg.quantizer)
+        skew.assign(adam_step(state, skew.matrix, grad, cfg.learning_rate))
+        omega = cayley_retract(skew)
+        trace.append(rotation_loss(left, right, omega, cfg.quantizer))
+        if trace[-1] < min(trace[:-1]):
+            best_omega = omega
+    return best_omega, trace
+
+
+class TestRotationLoop:
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_one_retraction_and_two_quantizations_per_iterate(self, monkeypatch, steps):
+        calls = {"fake_quant": 0, "cayley_retract": 0}
+        for name in calls:
+            original = getattr(rotation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(rotation, name, counted)
+        rng = np.random.default_rng(12)
+        optimize_rotation(rng.normal(size=(16, 4)), rng.normal(size=(4, 12)),
+                          RotationConfig(1e-1, steps, make_format("MXFP4e2")))
+        assert calls == {"fake_quant": 2 * (steps + 1), "cayley_retract": steps + 1}
+
+    @pytest.mark.parametrize("name", ["SINT4", "MXINT4", "MXFP4e2", "MXFP8e4"])
+    def test_bit_identical_to_reference_loop(self, name):
+        rng = np.random.default_rng(13)
+        left = rng.normal(size=(40, 6))
+        right = rng.normal(size=(6, 36))
+        cfg = RotationConfig(1e-1, 25, make_format(name))
+        omega, trace = optimize_rotation(left, right, cfg)
+        ref_omega, ref_trace = _reference_rotation(left, right, cfg)
+        assert np.array_equal(omega.view(np.uint64), ref_omega.view(np.uint64))
+        assert np.array_equal(np.array(trace).view(np.uint64),
+                              np.array(ref_trace).view(np.uint64))
 
 
 class TestFuseRotation:
