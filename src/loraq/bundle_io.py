@@ -233,6 +233,10 @@ def _decode_tensor(spec, shape, chunk_codes: bytes, chunk_scales: bytes,
         )
     codes = np.frombuffer(chunk_codes, dtype=np.uint8).reshape(rows, -1).copy()
     scales = np.frombuffer(chunk_scales, dtype=scale_dtype).reshape(rows, n_blocks).copy()
+    if spec.is_passthrough and not np.all(np.isfinite(codes.view("<f8"))):
+        raise CorruptFileError(
+            "passthrough payload holds an entry that is not finite", offset=offset
+        )
     if spec.scale_kind == "fp16":
         values = scales.view(np.float16)
         if not np.all(np.isfinite(values) & (values > 0)):
@@ -282,7 +286,7 @@ def load_bundle(path) -> LayerBundle:
         pad_residual = int(pad["residual"])
         pad_left = int(pad["left"])
         pad_right = int(pad["right"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(
             f"manifest is missing or mistypes a field: {exc}", offset=manifest_start
         ) from exc

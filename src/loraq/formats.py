@@ -44,11 +44,28 @@ the nearest entry of the value table with ties to the even code.  A
 negative value that rounds to zero gives +0.0 with no sign bit.
 
 Codes are packed LSB-first into little-endian bytes; each row is padded to
-a whole byte independently.
+a whole byte independently, with zero bits.  Packing and unpacking work on
+whole words with integer operations only.  A row is read as groups of
+``lcm(width, 8) / 8`` bytes (1 byte for widths 1, 2 and 4, 3 for width 6, 5
+or 7 for widths 5 and 7), each group one little-endian word holding
+``lcm(width, 8) / width`` codes; code ``j`` of a word is ``(word >>
+j * width) & (2^width - 1)``.  For width 4 that is the nibble split ``b &
+15``, ``b >> 4``.  A row whose bytes do not fill its last word is read as
+if zero bytes followed, and bits past a row's last code are ignored.
+Packing is the mirror: OR each code into its word at ``j * width``, then
+split the words into bytes.  8-bit codes are the bytes themselves.
+
+Decoding is one lookup in a per-codec table of ``2^width`` float64 values,
+indexed by code: the two's-complement value for integers, the sign,
+exponent and mantissa value for minifloats.  The table holds NaN at the
+patterns no encoder emits (the integer ``-2^(k-1)`` and the e4m3 all-ones
+NaN), and a NaN anywhere in the looked-up block values, the padded tail of
+a row included, raises :class:`FormatError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,13 +125,33 @@ class IntCodec:
         return (values.astype(np.int64) & ((1 << self.bits) - 1)).astype(np.uint8)
 
     def decode_codes(self, codes: np.ndarray) -> np.ndarray:
-        half = 1 << (self.bits - 1)
-        c = codes.astype(np.int64)
-        if np.any(c == half):
-            raise FormatError(
-                f"int{self.bits} code {half:#x} is outside the symmetric range"
-            )
-        return np.where(c >= half, c - (1 << self.bits), c).astype(np.float64)
+        """Values of codes below ``2^bits``; the pattern ``-2^(bits-1)`` raises."""
+        return _table_decode(
+            _int_table(self.bits), codes,
+            f"int{self.bits} code {1 << (self.bits - 1):#x} is outside the "
+            "symmetric range",
+        )
+
+
+def _table_decode(table: np.ndarray, codes: np.ndarray, message: str) -> np.ndarray:
+    """``table[codes]``; a NaN entry marks an invalid pattern and raises
+    :class:`FormatError` with ``message``."""
+    out = table[codes]
+    if np.isnan(out).any():
+        raise FormatError(message)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _int_table(bits: int) -> np.ndarray:
+    """Decode table of an int codec, indexed by code: the two's-complement
+    value, and NaN at the excluded pattern ``-2^(bits-1)``."""
+    half = 1 << (bits - 1)
+    codes = np.arange(1 << bits)
+    table = np.where(codes >= half, codes - (1 << bits), codes).astype(np.float64)
+    table[half] = np.nan
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -145,6 +182,8 @@ def _minifloat_tables(exp_bits: int, mantissa_bits: int, bias: int):
     decode[codes] = values
     sign_bit = 1 << (width - 1)
     decode[codes | sign_bit] = -values
+    for table in (values, codes, decode):
+        table.flags.writeable = False  # shared by every caller of the cache
     return values, codes, decode
 
 
@@ -201,15 +240,13 @@ class MinifloatCodec:
         return codes.astype(np.uint8)
 
     def decode_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Values of codes below ``2^width``; the e4m3 NaN pattern raises."""
         _, _, decode = _minifloat_tables(
             self.exp_bits, self.mantissa_bits, self.bias
         )
-        out = decode[codes.astype(np.intp)]
-        if np.isnan(out).any():
-            raise FormatError(
-                f"invalid e{self.exp_bits}m{self.mantissa_bits} code pattern"
-            )
-        return out
+        return _table_decode(
+            decode, codes, f"invalid e{self.exp_bits}m{self.mantissa_bits} code pattern"
+        )
 
 
 @dataclass(frozen=True)
@@ -242,6 +279,11 @@ class FormatSpec:
         if self.block_size < 1:
             raise ParameterError(f"block_size must be >= 1, got {self.block_size}")
         if not isinstance(self.codec, PassthroughCodec):
+            if not 1 <= self.codec.width <= 8:
+                # codes are stored as uint8 and packed into words of whole bytes
+                raise ParameterError(
+                    f"element codes must be 1 to 8 bits wide, got {self.codec.width}"
+                )
             if self.bits_per_value != self.codec.width:
                 raise ParameterError(
                     f"bits_per_value {self.bits_per_value} does not match the "
@@ -398,27 +440,65 @@ class QuantizedTensor:
         return self.scales.view(np.float16).astype(np.float64)
 
 
+def _word_layout(width: int) -> tuple[int, int, np.dtype]:
+    """``(bytes, codes, dtype)`` of one word: ``lcm(width, 8) / 8`` bytes
+    holding ``lcm(width, 8) / width`` codes, read as the narrowest
+    little-endian unsigned integer that holds them."""
+    group = math.lcm(width, 8) // 8
+    dtype = "u1" if group == 1 else "<u4" if group <= 4 else "<u8"
+    return group, 8 * group // width, np.dtype(dtype)
+
+
 def _pack_codes(codes: np.ndarray, width: int) -> np.ndarray:
-    """Pack per-row code streams LSB-first into little-endian bytes."""
+    """Pack per-row code streams LSB-first into little-endian bytes.
+
+    Codes must fit in ``width`` bits.  Each word of :func:`_word_layout` is
+    the OR of its codes shifted into place, split back into bytes.
+    """
     rows, n = codes.shape
     if width == 8:
         return np.ascontiguousarray(codes, dtype=np.uint8)
-    bits = ((codes[:, :, None] >> np.arange(width, dtype=np.uint8)) & 1).astype(np.uint8)
-    return np.packbits(bits.reshape(rows, n * width), axis=1, bitorder="little")
+    group, per_word, dtype = _word_layout(width)
+    words = -(-n // per_word)
+    if words * per_word != n:
+        codes = np.pad(codes, ((0, 0), (0, words * per_word - n)))
+    codes = codes.reshape(rows, words, per_word)
+    word = codes[:, :, 0].astype(dtype)
+    for j in range(1, per_word):
+        word |= codes[:, :, j].astype(dtype, copy=False) << dtype.type(j * width)
+    packed = word.view(np.uint8).reshape(rows, words, dtype.itemsize)[:, :, :group]
+    row_bytes = -(-(n * width) // 8)
+    return np.ascontiguousarray(packed.reshape(rows, words * group)[:, :row_bytes])
 
 
 def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarray:
-    expected = rows * (-(-(n * width) // 8))
-    if packed.size != expected:
+    """Inverse of :func:`_pack_codes`: ``(rows, n)`` codes, each below ``2^width``.
+
+    Bits past the ``n``-th code of a row are ignored.
+    """
+    row_bytes = -(-(n * width) // 8)
+    if packed.size != rows * row_bytes:
         raise FormatError(
-            f"code stream holds {packed.size} bytes, expected {expected}"
+            f"code stream holds {packed.size} bytes, expected {rows * row_bytes}"
         )
+    packed = packed.reshape(rows, row_bytes)
     if width == 8:
-        return packed.reshape(rows, n).copy()
-    bits = np.unpackbits(packed.reshape(rows, -1), axis=1, bitorder="little",
-                         count=n * width)
-    weights = (1 << np.arange(width)).astype(np.uint16)
-    return (bits.reshape(rows, n, width) * weights).sum(axis=2).astype(np.uint8)
+        return packed.copy()
+    group, per_word, dtype = _word_layout(width)
+    words = -(-row_bytes // group)
+    if group == 1:
+        word = packed
+    else:
+        buf = np.zeros((rows, words, dtype.itemsize), dtype=np.uint8)
+        tail = words * group - row_bytes
+        buf[:, :, :group] = np.pad(packed, ((0, 0), (0, tail))).reshape(rows, words, group)
+        word = buf.view(dtype).reshape(rows, words)
+    mask = word.dtype.type((1 << width) - 1)
+    codes = np.empty((rows, words, per_word), dtype=np.uint8)
+    for j in range(per_word):
+        shifted = word >> word.dtype.type(j * width) if j else word
+        np.bitwise_and(shifted, mask, out=codes[:, :, j], casting="unsafe")
+    return codes.reshape(rows, words * per_word)[:, :n]
 
 
 def _blocked(m: np.ndarray, block_size: int) -> tuple[np.ndarray, int]:
@@ -515,7 +595,7 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
         )
     codes = _unpack_codes(t.codes, spec.codec.width, rows, padded)
     values = spec.codec.decode_codes(codes).reshape(rows, n_blocks, spec.block_size)
-    values = values * t.scale_values()[:, :, None]
+    values *= t.scale_values()[:, :, None]
     return values.reshape(rows, padded)[:, :cols]
 
 

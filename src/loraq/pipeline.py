@@ -424,15 +424,20 @@ def ablate_layer(w, q1: FormatSpec, q2: FormatSpec,
     return dict(zip(cells, _assemble(w, q1, q2, cells, **kwargs)))
 
 
+def _decoded(bundle: LayerBundle) -> tuple[np.ndarray, np.ndarray]:
+    """The decoded residual and the dense low-rank product ``L @ R``."""
+    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
+    return dequantize(bundle.residual), branch
+
+
 def reconstruct_weight(bundle: LayerBundle, *, desmoothed: bool = False) -> np.ndarray:
     """Effective weight of a bundle: residual plus the low-rank product.
 
     With ``desmoothed`` the result is mapped back to the original
     (pre-smoothing) coordinates for comparison against the source weight.
     """
-    w_hat = dequantize(bundle.residual) + (
-        dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
-    )
+    residual_hat, branch = _decoded(bundle)
+    w_hat = residual_hat + branch
     if desmoothed and bundle.gamma is not None:
         w_hat = w_hat / bundle.gamma[:, None]
     return w_hat
@@ -461,14 +466,14 @@ def forward(
         if lowrank_activation_format is not None
         else activation_format
     )
-    if lr_format is activation_format:
+    if lr_format == activation_format:
         x_lr = x_res
     elif lr_format is not None:
         x_lr = fake_quant(x_s, lr_format)
     else:
         x_lr = x_s
-    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
-    return x_res @ dequantize(bundle.residual) + x_lr @ branch
+    residual_hat, branch = _decoded(bundle)
+    return x_res @ residual_hat + x_lr @ branch
 
 
 def _bundle_weight(w, bundle: LayerBundle) -> np.ndarray:
@@ -521,7 +526,8 @@ def error_report(
     gamma = bundle.gamma
     w_s = gamma[:, None] * w if gamma is not None else w
     x_s = x / gamma[None, :] if gamma is not None else x
-    w_hat_s = reconstruct_weight(bundle)
+    residual_hat, branch = _decoded(bundle)
+    w_hat_s = residual_hat + branch
     x_q = fake_quant(x_s, activation_format) if activation_format is not None else x_s
 
     exact = x_s @ w_s
@@ -541,11 +547,7 @@ def error_report(
         )
 
     weight_err, weight_err_rel = _weight_error(w, w_hat_s, gamma)
-    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
-    residual_exact = w_s - branch
-    residual_mse = float(
-        np.mean(np.square(dequantize(bundle.residual) - residual_exact))
-    )
+    residual_mse = float(np.mean(np.square(residual_hat - (w_s - branch))))
 
     exact_norm = float(np.linalg.norm(exact, "fro"))
     return ErrorReport(

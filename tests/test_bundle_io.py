@@ -1,15 +1,23 @@
-"""LRQB loading: round trips, and hand-patched files that must be refused."""
+"""LRQB loading: round trips, hand-patched files that must be refused, and
+fuzzed files that must either load and serve finite output or be refused."""
 
 import json
+import os
 import struct
+import tempfile
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loraq import (
     CorruptFileError,
     ChannelStats,
+    LoraqError,
     assemble_layer,
+    forward,
     load_bundle,
     make_format,
     reconstruct_weight,
@@ -47,6 +55,16 @@ def _chunk_offsets(data: bytes) -> dict[str, int]:
 
 def _payload(data: bytes, tag: str) -> int:
     return _chunk_offsets(data)[tag] + 4 + 8
+
+
+def _with_manifest(data: bytes, edit) -> bytes:
+    """``data`` with its manifest passed through ``edit`` and re-encoded."""
+    (manifest_len,) = struct.unpack_from("<I", data, 6)
+    manifest = json.loads(data[_HEADER:_HEADER + manifest_len])
+    edit(manifest)
+    patched = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    return (data[:6] + struct.pack("<I", len(patched)) + patched
+            + data[_HEADER + manifest_len:])
 
 
 def _load_patched(tmp_path, data: bytes):
@@ -88,6 +106,16 @@ def test_gamma_entries_must_be_finite_and_positive(tmp_path, value):
     assert info.value.offset == _chunk_offsets(data)["GAMA"]
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("tag", ["LCOD", "RCOD"])
+def test_passthrough_payload_must_be_finite(tmp_path, tag, value):
+    data = bytearray(_saved(tmp_path, q1="MXINT4", q2="fp16-passthrough", gamma=False))
+    struct.pack_into("<d", data, _payload(data, tag) + 8 * 2, value)
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, bytes(data))
+    assert info.value.offset == _chunk_offsets(data)[tag]
+
+
 @pytest.mark.parametrize("which,tag,pad", [
     ("residual", "PCOD", 0),  # SINT4 over 72 columns pads 56
     ("residual", "PCOD", 8),
@@ -95,16 +123,19 @@ def test_gamma_entries_must_be_finite_and_positive(tmp_path, value):
     ("right", "RCOD", 0),  # MXINT4 over 72 columns pads 24
 ])
 def test_pad_count_must_match_the_shape(tmp_path, which, tag, pad):
-    data = _saved(tmp_path)
-    (manifest_len,) = struct.unpack_from("<I", data, 6)
-    manifest = json.loads(data[_HEADER:_HEADER + manifest_len])
-    manifest["pad"][which] = pad
-    patched = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    data = (data[:6] + struct.pack("<I", len(patched)) + patched
-            + data[_HEADER + manifest_len:])
+    data = _with_manifest(_saved(tmp_path), lambda m: m["pad"].update({which: pad}))
     with pytest.raises(CorruptFileError) as info:
         _load_patched(tmp_path, data)
     assert info.value.offset == _chunk_offsets(data)[tag]
+
+
+@pytest.mark.parametrize("shape", [[12], [], 12])
+def test_malformed_manifest_shape_is_refused(tmp_path, shape):
+    data = _with_manifest(_saved(tmp_path),
+                          lambda m: m["meta"].update({"shape": shape}))
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
 
 
 def test_version_zero_is_refused(tmp_path):
@@ -113,3 +144,54 @@ def test_version_zero_is_refused(tmp_path):
     with pytest.raises(CorruptFileError) as info:
         _load_patched(tmp_path, bytes(data))
     assert info.value.offset == 4
+
+
+FUZZED = [("SINT4", "MXINT4", True), ("MXFP4e2", "MXFP8e4", True),
+          ("MXINT4", "fp16-passthrough", False)]
+
+
+@lru_cache(maxsize=None)
+def _saved_bytes(case) -> bytes:
+    q1, q2, gamma = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.lrqb")
+        save_bundle(path, _bundle(q1, q2, gamma))
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _load_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.lrqb")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return load_bundle(path)
+
+
+@pytest.mark.parametrize("case", FUZZED, ids=str)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_truncated_bundle_is_refused(case, data):
+    raw = _saved_bytes(case)
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    with pytest.raises(LoraqError):
+        _load_bytes(raw[:cut])
+
+
+@pytest.mark.parametrize("case", FUZZED, ids=str)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_byte_flipped_bundle_serves_finite_output_or_is_refused(case, data):
+    raw = bytearray(_saved_bytes(case))
+    flips = data.draw(st.lists(
+        st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+        min_size=1, max_size=3))
+    for at, mask in flips:
+        raw[at] ^= mask
+    try:
+        bundle = _load_bytes(bytes(raw))
+        x = np.random.default_rng(0).normal(size=(2, bundle.meta.shape[0]))
+        y = forward(bundle, x)
+    except LoraqError:
+        return
+    assert np.all(np.isfinite(y))

@@ -1,11 +1,13 @@
-"""Byte-identity oracle: ``save_bundle`` output on a fixed corpus.
+"""Byte-identity oracle: ``save_bundle`` and ``forward`` output on a fixed
+corpus.
 
 The sha256 of every bundle below was recorded before the refactor of the
 code it exercises: the staged pipeline, and for the 8-bit low-rank branches
-the arithmetic minifloat rounder.  A refactor that keeps these hashes keeps
-every byte of every bundle.  Floating-point results depend on the numpy
-build and on the BLAS kernels, so the test skips on any other numpy or BLAS
-version.
+the arithmetic minifloat rounder.  The ``forward`` hashes were recorded
+before the word-based code unpacking and the table decoder.  A refactor that
+keeps these hashes keeps every byte of every bundle and of every layer
+output.  Floating-point results depend on the numpy build and on the BLAS
+kernels, so the test skips on any other numpy or BLAS version.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from loraq import (
     bundle_io,
     cli,
     compute_channel_stats,
+    forward,
     make_format,
     save_stats,
     save_tensor,
@@ -45,6 +48,27 @@ ASSEMBLED = {
         "ffd625ab4d78b3d53b76dfc9d88a898dd8a1dc4352dec7b39e4261ef505204e5",
     ("MXFP4e2", "MXFP8e4", True, True):
         "a463cdd29522606b9f54490cc423269e7acdfb80be877153d2d106671ee8170a",
+}
+
+# (q1, q2, optimized_lr, rotations) -> sha256 of the ``forward`` outputs of the
+# bundle above at batch 1 and 64, without and then with MXINT8 activations
+FORWARD = {
+    ("SINT4", "SINT4", True, True):
+        "5cb1fd0e8b7e1d28293c70c15a0d520ffd78ca93aa2e2243f96ece74aaf5d583",
+    ("SINT4", "SINT4", False, False):
+        "137d29627f8686833567869af12852b0cfdc922f33c63bd620144d31a2368412",
+    ("MXINT4", "MXINT4", True, True):
+        "877e9277232a8ce59265fa454923f706c27ece419d20f3e19e91a01230a7c0c3",
+    ("MXINT4", "MXINT4", False, False):
+        "f41f65b9476584e29a6edbe69a70681b11927abcfe5687c40ab431426d7554d2",
+    ("MXFP4e2", "MXFP6e2", True, True):
+        "a2e5e7f4d8f722cc49959b3bb7443c6eb069da3e17b08892c28eab622c635ac8",
+    ("MXFP4e2", "MXFP6e2", False, False):
+        "36e843365b1b00e543efe75ee38c73f52918552a0f7be71d4560908a43ea6155",
+    ("SINT4", "MXINT8", True, True):
+        "9e0f170eb2346496d4369289e03dcc9aea5d1cdef166b5967373082fd14c6ba3",
+    ("MXFP4e2", "MXFP8e4", True, True):
+        "f57bd06d77db60bab633ab676b6b509e88fa9cc821e809dd189df92512bdbe57",
 }
 
 # calibration file kind -> sha256 of the bundle ``loraq quantize --stats`` wrote
@@ -78,15 +102,31 @@ def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _assembled(case):
+    q1, q2, optimized, rotated = case
+    return assemble_layer(_weight(0), make_format(q1), make_format(q2), rank=8,
+                          optimized_lr=optimized, rotations=rotated, seed=5,
+                          absorb_steps=6, rotation_steps=4)
+
+
 @pytest.mark.parametrize("case", sorted(ASSEMBLED), ids=str)
 def test_assembled_bundle_bytes(case, tmp_path):
-    q1, q2, optimized, rotated = case
-    bundle = assemble_layer(_weight(0), make_format(q1), make_format(q2), rank=8,
-                            optimized_lr=optimized, rotations=rotated, seed=5,
-                            absorb_steps=6, rotation_steps=4)
+    bundle = _assembled(case)
     path = tmp_path / "b.lrqb"
     bundle_io.save_bundle(path, bundle)
     assert _sha(path) == ASSEMBLED[case]
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD), ids=str)
+def test_forward_output_bytes(case):
+    bundle = _assembled(case)
+    x = np.random.default_rng(3).standard_t(df=5, size=(64, 40))
+    digest = hashlib.sha256()
+    for act in (None, make_format("MXINT8")):
+        for rows in (1, 64):
+            y = forward(bundle, x[:rows], act)
+            digest.update(np.ascontiguousarray(y).tobytes())
+    assert digest.hexdigest() == FORWARD[case]
 
 
 @pytest.mark.parametrize("kind", sorted(CALIBRATED))

@@ -2,6 +2,7 @@
 stderr line, LORAQ_THREADS, and the ablate grid's shared stages."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -158,3 +159,59 @@ def test_evaluate_shape_mismatch_exits_4(tmp_path, capsys):
     code, _, err = _run(capsys, ["evaluate", str(bundle), large, "--machine"])
     assert code == 4
     assert _last_error_line(err).startswith("error: [E_SHAPE] ")
+
+
+def _bundle_file(tmp_path, capsys, weight):
+    bundle = tmp_path / "w.lrqb"
+    assert _run(capsys, ["quantize", weight, *RUN, "--out", str(bundle)])[0] == 0
+    return str(bundle)
+
+
+def test_evaluate_machine_output(tmp_path, capsys):
+    [weight] = _weights(tmp_path, 1)
+    bundle = _bundle_file(tmp_path, capsys, weight)
+    activations = tmp_path / "x.lqt"
+    save_tensor(activations, np.random.default_rng(31).normal(size=(6, 24)))
+    code, out, _ = _run(capsys, ["evaluate", bundle, weight, "--activations",
+                                 str(activations), "--act-format", "MXINT8",
+                                 "--machine"])
+    assert code == 0
+    report = json.loads(out)
+    assert set(report) == {"weight_err", "weight_err_rel", "weight_err_smoothed",
+                           "matmul_err", "matmul_err_rel", "bound_rhs",
+                           "residual_mse", "lowrank_q2_mse"}
+    assert all(isinstance(v, float) and np.isfinite(v) for v in report.values())
+    assert report["matmul_err"] <= report["bound_rhs"]
+    assert (report["weight_err"], report["weight_err_rel"]) == weight_error(
+        load_tensor(weight), load_bundle(bundle))
+
+
+def test_inspect_machine_output(tmp_path, capsys):
+    [weight] = _weights(tmp_path, 1)
+    bundle = _bundle_file(tmp_path, capsys, weight)
+    code, out, _ = _run(capsys, ["inspect", bundle, "--machine"])
+    assert code == 0
+    info = json.loads(out)
+    assert set(info) == {"meta", "gamma", "chunks", "budget"}
+    assert info["meta"] == load_bundle(bundle).meta.to_dict()
+    assert info["gamma"] is False
+    assert set(info["chunks"]) == {"residual_code_bytes", "residual_scale_count",
+                                   "left_code_bytes", "right_code_bytes"}
+    assert set(info["budget"]) == {"payload_bits_per_channel",
+                                   "budget_bits_per_channel",
+                                   "scale_bits_per_channel_left", "total_scale_bits"}
+
+
+def test_evaluate_non_finite_weight_exits_5(tmp_path, capsys):
+    [weight] = _weights(tmp_path, 1)
+    bundle = _bundle_file(tmp_path, capsys, weight)
+    w = load_tensor(weight)
+    w[3, 5] = np.inf
+    broken = tmp_path / "inf.lqt"
+    # save_tensor refuses non-finite entries, so write the LQT1 layout directly
+    broken.write_bytes(b"LQT1" + struct.pack("<BQQ", 8, *w.shape)
+                       + w.astype("<f8").tobytes())
+    assert np.isinf(load_tensor(broken)[3, 5])  # the loader accepts them
+    code, _, err = _run(capsys, ["evaluate", bundle, str(broken), "--machine"])
+    assert code == 5
+    assert _last_error_line(err).startswith("error: [E_NUMERIC] ")

@@ -4,6 +4,7 @@ import pytest
 from loraq import (
     PASSTHROUGH,
     FormatError,
+    FormatSpec,
     IntCodec,
     MinifloatCodec,
     ParameterError,
@@ -18,7 +19,7 @@ from loraq import (
     quantize_blockwise,
     registry_names,
 )
-from loraq.formats import _minifloat_tables
+from loraq.formats import _minifloat_tables, _pack_codes, _unpack_codes
 
 ALL_FORMATS = ["SINT4", "MXINT4", "MXINT8", "MXFP4e2", "MXFP6e2", "MXFP8e4"]
 
@@ -59,6 +60,58 @@ def _table_round(codec: MinifloatCodec, scaled: np.ndarray):
     sign_bit = np.uint8(1 << (codec.width - 1))
     out_codes = np.where(negative, out_codes | sign_bit, out_codes)
     return out_codes.astype(np.uint8), np.where(negative, -out_values, out_values)
+
+
+def _bitwise_pack(codes: np.ndarray, width: int) -> np.ndarray:
+    """Reference packer: one byte per bit, then ``packbits``.
+
+    This is the packer the codec used before it packed whole words.
+    """
+    rows, n = codes.shape
+    if width == 8:
+        return np.ascontiguousarray(codes, dtype=np.uint8)
+    bits = ((codes[:, :, None] >> np.arange(width, dtype=np.uint8)) & 1).astype(np.uint8)
+    return np.packbits(bits.reshape(rows, n * width), axis=1, bitorder="little")
+
+
+def _bitwise_unpack(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarray:
+    """Reference unpacker: ``unpackbits``, then a weighted sum over the bits."""
+    if width == 8:
+        return packed.reshape(rows, n).copy()
+    bits = np.unpackbits(packed.reshape(rows, -1), axis=1, bitorder="little",
+                         count=n * width)
+    weights = (1 << np.arange(width)).astype(np.uint16)
+    return (bits.reshape(rows, n, width) * weights).sum(axis=2).astype(np.uint8)
+
+
+def _reference_decode(codec, codes: np.ndarray) -> np.ndarray:
+    """Reference decoder: ``np.where`` for integers, the NaN-marked value
+    table for minifloats; raises FormatError on an invalid pattern."""
+    if isinstance(codec, IntCodec):
+        half = 1 << (codec.bits - 1)
+        c = codes.astype(np.int64)
+        if np.any(c == half):
+            raise FormatError("invalid int code")
+        return np.where(c >= half, c - (1 << codec.bits), c).astype(np.float64)
+    _, _, decode = _minifloat_tables(codec.exp_bits, codec.mantissa_bits, codec.bias)
+    out = decode[codes.astype(np.intp)]
+    if np.isnan(out).any():
+        raise FormatError("invalid minifloat code")
+    return out
+
+
+def _reference_dequantize(t) -> np.ndarray:
+    """``dequantize`` through the reference unpacker and decoder."""
+    rows, cols = t.shape
+    spec = t.spec
+    if spec.is_passthrough:
+        return t.codes.reshape(rows, cols * 8).view("<f8").astype(np.float64)
+    padded = t.n_blocks * spec.block_size
+    codes = _bitwise_unpack(t.codes, spec.codec.width, rows, padded)
+    values = _reference_decode(spec.codec, codes)
+    values = values.reshape(rows, t.n_blocks, spec.block_size)
+    values = values * t.scale_values()[:, :, None]
+    return values.reshape(rows, padded)[:, :cols]
 
 
 def _rounded(codec, x: np.ndarray):
@@ -182,6 +235,11 @@ class TestRegistry:
     def test_value_equal_across_calls(self):
         for name in ALL_FORMATS:
             assert make_format(name) == make_format(name)
+
+    @pytest.mark.parametrize("codec", [IntCodec(16), MinifloatCodec(5, 3, 15)])
+    def test_codes_wider_than_a_byte_are_refused(self, codec):
+        with pytest.raises(ParameterError):
+            FormatSpec("wide", 32, "e8m0", codec, codec.width)
 
     def test_unknown_name(self):
         with pytest.raises(UnknownFormatError):
@@ -417,6 +475,44 @@ class TestPackUnpack:
         again = quantize_blockwise(dequantize(t), spec)
         assert np.array_equal(t.codes, again.codes)
 
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_pack_matches_bitwise_oracle(self, width):
+        rng = np.random.default_rng(100 + width)
+        for rows in (1, 3):
+            for n in range(0, 26):  # every remainder of n * width modulo a word
+                codes = rng.integers(0, 1 << width, size=(rows, n), dtype=np.uint8)
+                got = _pack_codes(codes, width)
+                want = _bitwise_pack(codes, width)
+                assert got.dtype == np.uint8 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (rows, n)
+                # each row is padded to a whole byte with zero bits
+                assert np.array_equal(_unpack_codes(got, width, rows, n), codes)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_unpack_matches_bitwise_oracle(self, width):
+        rng = np.random.default_rng(200 + width)
+        for rows in (1, 3):
+            for n in range(0, 26):
+                # arbitrary bytes, so the bits padding a row need not be zero
+                packed = rng.integers(0, 256, size=(rows, -(-(n * width) // 8)),
+                                      dtype=np.uint8)
+                got = _unpack_codes(packed, width, rows, n)
+                want = _bitwise_unpack(packed, width, rows, n)
+                assert got.dtype == np.uint8 and got.shape == (rows, n)
+                assert np.array_equal(got, want), (rows, n)
+
+    @pytest.mark.parametrize("name", [*ALL_FORMATS, PASSTHROUGH.name])
+    def test_dequantize_matches_reference_decoder(self, name):
+        spec = make_format(name)
+        rng = np.random.default_rng(len(name))
+        for shape in [(1, 1), (3, 31), (5, 65), (9, 100)]:
+            m = rng.standard_t(df=3, size=shape) * rng.uniform(0.01, 100.0)
+            t = quantize_blockwise(m, spec)
+            got = dequantize(t)
+            assert got.dtype == np.float64 and got.shape == shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(
+                _reference_dequantize(t)).tobytes()
+
     def test_rows_pack_independently(self):
         spec = minifloat_test_format("e2m3", 4)  # 6-bit codes
         m = np.ones((3, 4))
@@ -431,6 +527,45 @@ class TestPackUnpack:
         t.codes = t.codes[:, :1]
         with pytest.raises(FormatError):
             dequantize(t)
+
+
+def _with_code(t, row: int, col: int, code: int):
+    """``t`` with one element code replaced, packed by the reference packer."""
+    width = t.spec.codec.width
+    rows = t.shape[0]
+    padded = t.n_blocks * t.spec.block_size
+    codes = _bitwise_unpack(t.codes, width, rows, padded)
+    codes[row, col] = code
+    t.codes = _bitwise_pack(codes, width)
+    return t
+
+
+@pytest.mark.parametrize("name,pattern", [
+    ("SINT4", 0b1000), ("MXINT4", 0b1000), ("MXINT8", 0x80),
+    ("MXFP8e4", 0x7F), ("MXFP8e4", 0xFF),
+])
+class TestInvalidPatterns:
+    """The int ``-2^(k-1)`` and e4m3 NaN patterns never decode."""
+
+    def test_inside_the_matrix(self, name, pattern):
+        spec = make_format(name)
+        t = quantize_blockwise(np.ones((3, 40)), spec)
+        with pytest.raises(FormatError):
+            dequantize(_with_code(t, 1, 17, pattern))
+
+    def test_in_a_blocks_padded_tail(self, name, pattern):
+        spec = make_format(name)
+        cols = spec.block_size + 3
+        t = quantize_blockwise(np.ones((2, cols)), spec)
+        assert t.pad_count > 0
+        with pytest.raises(FormatError):
+            dequantize(_with_code(t, 1, t.n_blocks * spec.block_size - 1, pattern))
+
+    def test_decode_codes_refuses_it(self, name, pattern):
+        codec = make_format(name).codec
+        codes = np.array([[0, pattern, 1]], dtype=np.uint8)
+        with pytest.raises(FormatError):
+            codec.decode_codes(codes)
 
 
 class TestFixedPoints:

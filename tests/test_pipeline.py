@@ -9,6 +9,7 @@ import pytest
 from loraq import (
     PASSTHROUGH,
     BudgetError,
+    FormatSpec,
     BudgetPolicy,
     NumericError,
     ParameterError,
@@ -25,6 +26,7 @@ from loraq import (
     forward,
     init_factors,
     make_format,
+    pipeline,
     rank_for_budget,
     reconstruct_weight,
     save_bundle,
@@ -218,6 +220,26 @@ class TestForward:
         )
         assert np.array_equal(mixed, expected)
 
+    def test_equal_branch_format_is_quantized_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        w = rng.normal(size=(32, 16))
+        x = rng.normal(size=(6, 32))
+        b = _quick(w, make_format("SINT4"), make_format("MXINT4"), rank=4)
+        act = make_format("MXINT8")
+        twin = FormatSpec.from_dict(act.to_dict())  # equal, not the same object
+        assert twin == act and twin is not act
+        expected = forward(b, x, act)
+        calls = []
+
+        def counting(m, spec):
+            calls.append(spec)
+            return fake_quant(m, spec)
+
+        monkeypatch.setattr(pipeline, "fake_quant", counting)
+        got = forward(b, x, activation_format=act, lowrank_activation_format=twin)
+        assert calls == [act]
+        assert np.array_equal(got, expected)
+
     def test_bundle_beats_plain_rtn(self):
         q = make_format("SINT4")
         wins = 0
@@ -237,6 +259,27 @@ class TestForward:
 
 
 class TestErrorReport:
+    def test_decodes_each_tensor_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=(24, 40))
+        x = rng.normal(size=(8, 24))
+        b = _quick(w, make_format("SINT4"), make_format("MXFP6e2"), rank=4)
+        decoded = []
+
+        def counting(t):
+            decoded.append(t)
+            return dequantize(t)
+
+        monkeypatch.setattr(pipeline, "dequantize", counting)
+        report = error_report(w, x, b, make_format("MXINT8"))
+        assert len(decoded) == 3
+        # the figures the two-decode path gave, bit for bit
+        branch = dequantize(b.lowrank_left) @ dequantize(b.lowrank_right)
+        w_hat = dequantize(b.residual) + branch
+        assert report.weight_err_smoothed == float(np.linalg.norm(w - w_hat, "fro"))
+        assert report.residual_mse == float(
+            np.mean(np.square(dequantize(b.residual) - (w - branch))))
+
     def test_passthrough_everything_is_zero(self):
         rng = np.random.default_rng(11)
         w = rng.normal(size=(10, 10))
