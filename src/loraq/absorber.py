@@ -122,6 +122,14 @@ def optimize_factors(w, factors: LowRankFactors,
     its length is ``cfg.steps + 1``; the lowest-loss iterate is returned
     (``factors`` itself, copied, when ``cfg.steps`` is 0).  Deterministic
     for fixed inputs.
+
+    The call allocates its d×n work buffers once and every iterate reuses
+    them: ``shifted`` takes ``left @ right + w`` (the same sum as ``w +
+    left @ right``, since IEEE addition commutes), ``err`` takes its
+    quantization error through ``fake_quant(..., out=err)``, and
+    ``shifted``, dead by then, takes the squared error for the loss.  A
+    boolean buffer holds the finiteness check.  The buffers are local to
+    the call, so layers may be optimized on concurrent threads.
     """
     w = as_matrix(w)
     if (factors.left.shape[0], factors.right.shape[1]) != w.shape:
@@ -131,6 +139,9 @@ def optimize_factors(w, factors: LowRankFactors,
         )
     state_l = AdamState.for_param(factors.left.shape)
     state_r = AdamState.for_param(factors.right.shape)
+    shifted = np.empty(w.shape)
+    err = np.empty(w.shape)
+    finite = np.empty(w.shape, dtype=bool)
 
     trace: list[float] = []
     best: LowRankFactors | None = None
@@ -140,16 +151,18 @@ def optimize_factors(w, factors: LowRankFactors,
     def record(cand: LowRankFactors) -> np.ndarray:
         nonlocal best, best_loss
         with np.errstate(over="ignore"):
-            shifted = w + cand.left @ cand.right
-        if not np.all(np.isfinite(shifted)):
+            np.matmul(cand.left, cand.right, out=shifted)
+            np.add(shifted, w, out=shifted)
+        if not np.isfinite(shifted, out=finite).all():
             raise NumericError(
                 f"shifted weight became non-finite at step {len(trace)}",
                 trace=trace,
                 last_iterate=best if best is not None else factors,
             )
-        err = fake_quant(shifted, cfg.quantizer) - shifted
+        fake_quant(shifted, cfg.quantizer, out=err)
+        np.subtract(err, shifted, out=err)
         with np.errstate(over="ignore"):
-            loss = float(np.mean(np.square(err)))
+            loss = float(np.square(err, out=shifted).mean())
         if not np.isfinite(loss):
             raise NumericError(
                 f"loss became non-finite at step {len(trace)}",

@@ -45,7 +45,7 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptFileError, FileFormatError, VersionError
+from .errors import CorruptFileError, FileFormatError, FormatError, VersionError
 from .formats import QuantizedTensor
 from .numerics import as_matrix
 from .pipeline import BundleMeta, LayerBundle
@@ -71,13 +71,16 @@ _ELEMENT_KINDS = {4: "<f4", 8: "<f8"}
 
 
 class _Reader:
-    """Cursor over a byte string that fails loudly on truncation."""
+    """Cursor over a byte string that fails loudly on truncation.
+
+    It reads through a ``memoryview``, so taking a payload copies nothing.
+    """
 
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.offset = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         if count < 0 or self.offset + count > len(self.data):
             raise CorruptFileError(
                 f"truncated while reading {what} at offset {self.offset}",
@@ -108,7 +111,7 @@ class _Reader:
 
 
 def _check_magic(reader: _Reader, magic: bytes, what: str) -> None:
-    got = reader.take(len(magic), f"{what} magic")
+    got = bytes(reader.take(len(magic), f"{what} magic"))
     if got != magic:
         raise FileFormatError(f"bad {what} magic {got!r}, expected {magic!r}")
 
@@ -205,7 +208,7 @@ def save_bundle(path, bundle: LayerBundle) -> None:
             fh.write(data)
 
 
-def _decode_tensor(spec, shape, chunk_codes: bytes, chunk_scales: bytes,
+def _decode_tensor(spec, shape, chunk_codes: memoryview, chunk_scales: memoryview,
                    pad_count: int, offset: int, scale_offset: int) -> QuantizedTensor:
     rows, cols = shape
     if spec.is_passthrough:
@@ -271,7 +274,7 @@ def load_bundle(path) -> LayerBundle:
     manifest_start = reader.offset
     manifest_bytes = reader.take(manifest_len, "manifest")
     try:
-        manifest = json.loads(manifest_bytes.decode("utf-8"))
+        manifest = json.loads(str(manifest_bytes, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFileError(
             f"manifest does not parse: {exc}", offset=manifest_start
@@ -290,12 +293,16 @@ def load_bundle(path) -> LayerBundle:
         raise CorruptFileError(
             f"manifest is missing or mistypes a field: {exc}", offset=manifest_start
         ) from exc
+    except FormatError as exc:
+        raise CorruptFileError(
+            f"manifest describes an unusable format: {exc}", offset=manifest_start
+        ) from exc
 
-    payloads: dict[str, bytes] = {}
+    payloads: dict[str, memoryview] = {}
     offsets: dict[str, int] = {}
     for tag, length in declared:
         chunk_offset = reader.offset
-        got_tag = reader.take(4, "chunk tag")
+        got_tag = bytes(reader.take(4, "chunk tag"))
         if got_tag != tag.encode("ascii", errors="replace"):
             raise CorruptFileError(
                 f"chunk tag {got_tag!r} does not match manifest entry {tag!r}",

@@ -18,9 +18,18 @@ code.  Two scale families exist:
 Elements are rounded to the nearest representable value with ties to even
 and saturated at the codec maximum.  Rounding works on the values alone and
 in place; codes are derived from the rounded values only when a tensor is
-encoded, so :func:`fake_quant` never builds them.  Integers round with
-``rint`` and are then clamped to ``[-codec_max, codec_max]``.  Minifloats
-round by arithmetic, with no table lookup:
+encoded, so :func:`fake_quant` never builds them.  Both walk the matrix in
+groups of whole rows of about ``2^16`` values: every temporary of a group
+(its block grid, its scales, the rounding's exponents) stays in cache, and
+none is the size of the matrix.  ``fake_quant(m, spec, out=buf)`` writes
+its result into ``buf``, a writeable float64 array of ``m``'s shape that
+shares no memory with ``m`` (anything else raises :class:`ParameterError`,
+or :class:`ShapeError` for a wrong shape), so a loop that reuses one such
+buffer allocates nothing of the matrix's size.  The result is the same with
+or without ``out``, bit for bit.
+
+Integers round with ``rint`` and are then clamped to ``[-codec_max,
+codec_max]``.  Minifloats round by arithmetic, with no table lookup:
 
 1. the binade exponent ``e = floor(log2|x|)`` comes from ``np.frexp`` and
    is clamped below at ``1 - bias``, the binade of the smallest normal,
@@ -42,6 +51,16 @@ of a normal adds ``2^mantissa_bits``, which is even).  Anything past
 NaN pattern is never produced.  The result is bit-identical to choosing
 the nearest entry of the value table with ties to the even code.  A
 negative value that rounds to zero gives +0.0 with no sign bit.
+
+Encoding an on-grid minifloat value is one lookup.  Every value a codec can
+represent is a normal float64 (its parameters are refused otherwise), and
+a value on the grid has at most ``mantissa_bits`` fraction bits after its
+leading one.  So the float64 bit field ``bits >> (52 - mantissa_bits)``,
+read as a signed integer, holds the value's sign, its float64 exponent and
+its top fraction bits, and fixes the value, hence its code.  A per-codec
+``uint8`` table of ``2^(12 + mantissa_bits)`` entries maps that field to
+the code: a negative value's field is negative, and indexes from the end
+of the table, where the sign-bit codes sit.  Both zeros encode as code 0.
 
 Codes are packed LSB-first into little-endian bytes; each row is padded to
 a whole byte independently, with zero bits.  Packing and unpacking work on
@@ -71,7 +90,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, UnknownFormatError
+from .errors import FormatError, ParameterError, ShapeError, UnknownFormatError
 from .numerics import as_matrix
 
 __all__ = [
@@ -105,6 +124,11 @@ class IntCodec:
     """
 
     bits: int
+
+    def __post_init__(self):
+        if self.bits < 2:
+            # one bit leaves only zero, so no block could get a finite scale
+            raise ParameterError(f"int codec needs at least 2 bits, got {self.bits}")
 
     @property
     def width(self) -> int:
@@ -187,6 +211,22 @@ def _minifloat_tables(exp_bits: int, mantissa_bits: int, bias: int):
     return values, codes, decode
 
 
+@lru_cache(maxsize=None)
+def _minifloat_encode_table(exp_bits: int, mantissa_bits: int, bias: int) -> np.ndarray:
+    """Encode table of a minifloat codec, indexed by the float64 bit field
+    ``bits >> (52 - mantissa_bits)`` of an on-grid value (negative fields
+    index from the end).  Entries no grid value reaches hold 0."""
+    values, codes, _ = _minifloat_tables(exp_bits, mantissa_bits, bias)
+    shift = 52 - mantissa_bits
+    sign_bit = 1 << (exp_bits + mantissa_bits)
+    table = np.zeros(1 << (12 + mantissa_bits), dtype=np.uint8)
+    table[values.view(np.int64) >> shift] = codes
+    nonzero = values > 0.0
+    table[(-values[nonzero]).view(np.int64) >> shift] = codes[nonzero] | sign_bit
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class MinifloatCodec:
     """Sign + exponent + mantissa minifloat with subnormals, no infinities."""
@@ -194,6 +234,23 @@ class MinifloatCodec:
     exp_bits: int
     mantissa_bits: int
     bias: int
+
+    def __post_init__(self):
+        if self.exp_bits < 1 or self.mantissa_bits < 0:
+            raise ParameterError(
+                f"minifloat needs exp_bits >= 1 and mantissa_bits >= 0, got "
+                f"e{self.exp_bits}m{self.mantissa_bits}"
+            )
+        # every value must be a finite, normal float64: the smallest nonzero
+        # one is 2^(1 - bias - mantissa_bits), the largest below
+        # 2^(2^exp_bits - bias); encoding reads their float64 bit fields
+        low = (1 << self.exp_bits) - 1024
+        high = 1023 - self.mantissa_bits
+        if not low <= self.bias <= high:
+            raise ParameterError(
+                f"e{self.exp_bits}m{self.mantissa_bits} bias must be in "
+                f"[{low}, {high}], got {self.bias}"
+            )
 
     @property
     def width(self) -> int:
@@ -221,23 +278,11 @@ class MinifloatCodec:
         return scaled
 
     def encode_values(self, values: np.ndarray) -> np.ndarray:
-        """Codes of values already on the grid.
-
-        With the exponent clamped as in :meth:`round_values`, the integer
-        significand ``|v| / 2^(e - mantissa_bits)`` is the mantissa field
-        plus ``2^mantissa_bits`` for a normal and the mantissa field alone
-        for a subnormal, so ``(e + bias - 1) << mantissa_bits`` plus the
-        significand is the code without its sign bit.
-        """
-        mag = np.abs(values)
-        _, exp = np.frexp(mag)
-        exp[mag == 0.0] = 2 - self.bias  # frexp gives 0 there, not the minimum
-        np.maximum(exp, 2 - self.bias, out=exp)
-        significand = np.ldexp(mag, self.mantissa_bits + 1 - exp)
-        codes = (exp + (self.bias - 2)) << self.mantissa_bits
-        codes += significand.astype(codes.dtype)
-        codes[values < 0] |= 1 << (self.width - 1)
-        return codes.astype(np.uint8)
+        """Codes of values already on the grid: one lookup of each value's
+        float64 bit field ``bits >> (52 - mantissa_bits)``."""
+        table = _minifloat_encode_table(self.exp_bits, self.mantissa_bits, self.bias)
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        return table[bits >> (52 - self.mantissa_bits)]
 
     def decode_codes(self, codes: np.ndarray) -> np.ndarray:
         """Values of codes below ``2^width``; the e4m3 NaN pattern raises."""
@@ -323,6 +368,8 @@ class FormatSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FormatSpec":
+        """Inverse of :meth:`to_dict`; a description that is malformed, or
+        whose codec or format could not be built, raises :class:`FormatError`."""
         try:
             c = d["codec"]
             if c["kind"] == "int":
@@ -342,7 +389,7 @@ class FormatSpec:
                 codec=codec,
                 bits_per_value=int(d["bits_per_value"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise FormatError(f"malformed format description: {exc}") from exc
 
 
@@ -501,22 +548,33 @@ def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarr
     return codes.reshape(rows, words * per_word)[:, :n]
 
 
-def _blocked(m: np.ndarray, block_size: int) -> tuple[np.ndarray, int]:
+def _blocked(m: np.ndarray, block_size: int) -> np.ndarray:
+    """``m`` as ``(rows, n_blocks, block_size)``, zero-padded to whole blocks."""
     rows, cols = m.shape
-    n_blocks = -(-cols // block_size)
-    pad = n_blocks * block_size - cols
+    pad = -cols % block_size
     if pad:
         m = np.pad(m, ((0, 0), (0, pad)))
-    return m.reshape(rows, n_blocks, block_size), pad
+    return m.reshape(rows, (cols + pad) // block_size, block_size)
+
+
+_GROUP_VALUES = 1 << 16  # values per row group; its temporaries stay in cache
+
+
+def _row_groups(rows: int, row_values: int) -> list[slice]:
+    """Consecutive slices of whole rows, about ``_GROUP_VALUES`` values each."""
+    step = max(1, _GROUP_VALUES // max(row_values, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _floor_log2_ratio(block_max: np.ndarray, cmax: float) -> np.ndarray:
     """Exact floor(log2(block_max / cmax)) without division rounding."""
-    f, e = np.frexp(block_max)
-    g, h = np.frexp(cmax)
-    exp = e - int(h) - (f < g)
-    exp = np.where(block_max == 0.0, -_E8M0_BIAS, exp)
-    return np.clip(exp, -_E8M0_BIAS, _E8M0_BIAS).astype(np.int32)
+    f, exp = np.frexp(block_max)
+    g, h = math.frexp(cmax)
+    exp -= h
+    exp -= f < g
+    exp[block_max == 0.0] = -_E8M0_BIAS
+    np.maximum(exp, -_E8M0_BIAS, out=exp)
+    return np.minimum(exp, _E8M0_BIAS, out=exp)
 
 
 def _e8m0_scales(block_max: np.ndarray, cmax: float) -> tuple[np.ndarray, np.ndarray]:
@@ -542,16 +600,16 @@ def _block_scales(spec: FormatSpec, block_max: np.ndarray):
 
 
 def _round_blocks(m: np.ndarray, spec: FormatSpec):
-    """Shared scale/round stage.
+    """Shared scale/round stage for one row group.
 
     Returns (block values on the codec grid before rescaling, float scales,
-    stored scales, pad).
+    stored scales).
     """
-    blocked, pad = _blocked(m, spec.block_size)
+    blocked = _blocked(m, spec.block_size)
     grid = np.abs(blocked)
     stored, scales = _block_scales(spec, grid.max(axis=2))
     np.divide(blocked, scales[:, :, None], out=grid)
-    return spec.codec.round_values(grid), scales, stored, pad
+    return spec.codec.round_values(grid), scales, stored
 
 
 def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
@@ -567,11 +625,19 @@ def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
             scales=np.zeros((rows, 0), dtype=np.uint16),
             pad_count=0,
         )
-    grid, _, stored, pad = _round_blocks(m, spec)
-    codes = spec.codec.encode_values(grid)
-    packed = _pack_codes(codes.reshape(rows, -1), spec.codec.width)
+    pad = -cols % spec.block_size
+    codes = np.empty((rows, cols + pad), dtype=np.uint8)
+    scale_dtype = np.uint16 if spec.scale_kind == "fp16" else np.uint8
+    stored = np.empty((rows, (cols + pad) // spec.block_size), dtype=scale_dtype)
+    for group in _row_groups(rows, cols + pad):
+        grid, _, stored[group] = _round_blocks(m[group], spec)
+        codes[group] = spec.codec.encode_values(grid).reshape(len(grid), -1)
     return QuantizedTensor(
-        shape=(rows, cols), spec=spec, codes=packed, scales=stored, pad_count=pad
+        shape=(rows, cols),
+        spec=spec,
+        codes=_pack_codes(codes, spec.codec.width),
+        scales=stored,
+        pad_count=pad,
     )
 
 
@@ -599,18 +665,46 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
     return values.reshape(rows, padded)[:, :cols]
 
 
-def fake_quant(m, spec: FormatSpec) -> np.ndarray:
+def _destination(m: np.ndarray, out) -> np.ndarray:
+    """``out`` checked as a destination for a result of ``m``'s shape, or a
+    new array when ``out`` is None."""
+    if out is None:
+        return np.empty(m.shape)
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+        raise ParameterError("out must be a float64 numpy array")
+    if out.shape != m.shape:
+        raise ShapeError(f"out has shape {out.shape}, expected {m.shape}")
+    if not out.flags.writeable:
+        raise ParameterError("out must be writeable")
+    if np.may_share_memory(out, m):
+        raise ParameterError("out must not overlap the input")
+    return out
+
+
+def fake_quant(m, spec: FormatSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Project a matrix onto the quantizer grid: dequantize(quantize(m)).
 
-    Idempotent: applying it twice equals applying it once, bit-exactly.
+    The result goes into ``out`` when it is given (a writeable float64 array
+    of ``m``'s shape that shares no memory with ``m``) and is returned;
+    with or without ``out`` it is the same, bit for bit.  Idempotent:
+    applying it twice equals applying it once, bit-exactly.
     """
     m = as_matrix(m)
+    out = _destination(m, out)
     if spec.is_passthrough:
-        return m.copy()
+        np.copyto(out, m)
+        return out
     rows, cols = m.shape
-    grid, scales, _, _ = _round_blocks(m, spec)
+    for group in _row_groups(rows, cols + -cols % spec.block_size):
+        out[group] = _fake_quant_group(m[group], spec)
+    return out
+
+
+def _fake_quant_group(m: np.ndarray, spec: FormatSpec) -> np.ndarray:
+    """:func:`fake_quant` of one row group, as a view of its block grid."""
+    grid, scales, _ = _round_blocks(m, spec)
     grid *= scales[:, :, None]
-    return grid.reshape(rows, -1)[:, :cols]
+    return grid.reshape(len(grid), -1)[:, :m.shape[1]]
 
 
 def encode_element(v: float, codec: Codec, scale: float) -> int:

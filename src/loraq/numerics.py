@@ -70,10 +70,8 @@ def truncated_svd(a, rank: int) -> tuple[np.ndarray, np.ndarray]:
             f"SVD did not converge for shape {a.shape}",
             residual=frobenius_norm(a),
         ) from exc
-    u, vt = _canonical_signs(u, vt)
-    l0 = u[:, :rank] * s[:rank]
-    r0 = vt[:rank, :]
-    return l0, r0
+    u, vt = _canonical_signs(u[:, :rank], vt[:rank, :])
+    return u * s[:rank], vt
 
 
 @dataclass

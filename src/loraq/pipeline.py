@@ -304,7 +304,9 @@ def _rotate_and_pack(work: np.ndarray, factors: LowRankFactors, q1: FormatSpec,
         np.mean(np.square(left_hat - branch_left))
         + np.mean(np.square(right_hat - branch_right))
     )
-    residual_q = quantize_blockwise(work - left_hat @ right_hat, q1)
+    residual = left_hat @ right_hat
+    np.subtract(work, residual, out=residual)  # the product is dead once subtracted
+    residual_q = quantize_blockwise(residual, q1)
     return (residual_q, left_q, right_q), rotation_meta, lowrank_q2_mse
 
 
@@ -437,9 +439,9 @@ def reconstruct_weight(bundle: LayerBundle, *, desmoothed: bool = False) -> np.n
     (pre-smoothing) coordinates for comparison against the source weight.
     """
     residual_hat, branch = _decoded(bundle)
-    w_hat = residual_hat + branch
+    w_hat = np.add(residual_hat, branch, out=branch)
     if desmoothed and bundle.gamma is not None:
-        w_hat = w_hat / bundle.gamma[:, None]
+        w_hat /= bundle.gamma[:, None]
     return w_hat
 
 
@@ -485,8 +487,12 @@ def _bundle_weight(w, bundle: LayerBundle) -> np.ndarray:
 
 def _weight_error(w: np.ndarray, w_hat_s: np.ndarray,
                   gamma: np.ndarray | None) -> tuple[float, float]:
-    w_hat = w_hat_s if gamma is None else w_hat_s / gamma[:, None]
-    weight_err = float(np.linalg.norm(w - w_hat, "fro"))
+    """Weight errors of the reconstruction ``w_hat_s``, which this
+    overwrites: the caller must not read it afterwards."""
+    if gamma is not None:
+        w_hat_s /= gamma[:, None]
+    diff = np.subtract(w, w_hat_s, out=w_hat_s)
+    weight_err = float(np.linalg.norm(diff, "fro"))
     if not np.isfinite(weight_err):
         raise NumericError("the reconstructed weight is not finite")
     w_norm = float(np.linalg.norm(w, "fro"))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from loraq import formats
 from loraq import (
     PASSTHROUGH,
     AbsorbConfig,
@@ -201,6 +204,37 @@ class TestOptimizeFactors:
             optimize_factors(w, init_factors(w, 2), cfg)
         assert info.value.last_iterate is not None
         assert len(info.value.trace) >= 1
+
+    @pytest.mark.parametrize("name", ["SINT4", "MXFP4e2"])
+    def test_trace_is_the_absorption_loss_bit_for_bit(self, name):
+        # 72 columns, so the quantizer's rows end in a padded block
+        w = np.random.default_rng(16).standard_t(df=4, size=(20, 72))
+        spec = make_format(name)
+        init = init_factors(w, 3)
+        factors, trace = optimize_factors(w, init, AbsorbConfig(1e-3, 6, spec))
+        assert trace[0] == absorption_loss(w, init, spec)
+        assert min(trace) == absorption_loss(w, factors, spec)
+
+    @pytest.mark.parametrize("name", ["SINT4", "MXFP4e2"])
+    def test_work_buffers_are_allocated_once(self, monkeypatch, name):
+        # numpy reports its buffers to tracemalloc.  The loop's d x n work is
+        # two float64 buffers and a boolean one; with small row groups every
+        # other temporary is far smaller, so one more d x n temporary per
+        # iterate would push the peak past 3 * d * n * 8 bytes, and one kept
+        # per iterate would make the 8-step peak exceed the 2-step one.
+        monkeypatch.setattr(formats, "_GROUP_VALUES", 1 << 12)
+        w = np.random.default_rng(17).standard_t(df=5, size=(512, 256))
+        init = init_factors(w, 8)
+        peaks = {}
+        for steps in (2, 8):
+            tracemalloc.start()
+            try:
+                optimize_factors(w, init, AbsorbConfig(1e-3, steps, make_format(name)))
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[8] - peaks[2]) <= 0.01 * w.nbytes
+        assert peaks[8] <= 3 * w.nbytes
 
     def test_config_validation(self):
         spec = make_format("SINT4")

@@ -1,5 +1,6 @@
-"""LRQB loading: round trips, hand-patched files that must be refused, and
-fuzzed files that must either load and serve finite output or be refused."""
+"""LRQB, LQT1 and LQS1 loading: round trips, hand-patched files that must be
+refused, and fuzzed files that must either load (and, for bundles, serve
+finite output) or be refused with a ``LoraqError``."""
 
 import json
 import os
@@ -19,9 +20,14 @@ from loraq import (
     assemble_layer,
     forward,
     load_bundle,
+    load_stats,
+    load_tensor,
     make_format,
     reconstruct_weight,
+    registry_names,
     save_bundle,
+    save_stats,
+    save_tensor,
 )
 
 _HEADER = 4 + 2 + 4  # magic, version u16, manifest length u32
@@ -73,18 +79,49 @@ def _load_patched(tmp_path, data: bytes):
     return load_bundle(path)
 
 
-@pytest.mark.parametrize("q1,q2,gamma", [
-    ("SINT4", "MXINT4", True),
-    ("MXFP4e2", "MXFP8e4", True),
-    ("MXINT4", "fp16-passthrough", False),
-])
+# every registry q1 with every q2, passthrough included, with and without gamma
+ROUND_TRIPS = [(q1, q2, gamma) for q1 in registry_names()
+               for q2 in (*registry_names(), "fp16-passthrough")
+               for gamma in (True, False)]
+
+
+@pytest.mark.parametrize("q1,q2,gamma", ROUND_TRIPS)
 def test_round_trip_is_bit_exact(tmp_path, q1, q2, gamma):
-    data = _saved(tmp_path, q1=q1, q2=q2, gamma=gamma)
-    bundle = _load_patched(tmp_path, data)
+    original = _bundle(q1, q2, gamma)
+    path = tmp_path / "b.lrqb"
+    save_bundle(path, original)
+    bundle = _load_patched(tmp_path, path.read_bytes())
+    assert bundle == original
     again = tmp_path / "again.lrqb"
     save_bundle(again, bundle)
-    assert again.read_bytes() == data
+    assert again.read_bytes() == path.read_bytes()
     assert np.all(np.isfinite(reconstruct_weight(bundle)))
+
+
+# codecs whose value tables are not finite, normal float64 values, or that
+# have no value besides zero; each keeps the element width of the format
+UNBUILDABLE = {
+    "bias -2000": ({"kind": "minifloat", "exp_bits": 2, "mantissa_bits": 1,
+                    "bias": -2000}, 4),
+    "mantissa_bits -2": ({"kind": "minifloat", "exp_bits": 5, "mantissa_bits": -2,
+                          "bias": 1}, 4),
+    "exp_bits 0": ({"kind": "minifloat", "exp_bits": 0, "mantissa_bits": 3,
+                    "bias": 1}, 4),
+    "int bits 1": ({"kind": "int", "bits": 1}, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_unbuildable_codec_is_refused(tmp_path, case):
+    codec, width = UNBUILDABLE[case]
+
+    def edit(manifest):
+        manifest["meta"]["q1"].update({"codec": codec, "bits_per_value": width})
+
+    data = _with_manifest(_saved(tmp_path, q1="MXFP4e2", q2="MXINT4"), edit)
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
 
 
 @pytest.mark.parametrize("bits", [0x7C00, 0xFC00, 0x7E00, 0x0000, 0x8000, 0xBC00],
@@ -160,12 +197,12 @@ def _saved_bytes(case) -> bytes:
             return fh.read()
 
 
-def _load_bytes(data: bytes):
+def _load_bytes(data: bytes, loader=load_bundle):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fuzzed.lrqb")
+        path = os.path.join(tmp, "fuzzed")
         with open(path, "wb") as fh:
             fh.write(data)
-        return load_bundle(path)
+        return loader(path)
 
 
 @pytest.mark.parametrize("case", FUZZED, ids=str)
@@ -195,3 +232,60 @@ def test_byte_flipped_bundle_serves_finite_output_or_is_refused(case, data):
     except LoraqError:
         return
     assert np.all(np.isfinite(y))
+
+
+def _file_bytes(save, *args) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "saved")
+        save(path, *args)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_rng = np.random.default_rng(3)
+SMALL_FILES = {
+    "LQT1-f64": (_file_bytes(save_tensor, _rng.normal(size=(3, 5)), "f64"), load_tensor),
+    "LQT1-f32": (_file_bytes(save_tensor, _rng.normal(size=(4, 2)), "f32"), load_tensor),
+    "LQS1": (_file_bytes(save_stats, ChannelStats(_rng.uniform(0.5, 9.0, size=7),
+                                                  sample_count=11)), load_stats),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_FILES))
+def test_small_files_round_trip(case):
+    raw, loader = SMALL_FILES[case]
+    loaded = _load_bytes(raw, loader)
+    if loader is load_stats:
+        assert _file_bytes(save_stats, loaded) == raw
+    else:
+        assert _file_bytes(save_tensor, loaded, case[-3:]) == raw
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_FILES))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_truncated_tensor_or_stats_file_is_refused(case, data):
+    raw, loader = SMALL_FILES[case]
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    with pytest.raises(LoraqError):
+        _load_bytes(raw[:cut], loader)
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_FILES))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_byte_flipped_tensor_or_stats_file_loads_or_is_refused(case, data):
+    raw, loader = SMALL_FILES[case]
+    flipped = bytearray(raw)
+    flips = data.draw(st.lists(
+        st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+        min_size=1, max_size=3))
+    for at, mask in flips:
+        flipped[at] ^= mask
+    try:
+        loaded = _load_bytes(bytes(flipped), loader)
+    except LoraqError:
+        return
+    values = loaded.activation_max if loader is load_stats else loaded
+    assert values.dtype == np.float64
+    assert values.ndim == (1 if loader is load_stats else 2)

@@ -8,6 +8,7 @@ from loraq import (
     IntCodec,
     MinifloatCodec,
     ParameterError,
+    ShapeError,
     UnknownFormatError,
     decode_element,
     dequantize,
@@ -19,6 +20,7 @@ from loraq import (
     quantize_blockwise,
     registry_names,
 )
+from loraq import formats
 from loraq.formats import _minifloat_tables, _pack_codes, _unpack_codes
 
 ALL_FORMATS = ["SINT4", "MXINT4", "MXINT8", "MXFP4e2", "MXFP6e2", "MXFP8e4"]
@@ -60,6 +62,26 @@ def _table_round(codec: MinifloatCodec, scaled: np.ndarray):
     sign_bit = np.uint8(1 << (codec.width - 1))
     out_codes = np.where(negative, out_codes | sign_bit, out_codes)
     return out_codes.astype(np.uint8), np.where(negative, -out_values, out_values)
+
+
+def _frexp_encode(codec: MinifloatCodec, values: np.ndarray) -> np.ndarray:
+    """Reference encoder: exponent field from ``frexp``, mantissa from ``ldexp``.
+
+    This is the encoder the codec used before it looked codes up by their
+    float64 bit field.  With the exponent clamped at the smallest normal's
+    binade, the integer significand ``|v| / 2^(e - mantissa_bits)`` is the
+    mantissa field plus ``2^mantissa_bits`` for a normal and the field alone
+    for a subnormal.
+    """
+    mag = np.abs(values)
+    _, exp = np.frexp(mag)
+    exp[mag == 0.0] = 2 - codec.bias  # frexp gives 0 there, not the minimum
+    np.maximum(exp, 2 - codec.bias, out=exp)
+    significand = np.ldexp(mag, codec.mantissa_bits + 1 - exp)
+    codes = (exp + (codec.bias - 2)) << codec.mantissa_bits
+    codes += significand.astype(codes.dtype)
+    codes[values < 0] |= 1 << (codec.width - 1)
+    return codes.astype(np.uint8)
 
 
 def _bitwise_pack(codes: np.ndarray, width: int) -> np.ndarray:
@@ -205,6 +227,133 @@ def test_encode_of_decode_is_identity_on_valid_codes(name):
     valid = np.array(valid, dtype=np.uint8)
     codes, _ = _rounded(codec, codec.decode_codes(valid))
     assert np.array_equal(codes, valid)
+
+
+# the bit layouts of the OCP MX v1.0 elements: FP4 e2m1, FP6 e2m3 and e3m2, FP8 e4m3
+# and e5m2 (whose top exponent this codec spends on values, not on inf and NaN)
+ENCODED = {"e2m1": MinifloatCodec(2, 1, 1), "e2m3": MinifloatCodec(2, 3, 1),
+           "e3m2": MinifloatCodec(3, 2, 3), "e4m3": MinifloatCodec(4, 3, 7),
+           "e5m2": MinifloatCodec(5, 2, 15)}
+
+
+@pytest.mark.parametrize("kind", sorted(ENCODED))
+class TestBitFieldEncoder:
+    def test_every_code_matches_the_frexp_encoder(self, kind):
+        codec = ENCODED[kind]
+        _, _, decode = _minifloat_tables(codec.exp_bits, codec.mantissa_bits, codec.bias)
+        valid = np.flatnonzero(~np.isnan(decode))
+        values = decode[valid]
+        codes = codec.encode_values(values)
+        assert np.array_equal(codes, _frexp_encode(codec, values))
+        # the code itself, but a zero with the sign bit set encodes as +0
+        assert np.array_equal(codes, np.where(values == 0.0, 0, valid))
+
+    def test_random_on_grid_values_match_the_frexp_encoder(self, kind):
+        codec = ENCODED[kind]
+        rng = np.random.default_rng(31)
+        n = 200_000
+        low = -(codec.bias + codec.mantissa_bits + 4)
+        x = rng.choice([-1.0, 1.0], n) * codec.cmax * np.exp2(rng.uniform(low, 1.0, n))
+        values = codec.round_values(x).reshape(400, 500)[:, ::3]  # not contiguous
+        assert np.array_equal(codec.encode_values(values), _frexp_encode(codec, values))
+
+
+OUT_SHAPES = [(5, 64), (7, 72), (3, 5), (300, 333)]  # the last spans row groups
+
+
+@pytest.mark.parametrize("shape", OUT_SHAPES, ids=str)
+@pytest.mark.parametrize("name", [*ALL_FORMATS, "fp16-passthrough"])
+def test_fake_quant_into_out_is_byte_equal(name, shape):
+    spec = make_format(name)
+    m = np.random.default_rng(32).standard_t(df=4, size=shape) * 10.0
+    expected = fake_quant(m, spec)
+    for buf in (np.full(shape, np.nan), np.full(shape, np.nan, order="F")):
+        assert fake_quant(m, spec, out=buf) is buf
+        assert np.array_equal(_bits(buf), _bits(expected))
+
+
+@pytest.mark.parametrize("name", ALL_FORMATS)
+def test_row_groups_do_not_change_the_result(monkeypatch, name):
+    spec = make_format(name)
+    m = np.random.default_rng(33).standard_t(df=4, size=(37, 72))
+    whole = fake_quant(m, spec)
+    codes = quantize_blockwise(m, spec)
+    monkeypatch.setattr(formats, "_GROUP_VALUES", 1)  # one row per group
+    assert np.array_equal(_bits(fake_quant(m, spec)), _bits(whole))
+    assert quantize_blockwise(m, spec) == codes
+
+
+class TestFakeQuantOutRefused:
+    def setup_method(self):
+        self.spec = make_format("MXINT4")
+        self.m = np.random.default_rng(34).normal(size=(4, 64))
+
+    def test_out_is_the_input(self):
+        with pytest.raises(ParameterError):
+            fake_quant(self.m, self.spec, out=self.m)
+
+    def test_out_overlaps_the_input(self):
+        both = np.random.default_rng(35).normal(size=(6, 64))
+        with pytest.raises(ParameterError):
+            fake_quant(both[:4], self.spec, out=both[2:])
+
+    def test_wrong_shape(self):
+        with pytest.raises(ShapeError):
+            fake_quant(self.m, self.spec, out=np.empty((4, 63)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_wrong_dtype(self, dtype):
+        with pytest.raises(ParameterError):
+            fake_quant(self.m, self.spec, out=np.empty((4, 64), dtype=dtype))
+
+    def test_not_an_array(self):
+        with pytest.raises(ParameterError):
+            fake_quant(self.m, self.spec, out=[[0.0] * 64] * 4)
+
+    def test_read_only(self):
+        out = np.empty((4, 64))
+        out.flags.writeable = False
+        with pytest.raises(ParameterError):
+            fake_quant(self.m, self.spec, out=out)
+
+
+UNBUILDABLE = {
+    "bias -2000": {"kind": "minifloat", "exp_bits": 2, "mantissa_bits": 1, "bias": -2000},
+    "mantissa_bits -2": {"kind": "minifloat", "exp_bits": 5, "mantissa_bits": -2,
+                         "bias": 1},
+    "exp_bits 0": {"kind": "minifloat", "exp_bits": 0, "mantissa_bits": 3, "bias": 1},
+    "int bits 1": {"kind": "int", "bits": 1},
+}
+
+
+class TestCodecParameters:
+    @pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+    def test_from_dict_refuses_unbuildable_codecs(self, case):
+        codec = UNBUILDABLE[case]
+        described = make_format("MXFP4e2").to_dict()
+        described["codec"] = codec
+        described["bits_per_value"] = 1 if codec["kind"] == "int" else 4  # the width
+        with pytest.raises(FormatError):
+            FormatSpec.from_dict(described)
+
+    @pytest.mark.parametrize("args", [(2, 1, -2000), (5, -2, 1), (0, 3, 1),
+                                      (2, 1, 1023), (2, 1, -1021)])
+    def test_unbuildable_minifloat_is_refused(self, args):
+        with pytest.raises(ParameterError):
+            MinifloatCodec(*args)
+
+    def test_one_bit_int_is_refused(self):
+        with pytest.raises(ParameterError):
+            IntCodec(1)
+
+    @pytest.mark.parametrize("bias", [-1020, 1022])  # the ends of e2m1's range
+    def test_extreme_biases_encode_every_code(self, bias):
+        codec = MinifloatCodec(2, 1, bias)
+        _, _, decode = _minifloat_tables(2, 1, bias)
+        values = decode[:8]  # the non-negative codes
+        assert np.all(np.isfinite(values))
+        assert np.array_equal(codec.encode_values(values), np.arange(8))
+        assert np.array_equal(codec.encode_values(-values[1:]), np.arange(9, 16))
 
 
 class TestRegistry:

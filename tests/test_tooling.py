@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import loraq
@@ -28,6 +29,25 @@ def test_no_unused_imports():
     unused = [hit for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
               for hit in _unused_imports(path)]
     assert unused == []
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in ``path``."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # scipy and others may be installed, but the package depends on numpy only
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = [f"{path.name}: {root}" for path in sorted(SRC.glob("*.py"))
+               for root in sorted(_imported_roots(path) - allowed)]
+    assert foreign == []
 
 
 class _RecordingTracer:
