@@ -127,9 +127,10 @@ def optimize_factors(w, factors: LowRankFactors,
     them: ``shifted`` takes ``left @ right + w`` (the same sum as ``w +
     left @ right``, since IEEE addition commutes), ``err`` takes its
     quantization error through ``fake_quant(..., out=err)``, and
-    ``shifted``, dead by then, takes the squared error for the loss.  A
-    boolean buffer holds the finiteness check.  The buffers are local to
-    the call, so layers may be optimized on concurrent threads.
+    ``shifted``, dead by then, takes the squared error for the loss.
+    ``fake_quant``'s own input check is the only finiteness check of
+    ``shifted``.  The buffers are local to the call, so layers may be
+    optimized on concurrent threads.
     """
     w = as_matrix(w)
     if (factors.left.shape[0], factors.right.shape[1]) != w.shape:
@@ -141,7 +142,6 @@ def optimize_factors(w, factors: LowRankFactors,
     state_r = AdamState.for_param(factors.right.shape)
     shifted = np.empty(w.shape)
     err = np.empty(w.shape)
-    finite = np.empty(w.shape, dtype=bool)
 
     trace: list[float] = []
     best: LowRankFactors | None = None
@@ -153,13 +153,14 @@ def optimize_factors(w, factors: LowRankFactors,
         with np.errstate(over="ignore"):
             np.matmul(cand.left, cand.right, out=shifted)
             np.add(shifted, w, out=shifted)
-        if not np.isfinite(shifted, out=finite).all():
+        try:
+            fake_quant(shifted, cfg.quantizer, out=err)
+        except NumericError:  # fake_quant refuses a non-finite input
             raise NumericError(
                 f"shifted weight became non-finite at step {len(trace)}",
                 trace=trace,
                 last_iterate=best if best is not None else factors,
-            )
-        fake_quant(shifted, cfg.quantizer, out=err)
+            ) from None
         np.subtract(err, shifted, out=err)
         with np.errstate(over="ignore"):
             loss = float(np.square(err, out=shifted).mean())

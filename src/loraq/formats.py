@@ -9,7 +9,9 @@ code.  Two scale families exist:
   ``e + 127``.  An all-zero block stores ``e = -127`` (byte 0).  The floor
   makes the block maximum land exactly on ``codec_max * 2^e`` after
   saturation, so re-encoding a decoded tensor reproduces identical codes
-  and scales.
+  and scales.  A block is scaled down by multiplying with ``2^-e``, which
+  is exact for every stored ``e``, so the product is the correctly rounded
+  quotient, bit for bit the division by ``2^e``.
 * ``fp16``: ``max|v| / codec_max`` rounded to the nearest float16 and then
   bumped one ulp up whenever rounding went below the exact ratio, so the
   block maximum never saturates.  An all-zero block stores the smallest
@@ -74,12 +76,21 @@ if zero bytes followed, and bits past a row's last code are ignored.
 Packing is the mirror: OR each code into its word at ``j * width``, then
 split the words into bytes.  8-bit codes are the bytes themselves.
 
-Decoding is one lookup in a per-codec table of ``2^width`` float64 values,
+Decoding looks values up in a per-codec table of ``2^width`` float64s,
 indexed by code: the two's-complement value for integers, the sign,
 exponent and mantissa value for minifloats.  The table holds NaN at the
 patterns no encoder emits (the integer ``-2^(k-1)`` and the e4m3 all-ones
 NaN), and a NaN anywhere in the looked-up block values, the padded tail of
-a row included, raises :class:`FormatError`.
+a row included, raises :class:`FormatError`.  When the width divides 8 (1,
+2, 4 or 8 bits) and a row's codes fill whole bytes, nothing is unpacked:
+each packed byte indexes a cached, read-only 256-entry table whose entry
+holds the byte's ``8 / width`` decoded values, LSB first, as one raw
+``8 * 8 / width``-byte element, so one lookup writes them all (for width 8
+the byte is the code and the table the code table).  Any other width, and
+a row that ends mid-byte, is unpacked by the word path above and looked up
+code by code.  Both run in row groups into one preallocated output, where
+the NaN check and the scale multiply find each group in cache; ``np.take``
+copies a group's indices to ``intp``, never the whole matrix's.
 """
 
 from __future__ import annotations
@@ -148,16 +159,20 @@ class IntCodec:
         """Two's-complement codes of values already on the grid."""
         return (values.astype(np.int64) & ((1 << self.bits) - 1)).astype(np.uint8)
 
-    def decode_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Values of codes below ``2^bits``; the pattern ``-2^(bits-1)`` raises."""
-        return _table_decode(
-            _int_table(self.bits), codes,
+    def decode_table(self) -> tuple[np.ndarray, str]:
+        """The value of each code, NaN at the pattern ``-2^(bits-1)``, and
+        the message that pattern raises."""
+        return _int_table(self.bits), (
             f"int{self.bits} code {1 << (self.bits - 1):#x} is outside the "
-            "symmetric range",
+            "symmetric range"
         )
 
+    def decode_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Values of codes below ``2^bits``; the pattern ``-2^(bits-1)`` raises."""
+        return _table_decode(codes, *self.decode_table())
 
-def _table_decode(table: np.ndarray, codes: np.ndarray, message: str) -> np.ndarray:
+
+def _table_decode(codes: np.ndarray, table: np.ndarray, message: str) -> np.ndarray:
     """``table[codes]``; a NaN entry marks an invalid pattern and raises
     :class:`FormatError` with ``message``."""
     out = table[codes]
@@ -284,14 +299,17 @@ class MinifloatCodec:
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
         return table[bits >> (52 - self.mantissa_bits)]
 
-    def decode_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Values of codes below ``2^width``; the e4m3 NaN pattern raises."""
+    def decode_table(self) -> tuple[np.ndarray, str]:
+        """The value of each code, NaN at the e4m3 NaN pattern, and the
+        message an invalid pattern raises."""
         _, _, decode = _minifloat_tables(
             self.exp_bits, self.mantissa_bits, self.bias
         )
-        return _table_decode(
-            decode, codes, f"invalid e{self.exp_bits}m{self.mantissa_bits} code pattern"
-        )
+        return decode, f"invalid e{self.exp_bits}m{self.mantissa_bits} code pattern"
+
+    def decode_codes(self, codes: np.ndarray) -> np.ndarray:
+        """Values of codes below ``2^width``; the e4m3 NaN pattern raises."""
+        return _table_decode(codes, *self.decode_table())
 
 
 @dataclass(frozen=True)
@@ -548,6 +566,28 @@ def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarr
     return codes.reshape(rows, words * per_word)[:, :n]
 
 
+@lru_cache(maxsize=None)
+def _byte_table(codec: IntCodec | MinifloatCodec) -> np.ndarray:
+    """Decode table indexed by a packed byte, for a width that divides 8.
+
+    Entry ``b`` holds the values of the ``8 / width`` codes in ``b``, LSB
+    first, as one element of ``8 * (8 / width)`` bytes: the float64 code
+    table itself for width 8, raw bytes otherwise.  Taking an entry copies
+    those bytes unchanged, so one lookup writes ``8 / width`` float64s.
+    """
+    table, _ = codec.decode_table()
+    width = codec.width
+    per_byte = 8 // width
+    if per_byte == 1:
+        return table
+    shifts = np.arange(per_byte) * width
+    codes = (np.arange(256)[:, None] >> shifts) & ((1 << width) - 1)
+    entries = np.ascontiguousarray(table[codes]).view(np.dtype((np.void, 8 * per_byte)))
+    entries = entries.reshape(256)
+    entries.flags.writeable = False
+    return entries
+
+
 def _blocked(m: np.ndarray, block_size: int) -> np.ndarray:
     """``m`` as ``(rows, n_blocks, block_size)``, zero-padded to whole blocks."""
     rows, cols = m.shape
@@ -608,7 +648,11 @@ def _round_blocks(m: np.ndarray, spec: FormatSpec):
     blocked = _blocked(m, spec.block_size)
     grid = np.abs(blocked)
     stored, scales = _block_scales(spec, grid.max(axis=2))
-    np.divide(blocked, scales[:, :, None], out=grid)
+    if spec.scale_kind == "e8m0":
+        # 2^-e is exact, so the product is the correctly rounded quotient
+        np.multiply(blocked, 1.0 / scales[:, :, None], out=grid)
+    else:
+        np.divide(blocked, scales[:, :, None], out=grid)
     return spec.codec.round_values(grid), scales, stored
 
 
@@ -659,10 +703,34 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
         raise FormatError(
             f"scale array has shape {t.scales.shape}, expected {(rows, n_blocks)}"
         )
-    codes = _unpack_codes(t.codes, spec.codec.width, rows, padded)
-    values = spec.codec.decode_codes(codes).reshape(rows, n_blocks, spec.block_size)
-    values *= t.scale_values()[:, :, None]
-    return values.reshape(rows, padded)[:, :cols]
+    codec = spec.codec
+    width = codec.width
+    row_bytes = -(-(padded * width) // 8)
+    if t.codes.size != rows * row_bytes:
+        raise FormatError(
+            f"code stream holds {t.codes.size} bytes, expected {rows * row_bytes}"
+        )
+    packed = t.codes.reshape(rows, row_bytes)
+    table, message = codec.decode_table()
+    checked = bool(np.isnan(table).any())
+    values = np.empty((rows, padded))
+    if 8 % width == 0 and padded * width % 8 == 0:
+        # one lookup per packed byte writes its 8 / width values
+        lookup = _byte_table(codec)
+        indices, dest = packed, values.view(lookup.dtype)
+    else:
+        lookup = table
+        indices, dest = _unpack_codes(packed, width, rows, padded), values
+    scales = t.scale_values()
+    for group in _row_groups(rows, padded):
+        # take copies a row group's indices to intp, never the matrix's
+        np.take(lookup, indices[group], out=dest[group], mode="clip")
+        block = values[group]
+        if checked and np.isnan(block).any():
+            raise FormatError(message)
+        grid = block.reshape(len(block), n_blocks, spec.block_size)
+        grid *= scales[group][:, :, None]
+    return values[:, :cols]
 
 
 def _destination(m: np.ndarray, out) -> np.ndarray:

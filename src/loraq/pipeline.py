@@ -455,7 +455,11 @@ def forward(
 
     Activations are divided by the smoothing vector, optionally fake
     quantized (the low-rank branch may use its own format, defaulting to
-    the shared one), and pushed through both branches.
+    the shared one), and pushed through both branches, associated as
+    ``x_res @ D + (x_lr @ L) @ R``: ``D`` is the decoded residual and ``L``
+    and ``R`` the decoded factors of the low-rank branch, whose dense
+    product ``L @ R`` is never built.  Only the summation order differs
+    from ``x @ reconstruct_weight(bundle)``.
     """
     x = as_matrix(x, "activations")
     d = bundle.meta.shape[0]
@@ -474,8 +478,9 @@ def forward(
         x_lr = fake_quant(x_s, lr_format)
     else:
         x_lr = x_s
-    residual_hat, branch = _decoded(bundle)
-    return x_res @ residual_hat + x_lr @ branch
+    y = x_res @ dequantize(bundle.residual)
+    y += (x_lr @ dequantize(bundle.lowrank_left)) @ dequantize(bundle.lowrank_right)
+    return y
 
 
 def _bundle_weight(w, bundle: LayerBundle) -> np.ndarray:
@@ -530,16 +535,27 @@ def error_report(
         raise ShapeError(f"activations have {x.shape[1]} columns, layer expects {d}")
 
     gamma = bundle.gamma
-    w_s = gamma[:, None] * w if gamma is not None else w
     x_s = x / gamma[None, :] if gamma is not None else x
     residual_hat, branch = _decoded(bundle)
-    w_hat_s = residual_hat + branch
+    # three d x n buffers at most: the residual, the branch and one scratch
+    if gamma is not None:
+        scratch = np.multiply(gamma[:, None], w)
+        scratch -= branch
+    else:
+        scratch = np.subtract(w, branch)
+    np.subtract(residual_hat, scratch, out=scratch)
+    residual_mse = float(np.mean(np.square(scratch, out=scratch)))
+    w_hat_s = np.add(residual_hat, branch, out=branch)
+    # the decoded residual is dead from here on and takes the smoothed weight
+    w_s = np.multiply(gamma[:, None], w, out=residual_hat) if gamma is not None else w
+    del residual_hat
     x_q = fake_quant(x_s, activation_format) if activation_format is not None else x_s
 
     exact = x_s @ w_s
     approx = x_q @ w_hat_s
     matmul_err = float(np.linalg.norm(exact - approx, "fro"))
-    weight_err_smoothed = float(np.linalg.norm(w_s - w_hat_s, "fro"))
+    diff = np.subtract(w_s, w_hat_s, out=scratch)
+    weight_err_smoothed = float(np.linalg.norm(diff, "fro"))
     act_err = float(np.linalg.norm(x_s - x_q, "fro"))
     w_norm = float(np.linalg.norm(w_s, "fro"))
     x_norm = float(np.linalg.norm(x_s, "fro"))
@@ -553,7 +569,6 @@ def error_report(
         )
 
     weight_err, weight_err_rel = _weight_error(w, w_hat_s, gamma)
-    residual_mse = float(np.mean(np.square(residual_hat - (w_s - branch))))
 
     exact_norm = float(np.linalg.norm(exact, "fro"))
     return ErrorReport(

@@ -205,6 +205,38 @@ class TestOptimizeFactors:
         assert info.value.last_iterate is not None
         assert len(info.value.trace) >= 1
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_overflowing_shift_names_its_step(self, steps):
+        # finite factors whose product overflows: at the start, or after
+        # one Adam step of about lr per entry
+        w = np.random.default_rng(19).normal(size=(8, 8))
+        size, lr = (1e200, 1e-3) if steps == 0 else (1.0, 1e200)
+        start = LowRankFactors(np.full((8, 2), size), np.full((2, 8), size), 2)
+        with pytest.raises(NumericError) as info:
+            optimize_factors(w, start, AbsorbConfig(lr, 3, make_format("SINT4")))
+        assert str(info.value) == f"shifted weight became non-finite at step {steps}"
+        assert len(info.value.trace) == steps
+        if steps == 0:
+            assert info.value.last_iterate is start
+        else:  # the best iterate so far, a copy of the start
+            assert np.array_equal(info.value.last_iterate.left, start.left)
+
+    def test_shifted_weight_is_checked_once_per_iterate(self, monkeypatch):
+        w = np.random.default_rng(20).normal(size=(20, 72))
+        init = init_factors(w, 3)
+        isfinite = np.isfinite
+        checked = []
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == w.shape:
+                checked.append(a)
+            return isfinite(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        optimize_factors(w, init, AbsorbConfig(1e-3, 4, make_format("SINT4")))
+        # the weight on entry, then one check per iterate: the start and 4 steps
+        assert len(checked) == 1 + 5
+
     @pytest.mark.parametrize("name", ["SINT4", "MXFP4e2"])
     def test_trace_is_the_absorption_loss_bit_for_bit(self, name):
         # 72 columns, so the quantizer's rows end in a padded block

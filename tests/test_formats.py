@@ -8,6 +8,7 @@ from loraq import (
     IntCodec,
     MinifloatCodec,
     ParameterError,
+    QuantizedTensor,
     ShapeError,
     UnknownFormatError,
     decode_element,
@@ -766,3 +767,184 @@ class TestScaleRules:
         assert np.array_equal(
             t.scale_values(), t.scales.view(np.float16).astype(np.float64)
         )
+
+
+def _word_dequantize(t) -> np.ndarray:
+    """The decoder before byte tables: every code unpacked by the word path
+    (``_unpack_codes``), then decoded by ``decode_codes``."""
+    rows, cols = t.shape
+    spec = t.spec
+    padded = t.n_blocks * spec.block_size
+    codes = _unpack_codes(t.codes, spec.codec.width, rows, padded)
+    values = spec.codec.decode_codes(codes).reshape(rows, t.n_blocks, spec.block_size)
+    values *= t.scale_values()[:, :, None]
+    return values.reshape(rows, padded)[:, :cols]
+
+
+def _decoded_or_error(decode, t):
+    """The bytes of ``decode(t)``, or the message of the FormatError it raises."""
+    try:
+        return np.ascontiguousarray(decode(t)).tobytes()
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+# every element width a codec can have, integer and minifloat
+DECODE_CODECS = {**{f"int{bits}": IntCodec(bits) for bits in range(2, 9)}, **MINIFLOATS}
+# block sizes 3 and 5 give rows an odd code count, so 2- and 4-bit rows
+# can end mid-byte and take the word path
+DECODE_BLOCKS = [1, 3, 4, 5, 8, 32]
+
+
+def _spec(codec, block_size: int, scale_kind: str = "e8m0") -> FormatSpec:
+    return FormatSpec(f"test-w{codec.width}-b{block_size}", block_size, scale_kind,
+                      codec, codec.width)
+
+
+def _random_codes(spec, rows: int, cols: int, rng) -> QuantizedTensor:
+    """A tensor of arbitrary code bytes (invalid patterns and nonzero bits
+    past a row's last code included) and arbitrary finite scales."""
+    n_blocks = -(-cols // spec.block_size)
+    row_bytes = -(-(n_blocks * spec.block_size * spec.codec.width) // 8)
+    if spec.scale_kind == "e8m0":
+        scales = rng.integers(0, 256, size=(rows, n_blocks), dtype=np.uint8)
+    else:
+        scales = rng.uniform(1e-3, 1e3, size=(rows, n_blocks)).astype(np.float16)
+        scales = scales.view(np.uint16)
+    return QuantizedTensor(
+        shape=(rows, cols), spec=spec,
+        codes=rng.integers(0, 256, size=(rows, row_bytes), dtype=np.uint8),
+        scales=scales, pad_count=n_blocks * spec.block_size - cols)
+
+
+class TestByteTableDecode:
+    """``dequantize`` is byte-equal to the word-path decoder it replaced."""
+
+    @pytest.mark.parametrize("name", [*ALL_FORMATS, PASSTHROUGH.name])
+    def test_registry_formats(self, name):
+        spec = make_format(name)
+        rng = np.random.default_rng(50)
+        for shape in [(1, 1), (3, 31), (5, 65), (9, 100), (300, 333)]:
+            t = quantize_blockwise(rng.standard_t(df=3, size=shape) * 7.0, spec)
+            want = (_reference_dequantize(t) if spec.is_passthrough
+                    else _word_dequantize(t))
+            assert _bits(dequantize(t)).tobytes() == _bits(want).tobytes(), shape
+
+    @pytest.mark.parametrize("block_size", DECODE_BLOCKS)
+    @pytest.mark.parametrize("kind", sorted(DECODE_CODECS))
+    def test_every_width_and_block(self, kind, block_size):
+        rng = np.random.default_rng(block_size)
+        for scale_kind in ("e8m0", "fp16"):
+            spec = _spec(DECODE_CODECS[kind], block_size, scale_kind)
+            for shape in [(1, 1), (2, 7), (4, 33), (3, 70)]:
+                t = quantize_blockwise(rng.standard_t(df=3, size=shape), spec)
+                got = dequantize(t)
+                assert got.shape == shape
+                want = _word_dequantize(t)
+                assert _bits(got).tobytes() == _bits(want).tobytes(), (scale_kind, shape)
+
+    @pytest.mark.parametrize("kind", sorted(DECODE_CODECS))
+    def test_random_code_bytes(self, kind):
+        codec = DECODE_CODECS[kind]
+        rng = np.random.default_rng(codec.width)
+        outcomes = set()
+        for draw in range(120):
+            spec = _spec(codec, DECODE_BLOCKS[draw % len(DECODE_BLOCKS)],
+                         ("e8m0", "fp16")[draw % 2])
+            t = _random_codes(spec, int(rng.integers(1, 4)), int(rng.integers(1, 13)), rng)
+            want = _decoded_or_error(_word_dequantize, t)
+            assert _decoded_or_error(dequantize, t) == want, (draw, t.shape)
+            outcomes.add(isinstance(want, str))
+        has_invalid = bool(np.isnan(codec.decode_table()[0]).any())
+        # codecs with an invalid pattern met it in some draws and not in others
+        assert outcomes == ({False, True} if has_invalid else {False})
+
+    @pytest.mark.parametrize("codec,pattern", [
+        (IntCodec(2), 0b10), (IntCodec(4), 0b1000), (IntCodec(8), 0x80),
+        (MinifloatCodec(4, 3, 7), 0x7F), (MinifloatCodec(4, 3, 7), 0xFF),
+    ], ids=["int2", "int4", "int8", "e4m3", "-e4m3"])
+    @pytest.mark.parametrize("block_size", [4, 5])
+    def test_invalid_pattern_in_every_slot(self, codec, pattern, block_size):
+        # every code slot of a byte (the low and the high nibble for 4-bit
+        # codes) and every code of the padded tail
+        spec = _spec(codec, block_size)
+        cols = 2 * block_size + 1
+        padded = 3 * block_size
+        valid = quantize_blockwise(np.ones((2, cols)), spec)
+        for col in range(padded):
+            t = _with_code(QuantizedTensor(valid.shape, spec, valid.codes.copy(),
+                                           valid.scales, valid.pad_count), 1, col, pattern)
+            want = _decoded_or_error(_word_dequantize, t)
+            assert want.startswith("FormatError"), col
+            assert _decoded_or_error(dequantize, t) == want, col
+
+    @pytest.mark.parametrize("codec,block_size,cols,word_path", [
+        (IntCodec(4), 4, 8, False),  # whole bytes: one lookup per byte
+        (IntCodec(4), 3, 3, True),  # a row of 3 codes ends mid-byte
+        (IntCodec(2), 5, 10, True),  # 10 codes of 2 bits: 2.5 bytes
+        (IntCodec(2), 4, 8, False),
+        (MinifloatCodec(2, 3, 1), 4, 8, True),  # 6 bits never divide 8
+        (MinifloatCodec(4, 3, 7), 3, 3, False),  # 8-bit codes are the bytes
+    ])
+    def test_word_path_only_where_a_row_ends_mid_byte(self, monkeypatch, codec,
+                                                      block_size, cols, word_path):
+        spec = _spec(codec, block_size)
+        t = quantize_blockwise(np.random.default_rng(51).normal(size=(3, cols)), spec)
+        want = _word_dequantize(t)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _unpack_codes(*args)
+
+        monkeypatch.setattr(formats, "_unpack_codes", counting)
+        assert _bits(dequantize(t)).tobytes() == _bits(want).tobytes()
+        assert bool(calls) == word_path
+
+    def test_row_groups_do_not_change_the_result(self, monkeypatch):
+        spec = make_format("SINT4")
+        t = quantize_blockwise(np.random.default_rng(52).normal(size=(37, 72)), spec)
+        whole = dequantize(t)
+        monkeypatch.setattr(formats, "_GROUP_VALUES", 1)  # one row per group
+        assert _bits(dequantize(t)).tobytes() == _bits(whole).tobytes()
+
+    def test_byte_tables_are_read_only(self):
+        for codec in (IntCodec(4), MinifloatCodec(2, 1, 1), IntCodec(8)):
+            table = formats._byte_table(codec)
+            assert table.shape == (256,) and not table.flags.writeable
+
+
+def _dividing_fake_quant(m: np.ndarray, spec: FormatSpec) -> np.ndarray:
+    """``fake_quant`` as it was before e8m0 scales rescaled by a product:
+    every block divided by its scale."""
+    rows, cols = m.shape
+    blocked = formats._blocked(m, spec.block_size)
+    _, scales = formats._block_scales(spec, np.abs(blocked).max(axis=2))
+    grid = spec.codec.round_values(blocked / scales[:, :, None])
+    return (grid * scales[:, :, None]).reshape(rows, -1)[:, :cols]
+
+
+class _UnroundedInt(IntCodec):
+    """An int codec whose rounding keeps the scaled values as they are."""
+
+    def round_values(self, scaled: np.ndarray) -> np.ndarray:
+        return scaled
+
+
+# the last spec shows the rescaled values themselves, before any rounding
+RESCALED = {**{name: make_format(name) for name in ALL_FORMATS},
+            "unrounded": FormatSpec("unrounded", 32, "e8m0", _UnroundedInt(4), 4)}
+
+
+@pytest.mark.parametrize("name", sorted(RESCALED))
+def test_rescale_matches_the_division(name):
+    # block maxima from 2^-1070 to 2^1000 reach both clamps of the e8m0
+    # exponent, and small entries of a large block leave the normal range
+    spec = RESCALED[name]
+    rng = np.random.default_rng(53)
+    m = rng.standard_t(df=2, size=(64, 96))
+    m *= np.exp2(rng.integers(-1070, 1000, size=(64, 1)))
+    m *= np.exp2(rng.integers(-60, 1, size=(64, 96)))
+    assert np.isfinite(m).all()
+    want = _dividing_fake_quant(m, spec)
+    assert _bits(fake_quant(m, spec)).tobytes() == _bits(want).tobytes()

@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from loraq import (
     BudgetError,
     FormatSpec,
     BudgetPolicy,
+    ErrorReport,
     NumericError,
     ParameterError,
     RankCapWarning,
@@ -18,6 +21,7 @@ from loraq import (
     ablate_layer,
     assemble_batch,
     assemble_layer,
+    compute_channel_stats,
     default_absorb_lr,
     default_rotation_lr,
     dequantize,
@@ -29,6 +33,7 @@ from loraq import (
     pipeline,
     rank_for_budget,
     reconstruct_weight,
+    registry_names,
     save_bundle,
     truncated_svd,
     weight_error,
@@ -493,3 +498,150 @@ class TestAblateLayer:
                                    rotations=rotated, **kwargs)
             assert bundle == alone
             assert save_bytes(bundle) == save_bytes(alone)
+
+
+PAIR_FORMATS = [*registry_names(), PASSTHROUGH.name]
+SERVE_PAIRS = [("SINT4", "SINT4"), ("MXFP4e2", "MXFP6e2")]
+
+
+def _dense_forward(bundle, x, act=None, lowrank_act=None):
+    """``forward`` before the factored branch: the dense ``L @ R`` is built
+    and ``x_res @ residual + x_lr @ (L @ R)`` returned."""
+    x_s = x / bundle.gamma[None, :] if bundle.gamma is not None else x
+    x_res = fake_quant(x_s, act) if act is not None else x_s
+    lr_act = lowrank_act if lowrank_act is not None else act
+    x_lr = fake_quant(x_s, lr_act) if lr_act is not None else x_s
+    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
+    return x_res @ dequantize(bundle.residual) + x_lr @ branch
+
+
+def _dense_error_report(w, x, bundle, act=None) -> ErrorReport:
+    """``error_report``'s figures as it computed them before it reused its
+    d x n buffers: each from fresh temporaries."""
+    gamma = bundle.gamma
+    w_s = gamma[:, None] * w if gamma is not None else w
+    x_s = x / gamma[None, :] if gamma is not None else x
+    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
+    residual_hat = dequantize(bundle.residual)
+    w_hat_s = residual_hat + branch
+    x_q = fake_quant(x_s, act) if act is not None else x_s
+    exact = x_s @ w_s
+    matmul_err = float(np.linalg.norm(exact - x_q @ w_hat_s, "fro"))
+    weight_err_smoothed = float(np.linalg.norm(w_s - w_hat_s, "fro"))
+    bound_rhs = (float(np.linalg.norm(x_s - x_q, "fro")) * float(np.linalg.norm(w_s, "fro"))
+                 + float(np.linalg.norm(x_q, "fro")) * weight_err_smoothed)
+    w_hat = w_hat_s / gamma[:, None] if gamma is not None else w_hat_s
+    weight_err = float(np.linalg.norm(w - w_hat, "fro"))
+    return ErrorReport(
+        weight_err=weight_err,
+        weight_err_rel=weight_err / float(np.linalg.norm(w, "fro")),
+        weight_err_smoothed=weight_err_smoothed,
+        matmul_err=matmul_err,
+        matmul_err_rel=matmul_err / float(np.linalg.norm(exact, "fro")),
+        bound_rhs=bound_rhs,
+        residual_mse=float(np.mean(np.square(residual_hat - (w_s - branch)))),
+        lowrank_q2_mse=bundle.meta.lowrank_q2_mse,
+    )
+
+
+def _rel(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes numpy allocated, as tracemalloc sees them, during ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _small_bundles(q1: str, q2: str):
+    """A bundle of a 40 x 72 weight without smoothing and one with, and the weight."""
+    rng = np.random.default_rng(60)
+    w = rng.standard_t(df=5, size=(40, 72))
+    stats = compute_channel_stats(rng.normal(size=(32, 40)) * rng.uniform(0.2, 5.0, 40))
+    bundles = [assemble_layer(w, make_format(q1), make_format(q2), rank=6,
+                              calibration=cal, optimized_lr=False, rotations=False)
+               for cal in (None, stats)]
+    assert bundles[0].gamma is None and bundles[1].gamma is not None
+    return w, bundles
+
+
+class TestFactoredForward:
+    """``forward`` runs the low-rank branch as ``(x @ L) @ R``, which only
+    reorders the sums of the dense ``x @ (L @ R)``."""
+
+    @pytest.mark.parametrize("q2", PAIR_FORMATS)
+    @pytest.mark.parametrize("q1", PAIR_FORMATS)
+    def test_within_roundoff_of_the_dense_branch(self, q1, q2):
+        _, bundles = _small_bundles(q1, q2)
+        x = np.random.default_rng(61).standard_t(df=5, size=(64, 40))
+        act4, act8 = make_format("MXINT4"), make_format("MXINT8")
+        for b in bundles:
+            w_hat = reconstruct_weight(b)
+            for rows in (1, 64):
+                xs = x[:rows]
+                for act, lowrank_act in ((None, None), (act8, None), (act4, act8)):
+                    got = forward(b, xs, act, lowrank_act)
+                    assert _rel(got, _dense_forward(b, xs, act, lowrank_act)) <= 1e-12
+                    if lowrank_act is None:  # one activation format for both branches
+                        x_s = xs / b.gamma[None, :] if b.gamma is not None else xs
+                        x_q = fake_quant(x_s, act) if act is not None else x_s
+                        assert _rel(got, x_q @ w_hat) <= 1e-12
+
+
+@pytest.mark.parametrize("q1,q2", [("SINT4", "MXFP6e2"), ("MXFP4e2", "MXINT8"),
+                                   ("MXINT4", PASSTHROUGH.name)])
+def test_error_report_figures_are_bit_equal_to_the_dense_report(q1, q2):
+    w, bundles = _small_bundles(q1, q2)
+    x = np.random.default_rng(62).standard_t(df=5, size=(16, 40))
+    for b in bundles:
+        for act in (None, make_format("MXINT8")):
+            assert error_report(w, x, b, act) == _dense_error_report(w, x, b, act)
+
+
+@pytest.fixture(scope="module")
+def served():
+    """The weight and 1024 x 1024 bundles of the serve format pairs, smoothed
+    and not (the smoothed one with its gamma dropped)."""
+    rng = np.random.default_rng(63)
+    w = rng.standard_t(df=5, size=(1024, 1024))
+    stats = compute_channel_stats(rng.normal(size=(64, 1024)) * rng.uniform(0.5, 4.0, 1024))
+    bundles = {}
+    for q1, q2 in SERVE_PAIRS:
+        b = assemble_layer(w, make_format(q1), make_format(q2), budget=512,
+                           calibration=stats, optimized_lr=False, rotations=False)
+        bundles[(q1, q2, True)] = b
+        bundles[(q1, q2, False)] = dataclasses.replace(b, gamma=None)
+    return w, bundles
+
+
+class TestServePathMemory:
+    """Numpy reports its buffers to tracemalloc, so a traced peak counts
+    every d x n float64 array a call holds at once."""
+
+    @pytest.mark.parametrize("pair", SERVE_PAIRS, ids=str)
+    def test_forward_builds_no_dense_branch(self, served, pair):
+        # the decoded residual is one d x n array; the dense branch would be
+        # a second one
+        w, bundles = served
+        b = bundles[(*pair, True)]
+        x = np.random.default_rng(64).normal(size=(1, 1024))
+        assert _traced_peak(lambda: forward(b, x)) < 1.5 * w.nbytes
+
+    @pytest.mark.parametrize("smoothed", [False, True])
+    @pytest.mark.parametrize("pair", SERVE_PAIRS, ids=str)
+    def test_error_report_holds_three_matrices(self, served, pair, smoothed):
+        # the residual, the branch and one scratch buffer; the dense report
+        # peaked at about five
+        w, bundles = served
+        b = bundles[(*pair, smoothed)]
+        x = np.random.default_rng(65).normal(size=(64, 1024))
+        for act in (None, make_format("MXINT8")):
+            reports = []
+            peak = _traced_peak(lambda: reports.append(error_report(w, x, b, act)))
+            assert peak < 4 * w.nbytes
+            assert reports[0] == _dense_error_report(w, x, b, act)
