@@ -3,7 +3,6 @@ residual branch plus a quantized low-rank error-compensation branch,
 optimized data-free, with bit-exact packed bundles and error reporting."""
 
 from .absorber import (
-    AbsorbConfig,
     LowRankFactors,
     absorption_grads,
     absorption_loss,
@@ -39,24 +38,19 @@ from .formats import (
     MinifloatCodec,
     PassthroughCodec,
     QuantizedTensor,
-    decode_element,
     dequantize,
-    encode_element,
     fake_quant,
-    int_test_format,
     make_format,
-    minifloat_test_format,
     quantize_blockwise,
     registry_names,
 )
 from .numerics import (
     AdamState,
-    SkewParam,
+    OptimizerConfig,
+    adam_descent,
     adam_step,
     as_matrix,
     cayley_retract,
-    finite_diff_grad,
-    frobenius_norm,
     skew_project,
     truncated_svd,
 )
@@ -80,7 +74,6 @@ from .pipeline import (
     weight_error,
 )
 from .rotation import (
-    RotationConfig,
     fuse_rotation,
     optimize_rotation,
     rotation_grad,

@@ -5,7 +5,8 @@ Starting from the truncated-SVD factors of the weight matrix, the pair
 shifted point ``W + left @ right`` is itself as close as possible to the
 shift, making the error absorbable by the additive branch.  The quantizer
 is treated as locally constant when differentiating, so the gradients are
-closed-form.
+closed-form.  The step loop is :func:`numerics.adam_descent`; this module
+supplies the score of one iterate.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .formats import FormatSpec, fake_quant
-from .numerics import AdamState, adam_step, as_matrix, truncated_svd
+from .numerics import OptimizerConfig, adam_descent, as_matrix, truncated_svd
 
 __all__ = [
     "LowRankFactors",
-    "AbsorbConfig",
     "init_factors",
     "absorption_loss",
     "absorption_grads",
@@ -49,26 +49,6 @@ class LowRankFactors:
             raise ShapeError(
                 f"factor shapes {self.left.shape} x {self.right.shape} do not "
                 f"carry rank {self.rank}"
-            )
-
-    def copy(self) -> "LowRankFactors":
-        return LowRankFactors(self.left.copy(), self.right.copy(), self.rank)
-
-
-@dataclass
-class AbsorbConfig:
-    """Optimizer settings for the absorption stage."""
-
-    learning_rate: float
-    steps: int
-    quantizer: FormatSpec
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise ParameterError(
-                f"learning rate must be positive, got {self.learning_rate}"
             )
 
 
@@ -114,14 +94,16 @@ def absorption_grads(w, factors: LowRankFactors,
 
 
 def optimize_factors(w, factors: LowRankFactors,
-                     cfg: AbsorbConfig) -> tuple[LowRankFactors, list[float]]:
+                     cfg: OptimizerConfig) -> tuple[LowRankFactors, list[float]]:
     """Run Adam on the factor pair from ``factors`` and return (best, trace).
 
     ``factors`` is the starting point, normally :func:`init_factors`.  The
     trace holds one loss value per iterate, starting at ``factors``, so
     its length is ``cfg.steps + 1``; the lowest-loss iterate is returned
-    (``factors`` itself, copied, when ``cfg.steps`` is 0).  Deterministic
-    for fixed inputs.
+    (holding the arrays of ``factors`` when no step improves on them).
+    Deterministic for fixed inputs.  A failure raises the
+    :class:`NumericError` of :func:`numerics.adam_descent`, whose
+    ``last_iterate`` is ``factors`` itself when the start cannot be scored.
 
     The call allocates its d×n work buffers once and every iterate reuses
     them: ``shifted`` takes ``left @ right + w`` (the same sum as ``w +
@@ -138,56 +120,21 @@ def optimize_factors(w, factors: LowRankFactors,
             f"factor shapes {factors.left.shape} x {factors.right.shape} do "
             f"not match weight shape {w.shape}"
         )
-    state_l = AdamState.for_param(factors.left.shape)
-    state_r = AdamState.for_param(factors.right.shape)
     shifted = np.empty(w.shape)
     err = np.empty(w.shape)
 
-    trace: list[float] = []
-    best: LowRankFactors | None = None
-    best_loss = np.inf
-    current = factors
-
-    def record(cand: LowRankFactors) -> np.ndarray:
-        nonlocal best, best_loss
+    def score(params):
+        cand = LowRankFactors(*params, factors.rank)
         with np.errstate(over="ignore"):
             np.matmul(cand.left, cand.right, out=shifted)
             np.add(shifted, w, out=shifted)
         try:
             fake_quant(shifted, cfg.quantizer, out=err)
         except NumericError:  # fake_quant refuses a non-finite input
-            raise NumericError(
-                f"shifted weight became non-finite at step {len(trace)}",
-                trace=trace,
-                last_iterate=best if best is not None else factors,
-            ) from None
+            raise NumericError("shifted weight became non-finite") from None
         np.subtract(err, shifted, out=err)
         with np.errstate(over="ignore"):
             loss = float(np.square(err, out=shifted).mean())
-        if not np.isfinite(loss):
-            raise NumericError(
-                f"loss became non-finite at step {len(trace)}",
-                trace=trace,
-                last_iterate=best if best is not None else factors,
-            )
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best = cand.copy()
-        return err
+        return loss, lambda: _grads_from_error(err, cand), cand
 
-    err = record(current)
-    for _ in range(cfg.steps):
-        grad_l, grad_r = _grads_from_error(err, current)
-        new_left = adam_step(state_l, current.left, grad_l, cfg.learning_rate)
-        new_right = adam_step(state_r, current.right, grad_r, cfg.learning_rate)
-        if not (np.all(np.isfinite(new_left)) and np.all(np.isfinite(new_right))):
-            raise NumericError(
-                f"parameters became non-finite at step {len(trace)}",
-                trace=trace,
-                last_iterate=best if best is not None else factors,
-            )
-        current = LowRankFactors(new_left, new_right, factors.rank)
-        err = record(current)
-
-    return best, trace
+    return adam_descent(score, (factors.left, factors.right), cfg, best=factors)

@@ -112,14 +112,10 @@ __all__ = [
     "QuantizedTensor",
     "make_format",
     "registry_names",
-    "int_test_format",
-    "minifloat_test_format",
     "PASSTHROUGH",
     "quantize_blockwise",
     "dequantize",
     "fake_quant",
-    "encode_element",
-    "decode_element",
 ]
 
 _E8M0_BIAS = 127
@@ -336,28 +332,33 @@ class FormatSpec:
     block_size: int
     scale_kind: str  # "fp16" | "e8m0" | "none"
     codec: Codec
-    bits_per_value: int
 
     def __post_init__(self):
         if self.block_size < 1:
             raise ParameterError(f"block_size must be >= 1, got {self.block_size}")
-        if not isinstance(self.codec, PassthroughCodec):
-            if not 1 <= self.codec.width <= 8:
-                # codes are stored as uint8 and packed into words of whole bytes
+        if self.is_passthrough:
+            if self.scale_kind != "none":
                 raise ParameterError(
-                    f"element codes must be 1 to 8 bits wide, got {self.codec.width}"
+                    f"the passthrough codec has no scales, got scale kind "
+                    f"{self.scale_kind!r}"
                 )
-            if self.bits_per_value != self.codec.width:
-                raise ParameterError(
-                    f"bits_per_value {self.bits_per_value} does not match the "
-                    f"{self.codec.width}-bit element codec"
-                )
-            if self.scale_kind not in ("fp16", "e8m0"):
-                raise ParameterError(f"unknown scale kind {self.scale_kind!r}")
+            return
+        if not 1 <= self.codec.width <= 8:
+            # codes are stored as uint8 and packed into words of whole bytes
+            raise ParameterError(
+                f"element codes must be 1 to 8 bits wide, got {self.codec.width}"
+            )
+        if self.scale_kind not in ("fp16", "e8m0"):
+            raise ParameterError(f"unknown scale kind {self.scale_kind!r}")
 
     @property
     def is_passthrough(self) -> bool:
         return isinstance(self.codec, PassthroughCodec)
+
+    @property
+    def bits_per_value(self) -> int:
+        """Bits per stored element: the codec width (16 for passthrough)."""
+        return self.codec.width
 
     @property
     def scale_bits(self) -> int:
@@ -400,27 +401,32 @@ class FormatSpec:
                 codec = PassthroughCodec()
             else:
                 raise FormatError(f"unknown codec kind {c['kind']!r}")
-            return cls(
+            spec = cls(
                 name=str(d["name"]),
                 block_size=int(d["block_size"]),
                 scale_kind=str(d["scale_kind"]),
                 codec=codec,
-                bits_per_value=int(d["bits_per_value"]),
             )
+            if d["bits_per_value"] != spec.bits_per_value:
+                raise FormatError(
+                    f"bits_per_value {d['bits_per_value']} does not match the "
+                    f"{spec.bits_per_value}-bit element codec"
+                )
+            return spec
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise FormatError(f"malformed format description: {exc}") from exc
 
 
 _REGISTRY: dict[str, FormatSpec] = {
-    "SINT4": FormatSpec("SINT4", 64, "fp16", IntCodec(4), 4),
-    "MXINT4": FormatSpec("MXINT4", 32, "e8m0", IntCodec(4), 4),
-    "MXINT8": FormatSpec("MXINT8", 32, "e8m0", IntCodec(8), 8),
-    "MXFP4e2": FormatSpec("MXFP4e2", 32, "e8m0", MinifloatCodec(2, 1, 1), 4),
-    "MXFP6e2": FormatSpec("MXFP6e2", 32, "e8m0", MinifloatCodec(2, 3, 1), 6),
-    "MXFP8e4": FormatSpec("MXFP8e4", 32, "e8m0", MinifloatCodec(4, 3, 7), 8),
+    "SINT4": FormatSpec("SINT4", 64, "fp16", IntCodec(4)),
+    "MXINT4": FormatSpec("MXINT4", 32, "e8m0", IntCodec(4)),
+    "MXINT8": FormatSpec("MXINT8", 32, "e8m0", IntCodec(8)),
+    "MXFP4e2": FormatSpec("MXFP4e2", 32, "e8m0", MinifloatCodec(2, 1, 1)),
+    "MXFP6e2": FormatSpec("MXFP6e2", 32, "e8m0", MinifloatCodec(2, 3, 1)),
+    "MXFP8e4": FormatSpec("MXFP8e4", 32, "e8m0", MinifloatCodec(4, 3, 7)),
 }
 
-PASSTHROUGH = FormatSpec("fp16-passthrough", 1, "none", PassthroughCodec(), 16)
+PASSTHROUGH = FormatSpec("fp16-passthrough", 1, "none", PassthroughCodec())
 
 
 def registry_names() -> tuple[str, ...]:
@@ -442,24 +448,6 @@ def make_format(name: str) -> FormatSpec:
     except KeyError:
         known = ", ".join([*_REGISTRY, PASSTHROUGH.name])
         raise UnknownFormatError(f"unknown format {name!r}; known: {known}") from None
-
-
-def int_test_format(bits: int = 4, block_size: int = 4) -> FormatSpec:
-    """Small hand-checkable integer format (not part of the registry)."""
-    return FormatSpec(
-        f"test-int{bits}-b{block_size}", block_size, "e8m0", IntCodec(bits), bits
-    )
-
-
-def minifloat_test_format(kind: str = "e2m1", block_size: int = 4) -> FormatSpec:
-    """Small hand-checkable minifloat format (not part of the registry)."""
-    params = {"e2m1": (2, 1, 1), "e2m3": (2, 3, 1), "e4m3": (4, 3, 7)}
-    try:
-        e, m, b = params[kind]
-    except KeyError:
-        raise ParameterError(f"unknown minifloat kind {kind!r}") from None
-    codec = MinifloatCodec(e, m, b)
-    return FormatSpec(f"test-{kind}-b{block_size}", block_size, "e8m0", codec, codec.width)
 
 
 @dataclass
@@ -773,26 +761,3 @@ def _fake_quant_group(m: np.ndarray, spec: FormatSpec) -> np.ndarray:
     grid, scales, _ = _round_blocks(m, spec)
     grid *= scales[:, :, None]
     return grid.reshape(len(grid), -1)[:, :m.shape[1]]
-
-
-def encode_element(v: float, codec: Codec, scale: float) -> int:
-    """Round one finite value to the codec grid at the given scale; returns the code."""
-    if scale <= 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    if isinstance(codec, PassthroughCodec):
-        raise ParameterError("the passthrough codec has no element codes")
-    if not np.isfinite(v):
-        raise ParameterError(f"value must be finite, got {v}")
-    grid = codec.round_values(np.array([v / scale], dtype=np.float64))
-    return int(codec.encode_values(grid)[0])
-
-
-def decode_element(code: int, codec: Codec, scale: float) -> float:
-    """Exact inverse of :func:`encode_element` up to the sign of zero."""
-    if scale <= 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
-    if isinstance(codec, PassthroughCodec):
-        raise ParameterError("the passthrough codec has no element codes")
-    if not 0 <= code < (1 << codec.width):
-        raise FormatError(f"code {code} does not fit in {codec.width} bits")
-    return float(codec.decode_codes(np.array([code], dtype=np.uint8))[0] * scale)

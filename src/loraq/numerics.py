@@ -1,28 +1,34 @@
-"""Dense float64 matrix numerics: norms, truncated SVD, Adam,
-Cayley retraction, and a finite-difference gradient checker.
+"""Dense float64 matrix numerics: truncated SVD, Adam, the Cayley
+retraction, and the one Adam loop that both optimizer stages run.
 
 Everything operates on plain 2-D ``numpy.float64`` arrays and is pure:
 functions never mutate their inputs except where documented (Adam state).
+:func:`adam_descent` owns the step loop of absorption and rotation: the
+moment buffers, the loss trace, the best iterate and the finiteness
+checks.  A stage supplies only a score of one iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericError, ParameterError, ShapeError
 
+if TYPE_CHECKING:
+    from .formats import FormatSpec
+
 __all__ = [
     "as_matrix",
-    "frobenius_norm",
     "truncated_svd",
     "AdamState",
     "adam_step",
-    "SkewParam",
+    "OptimizerConfig",
+    "adam_descent",
     "skew_project",
     "cayley_retract",
-    "finite_diff_grad",
 ]
 
 
@@ -34,11 +40,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} contains non-finite entries")
     return arr
-
-
-def frobenius_norm(a) -> float:
-    """Frobenius norm, zero iff the matrix is zero."""
-    return float(np.linalg.norm(as_matrix(a), "fro"))
 
 
 def _canonical_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,10 +69,15 @@ def truncated_svd(a, rank: int) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"SVD did not converge for shape {a.shape}",
-            residual=frobenius_norm(a),
+            residual=float(np.linalg.norm(a)),
         ) from exc
     u, vt = _canonical_signs(u[:, :rank], vt[:rank, :])
     return u * s[:rank], vt
+
+
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass
@@ -81,20 +87,10 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, shape, beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8) -> "AdamState":
-        return cls(
-            first_moment=np.zeros(shape, dtype=np.float64),
-            second_moment=np.zeros(shape, dtype=np.float64),
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_param(cls, shape) -> "AdamState":
+        return cls(np.zeros(shape, dtype=np.float64), np.zeros(shape, dtype=np.float64))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
@@ -117,13 +113,77 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
         return params.copy()
     state.step_count += 1
     t = state.step_count
-    state.first_moment *= state.beta1
-    state.first_moment += (1.0 - state.beta1) * grad
-    state.second_moment *= state.beta2
-    state.second_moment += (1.0 - state.beta2) * np.square(grad)
-    m_hat = state.first_moment / (1.0 - state.beta1 ** t)
-    v_hat = state.second_moment / (1.0 - state.beta2 ** t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.first_moment *= _BETA1
+    state.first_moment += (1.0 - _BETA1) * grad
+    state.second_moment *= _BETA2
+    state.second_moment += (1.0 - _BETA2) * np.square(grad)
+    m_hat = state.first_moment / (1.0 - _BETA1 ** t)
+    v_hat = state.second_moment / (1.0 - _BETA2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + _EPS)
+
+
+@dataclass
+class OptimizerConfig:
+    """Settings of one Adam stage: absorption or rotation."""
+
+    learning_rate: float
+    steps: int
+    quantizer: FormatSpec
+
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ParameterError(f"steps must be >= 0, got {self.steps}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ParameterError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
+
+
+def adam_descent(score, params, cfg: OptimizerConfig, *, best, project=None):
+    """Adam from ``params`` for ``cfg.steps`` steps; returns (best, trace).
+
+    ``params`` is a sequence of parameter matrices.  ``score(params)``
+    returns ``(loss, grad, keep)``: the iterate's loss, a callable giving
+    the loss gradient for each matrix, and the value reported for the
+    iterate when it is the best.  ``grad`` is called only when another
+    step follows, so a run of ``k`` steps scores ``k + 1`` iterates and
+    computes ``k`` gradients.  ``project``, when given, maps every updated
+    matrix before it is scored; ``skew_project`` keeps a rotation's
+    parameter exactly skew-symmetric.  Iterates are never written in
+    place, so ``keep`` may hold on to the matrices it is given.
+
+    The trace holds one loss per scored iterate, the start first.  The
+    returned best is the ``keep`` of the lowest loss, earliest on ties;
+    ``best`` is what stands in for it before the start is scored.  The
+    score raising :class:`NumericError`, a non-finite loss and a
+    non-finite updated parameter (or a NaN gradient, which
+    :func:`adam_step` refuses) each raise :class:`NumericError` naming the
+    step, that is the index of the iterate being made, with the trace so
+    far and the best so far as ``trace`` and ``last_iterate``.
+    """
+    states = [AdamState.for_param(p.shape) for p in params]
+    trace: list[float] = []
+    best_loss = np.inf
+    for step in range(cfg.steps + 1):
+        try:
+            loss, grad, keep = score(params)
+            if not np.isfinite(loss):
+                raise NumericError("loss became non-finite")
+            trace.append(loss)
+            if loss < best_loss:
+                best, best_loss = keep, loss
+            if step == cfg.steps:
+                break
+            params = [adam_step(state, p, g, cfg.learning_rate)
+                      for state, p, g in zip(states, params, grad())]
+            if not all(np.all(np.isfinite(p)) for p in params):
+                raise NumericError("parameters became non-finite")
+            if project is not None:
+                params = [project(p) for p in params]
+        except NumericError as exc:
+            raise NumericError(f"{exc} at step {len(trace)}", trace=trace,
+                               last_iterate=best) from None
+    return best, trace
 
 
 def skew_project(a) -> np.ndarray:
@@ -134,76 +194,21 @@ def skew_project(a) -> np.ndarray:
     return (a - a.T) / 2.0
 
 
-class SkewParam:
-    """A square matrix constrained to be exactly skew-symmetric.
-
-    Every write goes through :func:`skew_project`, so ``A + A.T == 0``
-    holds at all times.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, a):
-        self._a = skew_project(a)
-
-    @classmethod
-    def zeros(cls, size: int) -> "SkewParam":
-        return cls(np.zeros((size, size), dtype=np.float64))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._a
-
-    def assign(self, a) -> None:
-        self._a = skew_project(a)
-
-    @property
-    def size(self) -> int:
-        return self._a.shape[0]
-
-
-def _skew_matrix(a) -> np.ndarray:
-    if isinstance(a, SkewParam):
-        return a.matrix
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {a.shape}")
-    scale = 1.0 + np.abs(a).max()
-    if np.abs(a + a.T).max() > 1e-12 * scale:
-        raise ParameterError("matrix is not skew-symmetric within 1e-12")
-    return a
-
-
 def cayley_retract(a) -> np.ndarray:
     """Map a skew-symmetric matrix onto the rotation group.
 
     Returns ``(I - A/2)^-1 (I + A/2)``, which is orthogonal with
     determinant +1 for every real skew-symmetric ``A``.
     """
-    a = _skew_matrix(a)
+    a = as_matrix(a)
     n = a.shape[0]
+    if a.shape != (n, n):
+        raise ShapeError(f"expected a square matrix, got {a.shape}")
+    if np.abs(a + a.T).max() > 1e-12 * (1.0 + np.abs(a).max()):
+        raise ParameterError("matrix is not skew-symmetric within 1e-12")
     eye = np.eye(n)
     try:
         omega = np.linalg.solve(eye - a / 2.0, eye + a / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - impossible for skew A
         raise NumericError("Cayley solve failed: I - A/2 is singular") from exc
     return omega
-
-
-def finite_diff_grad(f, x, eps: float = 1e-6) -> np.ndarray:
-    """Entrywise central-difference gradient of a scalar function.
-
-    Test oracle only; cost is two evaluations of ``f`` per entry.
-    """
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
-    x = as_matrix(x)
-    grad = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            xp = x.copy()
-            xp[i, j] += eps
-            xm = x.copy()
-            xm[i, j] -= eps
-            grad[i, j] = (f(xp) - f(xm)) / (2.0 * eps)
-    return grad

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .absorber import AbsorbConfig, LowRankFactors, init_factors, optimize_factors
+from .absorber import LowRankFactors, init_factors, optimize_factors
 from .errors import BudgetError, NumericError, ParameterError, ShapeError
 from .formats import (
     FormatSpec,
@@ -27,8 +27,8 @@ from .formats import (
     fake_quant,
     quantize_blockwise,
 )
-from .numerics import as_matrix
-from .rotation import RotationConfig, fuse_rotation, optimize_rotation
+from .numerics import OptimizerConfig, as_matrix
+from .rotation import fuse_rotation, optimize_rotation
 from .smoothing import (
     ChannelStats,
     default_migration_grid,
@@ -179,9 +179,18 @@ class BundleMeta:
             rotation=None if d["rotation"] is None else dict(d["rotation"]),
             smoothing=None if d["smoothing"] is None else dict(d["smoothing"]),
             lowrank_q2_mse=float(d["lowrank_q2_mse"]),
-            act_format=d.get("act_format"),
-            lowrank_act_format=d.get("lowrank_act_format"),
+            act_format=_format_name(d, "act_format"),
+            lowrank_act_format=_format_name(d, "lowrank_act_format"),
         )
+
+
+def _format_name(d: dict, key: str) -> str | None:
+    """``d[key]`` when it is absent, null or a string; anything else is a
+    ``TypeError``, which :func:`bundle_io.load_bundle` reports as corrupt."""
+    name = d.get(key)
+    if name is not None and not isinstance(name, str):
+        raise TypeError(f"{key} must be a format name or null, got {name!r}")
+    return name
 
 
 @dataclass
@@ -286,7 +295,7 @@ def _smooth(w: np.ndarray, q1: FormatSpec, rank: int, calibration):
 
 
 def _rotate_and_pack(work: np.ndarray, factors: LowRankFactors, q1: FormatSpec,
-                     q2: FormatSpec, rotation: RotationConfig | None):
+                     q2: FormatSpec, rotation: OptimizerConfig | None):
     """Rotation (when configured) and dual quantization: returns the three
     tensors, the rotation summary and the low-rank branch's ``q2`` error."""
     branch_left, branch_right = -factors.left, factors.right
@@ -346,7 +355,7 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
 
     init = init_factors(work, effective_rank)
     steps = a_steps if any(optimized for optimized, _ in cells) else 0
-    best, trace = optimize_factors(work, init, AbsorbConfig(a_lr, steps, q1))
+    best, trace = optimize_factors(work, init, OptimizerConfig(a_lr, steps, q1))
     starts = {True: (best, trace), False: (init, trace[:1])}
 
     bundles = []
@@ -354,7 +363,7 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
         factors, absorb_trace = starts[optimized]
         rotation = None
         if rotated and not q2.is_passthrough:
-            rotation = RotationConfig(r_lr, r_steps, q2)
+            rotation = OptimizerConfig(r_lr, r_steps, q2)
         tensors, rotation_meta, lowrank_q2_mse = _rotate_and_pack(
             work, factors, q1, q2, rotation
         )

@@ -4,28 +4,26 @@ An orthogonal matrix inserted between the factors leaves their product
 unchanged but redistributes the entries that each factor exposes to the
 quantizer.  The rotation is parameterized by a skew-symmetric matrix via
 the Cayley map, optimized with Adam, and fused into the factors so it
-costs nothing at inference.
+costs nothing at inference.  The step loop is
+:func:`numerics.adam_descent`, which projects every update back onto the
+skew-symmetric matrices; this module supplies the score of one iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 from .formats import FormatSpec, fake_quant
 from .numerics import (
-    AdamState,
-    SkewParam,
-    adam_step,
+    OptimizerConfig,
+    adam_descent,
     as_matrix,
     cayley_retract,
     skew_project,
 )
 
 __all__ = [
-    "RotationConfig",
     "rotation_loss",
     "rotation_grad",
     "optimize_rotation",
@@ -33,23 +31,6 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-8
-
-
-@dataclass
-class RotationConfig:
-    """Optimizer settings for the rotation stage."""
-
-    learning_rate: float
-    steps: int
-    quantizer: FormatSpec
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise ParameterError(
-                f"learning rate must be positive, got {self.learning_rate}"
-            )
 
 
 def _check_rotation_inputs(left: np.ndarray, right: np.ndarray,
@@ -107,12 +88,14 @@ def _grad_from_errors(left, right, a, omega, err_left, err_right) -> np.ndarray:
 def rotation_grad(left, right, skew, quantizer: FormatSpec) -> np.ndarray:
     """Loss gradient with respect to the skew parameter of the Cayley map.
 
-    The quantizer outputs are held constant; the result is projected onto
-    the skew-symmetric subspace and is therefore exactly antisymmetric.
+    ``skew`` is projected onto the skew-symmetric subspace first, which
+    leaves a skew-symmetric matrix unchanged.  The quantizer outputs are
+    held constant; the result is projected onto the skew-symmetric
+    subspace and is therefore exactly antisymmetric.
     """
     left = as_matrix(left, "left factor")
     right = as_matrix(right, "right factor")
-    a = skew.matrix if isinstance(skew, SkewParam) else skew_project(skew)
+    a = skew_project(skew)
     omega = cayley_retract(a)
     _check_rotation_inputs(left, right, omega)
     err_left, err_right = _branch_errors(left, right, omega, quantizer)
@@ -120,12 +103,16 @@ def rotation_grad(left, right, skew, quantizer: FormatSpec) -> np.ndarray:
 
 
 def optimize_rotation(left, right,
-                      cfg: RotationConfig) -> tuple[np.ndarray, list[float]]:
+                      cfg: OptimizerConfig) -> tuple[np.ndarray, list[float]]:
     """Adam on the skew parameter from the identity; returns (rotation, trace).
 
     The lowest-loss iterate is returned.  The identity start is the first
     recorded iterate, so the returned rotation never does worse than no
-    rotation at all.  Deterministic for fixed inputs.
+    rotation at all.  Each iterate costs one ``cayley_retract`` and two
+    ``fake_quant`` calls, whose branch errors give both its loss and the
+    next gradient.  Deterministic for fixed inputs.  A failure raises the
+    :class:`NumericError` of :func:`numerics.adam_descent`, whose
+    ``last_iterate`` is the identity when the start cannot be scored.
     """
     left = as_matrix(left, "left factor")
     right = as_matrix(right, "right factor")
@@ -134,47 +121,20 @@ def optimize_rotation(left, right,
         raise ShapeError(
             f"factor shapes {left.shape} x {right.shape} do not share a rank"
         )
-    skew = SkewParam.zeros(rank)
-    state = AdamState.for_param((rank, rank))
 
-    trace: list[float] = []
-    best_omega = np.eye(rank)
-    best_loss = np.inf
-
-    def record(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Score one iterate; its branch errors also give the next gradient."""
-        nonlocal best_omega, best_loss
+    def score(params):
+        (a,) = params
+        omega = cayley_retract(a)
         err_left, err_right = _branch_errors(left, right, omega, cfg.quantizer)
         with np.errstate(over="ignore"):
             loss = _loss(err_left, err_right)
-        if not np.isfinite(loss):
-            raise NumericError(
-                f"rotation loss became non-finite at step {len(trace)}",
-                trace=trace,
-                last_iterate=best_omega,
-            )
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_omega = omega.copy()
-        return err_left, err_right
 
-    omega = cayley_retract(skew)
-    errors = record(omega)
-    for _ in range(cfg.steps):
-        grad = _grad_from_errors(left, right, skew.matrix, omega, *errors)
-        updated = adam_step(state, skew.matrix, grad, cfg.learning_rate)
-        if not np.all(np.isfinite(updated)):
-            raise NumericError(
-                f"skew parameter became non-finite at step {len(trace)}",
-                trace=trace,
-                last_iterate=best_omega,
-            )
-        skew.assign(updated)
-        omega = cayley_retract(skew)
-        errors = record(omega)
+        def grad():
+            return (_grad_from_errors(left, right, a, omega, err_left, err_right),)
+        return loss, grad, omega
 
-    return best_omega, trace
+    return adam_descent(score, (np.zeros((rank, rank)),), cfg, best=np.eye(rank),
+                        project=skew_project)
 
 
 def fuse_rotation(left, right, omega) -> tuple[np.ndarray, np.ndarray]:

@@ -6,22 +6,21 @@ import pytest
 from loraq import formats
 from loraq import (
     PASSTHROUGH,
-    AbsorbConfig,
     AdamState,
     LowRankFactors,
     NumericError,
+    OptimizerConfig,
     ParameterError,
     ShapeError,
     adam_step,
     absorption_grads,
     absorption_loss,
     fake_quant,
-    finite_diff_grad,
     init_factors,
-    int_test_format,
     make_format,
     optimize_factors,
 )
+from oracles import finite_diff_grad, int_test_format
 
 
 class TestInitFactors:
@@ -129,7 +128,7 @@ class TestOptimizeFactors:
         rng = np.random.default_rng(8)
         w = rng.normal(size=(12, 10))
         spec = make_format("SINT4")
-        cfg = AbsorbConfig(1e-4, 0, spec)
+        cfg = OptimizerConfig(1e-4, 0, spec)
         factors, trace = optimize_factors(w, init_factors(w, 3), cfg)
         ref = init_factors(w, 3)
         assert np.array_equal(factors.left, ref.left)
@@ -142,7 +141,7 @@ class TestOptimizeFactors:
         spec = make_format("MXINT4")
         for seed in range(5):
             w = np.random.default_rng(seed).normal(size=(24, 16))
-            cfg = AbsorbConfig(1e-3, 50, spec)
+            cfg = OptimizerConfig(1e-3, 50, spec)
             factors, trace = optimize_factors(w, init_factors(w, 4), cfg)
             assert absorption_loss(w, factors, spec) <= trace[0] + 1e-18
 
@@ -150,13 +149,13 @@ class TestOptimizeFactors:
         rng = np.random.default_rng(10)
         w = rng.normal(size=(16, 12))
         spec = make_format("MXFP4e2")
-        cfg = AbsorbConfig(1e-2, 40, spec)
+        cfg = OptimizerConfig(1e-2, 40, spec)
         factors, trace = optimize_factors(w, init_factors(w, 4), cfg)
         assert absorption_loss(w, factors, spec) == pytest.approx(min(trace), rel=1e-12)
 
     def test_trace_length_is_steps_plus_one(self):
         w = np.random.default_rng(11).normal(size=(8, 8))
-        cfg = AbsorbConfig(1e-4, 17, make_format("SINT4"))
+        cfg = OptimizerConfig(1e-4, 17, make_format("SINT4"))
         _, trace = optimize_factors(w, init_factors(w, 2), cfg)
         assert len(trace) == 18
 
@@ -165,7 +164,7 @@ class TestOptimizeFactors:
         wins = 0
         for seed in range(5):
             w = np.random.default_rng(seed).normal(size=(64, 48))
-            cfg = AbsorbConfig(1e-4, 300, spec)
+            cfg = OptimizerConfig(1e-4, 300, spec)
             _, trace = optimize_factors(w, init_factors(w, 8), cfg)
             if min(trace) < trace[0]:
                 wins += 1
@@ -173,7 +172,7 @@ class TestOptimizeFactors:
 
     def test_deterministic(self):
         w = np.random.default_rng(12).normal(size=(16, 16))
-        cfg = AbsorbConfig(1e-3, 25, make_format("MXINT4"))
+        cfg = OptimizerConfig(1e-3, 25, make_format("MXINT4"))
         f1, t1 = optimize_factors(w, init_factors(w, 4), cfg)
         f2, t2 = optimize_factors(w, init_factors(w, 4), cfg)
         assert np.array_equal(f1.left, f2.left)
@@ -188,18 +187,18 @@ class TestOptimizeFactors:
         left = adam_step(AdamState.for_param(gl.shape), init.left, gl, 1e-2)
         right = adam_step(AdamState.for_param(gr.shape), init.right, gr, 1e-2)
         stepped = LowRankFactors(left, right, 3)
-        _, trace = optimize_factors(w, init, AbsorbConfig(1e-2, 1, spec))
+        _, trace = optimize_factors(w, init, OptimizerConfig(1e-2, 1, spec))
         assert trace[1] == absorption_loss(w, stepped, spec)
 
     def test_factor_shape_must_match_weight(self):
         w = np.ones((6, 5))
         with pytest.raises(ShapeError):
             optimize_factors(w, init_factors(np.ones((5, 6)), 2),
-                             AbsorbConfig(1e-3, 1, make_format("SINT4")))
+                             OptimizerConfig(1e-3, 1, make_format("SINT4")))
 
     def test_divergence_aborts_with_diagnostic(self):
         w = np.random.default_rng(13).normal(size=(8, 8))
-        cfg = AbsorbConfig(1e150, 50, make_format("SINT4"))
+        cfg = OptimizerConfig(1e150, 50, make_format("SINT4"))
         with pytest.raises(NumericError) as info:
             optimize_factors(w, init_factors(w, 2), cfg)
         assert info.value.last_iterate is not None
@@ -213,7 +212,7 @@ class TestOptimizeFactors:
         size, lr = (1e200, 1e-3) if steps == 0 else (1.0, 1e200)
         start = LowRankFactors(np.full((8, 2), size), np.full((2, 8), size), 2)
         with pytest.raises(NumericError) as info:
-            optimize_factors(w, start, AbsorbConfig(lr, 3, make_format("SINT4")))
+            optimize_factors(w, start, OptimizerConfig(lr, 3, make_format("SINT4")))
         assert str(info.value) == f"shifted weight became non-finite at step {steps}"
         assert len(info.value.trace) == steps
         if steps == 0:
@@ -233,7 +232,7 @@ class TestOptimizeFactors:
             return isfinite(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "isfinite", counting)
-        optimize_factors(w, init, AbsorbConfig(1e-3, 4, make_format("SINT4")))
+        optimize_factors(w, init, OptimizerConfig(1e-3, 4, make_format("SINT4")))
         # the weight on entry, then one check per iterate: the start and 4 steps
         assert len(checked) == 1 + 5
 
@@ -243,7 +242,7 @@ class TestOptimizeFactors:
         w = np.random.default_rng(16).standard_t(df=4, size=(20, 72))
         spec = make_format(name)
         init = init_factors(w, 3)
-        factors, trace = optimize_factors(w, init, AbsorbConfig(1e-3, 6, spec))
+        factors, trace = optimize_factors(w, init, OptimizerConfig(1e-3, 6, spec))
         assert trace[0] == absorption_loss(w, init, spec)
         assert min(trace) == absorption_loss(w, factors, spec)
 
@@ -261,7 +260,7 @@ class TestOptimizeFactors:
         for steps in (2, 8):
             tracemalloc.start()
             try:
-                optimize_factors(w, init, AbsorbConfig(1e-3, steps, make_format(name)))
+                optimize_factors(w, init, OptimizerConfig(1e-3, steps, make_format(name)))
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -271,9 +270,9 @@ class TestOptimizeFactors:
     def test_config_validation(self):
         spec = make_format("SINT4")
         with pytest.raises(ParameterError):
-            AbsorbConfig(0.0, 10, spec)
+            OptimizerConfig(0.0, 10, spec)
         with pytest.raises(ParameterError):
-            AbsorbConfig(1e-4, -1, spec)
+            OptimizerConfig(1e-4, -1, spec)
 
 
 class TestReconstructionIdentity:
@@ -283,7 +282,7 @@ class TestReconstructionIdentity:
         rng = np.random.default_rng(14)
         w = rng.normal(size=(16, 12))
         spec = make_format("MXINT4")
-        cfg = AbsorbConfig(1e-3, 30, spec)
+        cfg = OptimizerConfig(1e-3, 30, spec)
         factors, _ = optimize_factors(w, init_factors(w, 4), cfg)
         branch = -(factors.left @ factors.right)
         w_hat = fake_quant(w - branch, spec) + branch

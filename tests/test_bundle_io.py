@@ -124,6 +124,42 @@ def test_unbuildable_codec_is_refused(tmp_path, case):
     assert info.value.offset == _HEADER
 
 
+# format descriptions that name a buildable codec but disagree with it
+MISDESCRIBED = {
+    "passthrough scale_kind bogus": ("q2", {"scale_kind": "bogus"}),
+    "passthrough scale_kind e8m0": ("q2", {"scale_kind": "e8m0"}),
+    "passthrough bits_per_value 3": ("q2", {"bits_per_value": 3}),
+    "passthrough bits_per_value '16'": ("q2", {"bits_per_value": "16"}),
+    "int4 bits_per_value 8": ("q1", {"bits_per_value": 8}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISDESCRIBED))
+def test_misdescribed_format_is_refused(tmp_path, case):
+    which, patch = MISDESCRIBED[case]
+    data = _with_manifest(
+        _saved(tmp_path, q1="MXINT4", q2="fp16-passthrough", gamma=False),
+        lambda m: m["meta"][which].update(patch))
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
+
+
+@pytest.mark.parametrize("key", ["act_format", "lowrank_act_format"])
+@pytest.mark.parametrize("value", [[1], 7, {"name": "MXINT8"}, True])
+def test_activation_format_must_be_a_name_or_null(tmp_path, key, value):
+    data = _with_manifest(_saved(tmp_path), lambda m: m["meta"].update({key: value}))
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
+
+
+@pytest.mark.parametrize("key", ["act_format", "lowrank_act_format"])
+def test_activation_format_name_loads(tmp_path, key):
+    data = _with_manifest(_saved(tmp_path), lambda m: m["meta"].update({key: "MXINT8"}))
+    assert getattr(_load_patched(tmp_path, data).meta, key) == "MXINT8"
+
+
 @pytest.mark.parametrize("bits", [0x7C00, 0xFC00, 0x7E00, 0x0000, 0x8000, 0xBC00],
                          ids=["+inf", "-inf", "nan", "+0", "-0", "-1"])
 def test_fp16_scale_must_be_finite_and_positive(tmp_path, bits):

@@ -215,3 +215,46 @@ def test_evaluate_non_finite_weight_exits_5(tmp_path, capsys):
     code, _, err = _run(capsys, ["evaluate", bundle, str(broken), "--machine"])
     assert code == 5
     assert _last_error_line(err).startswith("error: [E_NUMERIC] ")
+
+
+def _patched_bundle(tmp_path, capsys, meta_patch, *extra) -> str:
+    """A bundle file quantized from one weight, its manifest's ``meta`` then
+    updated by ``meta_patch`` (which may reach into ``q1`` or ``q2``).
+    ``extra`` flags follow ``RUN``, so they override it."""
+    [weight] = _weights(tmp_path, 1)
+    bundle = tmp_path / "patched.lrqb"
+    assert _run(capsys, ["quantize", weight, *RUN, *extra, "--out", str(bundle)])[0] == 0
+    data = bundle.read_bytes()
+    (size,) = struct.unpack_from("<I", data, 6)
+    manifest = json.loads(data[10:10 + size])
+    meta_patch(manifest["meta"])
+    patched = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    bundle.write_bytes(data[:6] + struct.pack("<I", len(patched)) + patched
+                       + data[10 + size:])
+    return str(bundle)
+
+
+@pytest.mark.parametrize("patch", [{"scale_kind": "bogus"}, {"bits_per_value": 3}])
+def test_inspect_misdescribed_passthrough_exits_3(tmp_path, capsys, patch):
+    bundle = _patched_bundle(tmp_path, capsys, lambda meta: meta["q2"].update(patch),
+                             "--q2", "fp16-passthrough")
+    code, _, err = _run(capsys, ["inspect", bundle])
+    assert code == 3
+    assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+
+
+def test_evaluate_mistyped_act_format_exits_3(tmp_path, capsys):
+    bundle = _patched_bundle(tmp_path, capsys,
+                             lambda meta: meta.update({"act_format": [1]}))
+    [weight] = _weights(tmp_path, 1)
+    code, _, err = _run(capsys, ["evaluate", bundle, weight, "--machine"])
+    assert code == 3
+    assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--rot-lr"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_is_a_config_error(tmp_path, capsys, flag, value):
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN, flag, value])
+    assert code == 2
+    assert _last_error_line(err).startswith("error: [E_CONFIG] learning rate ")

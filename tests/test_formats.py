@@ -11,18 +11,20 @@ from loraq import (
     QuantizedTensor,
     ShapeError,
     UnknownFormatError,
-    decode_element,
     dequantize,
-    encode_element,
     fake_quant,
-    int_test_format,
     make_format,
-    minifloat_test_format,
     quantize_blockwise,
     registry_names,
 )
 from loraq import formats
 from loraq.formats import _minifloat_tables, _pack_codes, _unpack_codes
+from oracles import (
+    decode_element,
+    encode_element,
+    int_test_format,
+    minifloat_test_format,
+)
 
 ALL_FORMATS = ["SINT4", "MXINT4", "MXINT8", "MXFP4e2", "MXFP6e2", "MXFP8e4"]
 
@@ -389,7 +391,7 @@ class TestRegistry:
     @pytest.mark.parametrize("codec", [IntCodec(16), MinifloatCodec(5, 3, 15)])
     def test_codes_wider_than_a_byte_are_refused(self, codec):
         with pytest.raises(ParameterError):
-            FormatSpec("wide", 32, "e8m0", codec, codec.width)
+            FormatSpec("wide", 32, "e8m0", codec)
 
     def test_unknown_name(self):
         with pytest.raises(UnknownFormatError):
@@ -797,8 +799,7 @@ DECODE_BLOCKS = [1, 3, 4, 5, 8, 32]
 
 
 def _spec(codec, block_size: int, scale_kind: str = "e8m0") -> FormatSpec:
-    return FormatSpec(f"test-w{codec.width}-b{block_size}", block_size, scale_kind,
-                      codec, codec.width)
+    return FormatSpec(f"test-w{codec.width}-b{block_size}", block_size, scale_kind, codec)
 
 
 def _random_codes(spec, rows: int, cols: int, rng) -> QuantizedTensor:
@@ -933,7 +934,7 @@ class _UnroundedInt(IntCodec):
 
 # the last spec shows the rescaled values themselves, before any rounding
 RESCALED = {**{name: make_format(name) for name in ALL_FORMATS},
-            "unrounded": FormatSpec("unrounded", 32, "e8m0", _UnroundedInt(4), 4)}
+            "unrounded": FormatSpec("unrounded", 32, "e8m0", _UnroundedInt(4))}
 
 
 @pytest.mark.parametrize("name", sorted(RESCALED))

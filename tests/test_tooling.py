@@ -71,3 +71,18 @@ def test_benchmark_trace_hooks_exist(monkeypatch):
     missing = [f"{module.__name__}.{attr}" for module, attr in tracer.pairs
                if not callable(getattr(module, attr, None))]
     assert missing == []
+
+
+def _calls_to(path: Path, name: str) -> int:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sum(1 for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) == name
+                    or getattr(node.func, "attr", None) == name))
+
+
+def test_only_the_shared_loop_calls_adam_step():
+    # absorption and rotation run numerics.adam_descent; an optimizer loop
+    # written anywhere else would be a second copy of it
+    callers = {path.name: count for path in sorted(SRC.glob("*.py"))
+               if (count := _calls_to(path, "adam_step"))}
+    assert callers == {"numerics.py": 1}
