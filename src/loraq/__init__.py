@@ -41,6 +41,7 @@ from .formats import (
     dequantize,
     fake_quant,
     make_format,
+    matmul_dequantized,
     quantize_blockwise,
     registry_names,
 )

@@ -114,48 +114,55 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             return file_cfg[key]
         return default
 
-    budget = pick(getattr(args, "budget", None), "budget")
-    rank = pick(getattr(args, "rank", None), "rank")
+    def number(key, kind, default=None):
+        return _config_number(pick(getattr(args, key, None), key, default), key, kind)
+
+    def toggle(key, off_flag):
+        # the --no-* flag forces False, else the file decides
+        if getattr(args, off_flag, None):
+            return False
+        value = file_cfg.get(key, True)
+        if not isinstance(value, bool):
+            raise ParameterError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+
+    budget = number("budget", int)
+    rank = number("rank", int)
     if budget is not None and rank is not None:
         raise ParameterError("budget and rank are mutually exclusive")
     if budget is None and rank is None:
         budget = _DEFAULT_BUDGET
 
-    # boolean toggles: the --no-* flag forces False, else the file decides
-    if getattr(args, "no_optimize", None):
-        optimized_lr = False
-    else:
-        optimized_lr = bool(file_cfg.get("optimized_lr", True))
-    if getattr(args, "no_rotate", None):
-        rotations = False
-    else:
-        rotations = bool(file_cfg.get("rotations", True))
-
     act_name = pick(getattr(args, "act_format", None), "act_format")
     return RunConfig(
         q1=make_format(str(pick(getattr(args, "q1", None), "q1", "SINT4"))),
         q2=make_format(str(pick(getattr(args, "q2", None), "q2", "SINT4"))),
-        budget=None if budget is None else int(budget),
-        rank=None if rank is None else int(rank),
+        budget=budget,
+        rank=rank,
         act_format=None if act_name is None else make_format(str(act_name)),
-        optimized_lr=optimized_lr,
-        rotations=rotations,
-        steps=_maybe_int(pick(getattr(args, "steps", None), "steps")),
-        lr=_maybe_float(pick(getattr(args, "lr", None), "lr")),
-        rot_steps=_maybe_int(pick(getattr(args, "rot_steps", None), "rot_steps")),
-        rot_lr=_maybe_float(pick(getattr(args, "rot_lr", None), "rot_lr")),
-        seed=int(pick(getattr(args, "seed", None), "seed", 0)),
+        optimized_lr=toggle("optimized_lr", "no_optimize"),
+        rotations=toggle("rotations", "no_rotate"),
+        steps=number("steps", int),
+        lr=number("lr", float),
+        rot_steps=number("rot_steps", int),
+        rot_lr=number("rot_lr", float),
+        seed=number("seed", int, 0),
         stats=pick(getattr(args, "stats", None), "stats"),
         out=pick(getattr(args, "out", None), "out"),
     )
 
 
-def _maybe_int(v):
-    return None if v is None else int(v)
-
-
-def _maybe_float(v):
-    return None if v is None else float(v)
+def _config_number(value, key: str, kind: type):
+    """A numeric run setting as ``kind`` (``int``, or ``float``, which also
+    takes an integer), or None when unset.  Anything else, a boolean or a
+    numeric string included, raises :class:`ParameterError` naming the key."""
+    if value is None:
+        return None
+    accepted = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        what = "a number" if kind is float else "an integer"
+        raise ParameterError(f"config key {key!r} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def _load_calibration(path: str | None):

@@ -81,16 +81,32 @@ indexed by code: the two's-complement value for integers, the sign,
 exponent and mantissa value for minifloats.  The table holds NaN at the
 patterns no encoder emits (the integer ``-2^(k-1)`` and the e4m3 all-ones
 NaN), and a NaN anywhere in the looked-up block values, the padded tail of
-a row included, raises :class:`FormatError`.  When the width divides 8 (1,
-2, 4 or 8 bits) and a row's codes fill whole bytes, nothing is unpacked:
-each packed byte indexes a cached, read-only 256-entry table whose entry
-holds the byte's ``8 / width`` decoded values, LSB first, as one raw
-``8 * 8 / width``-byte element, so one lookup writes them all (for width 8
-the byte is the code and the table the code table).  Any other width, and
-a row that ends mid-byte, is unpacked by the word path above and looked up
-code by code.  Both run in row groups into one preallocated output, where
-the NaN check and the scale multiply find each group in cache; ``np.take``
-copies a group's indices to ``intp``, never the whole matrix's.
+a row included, raises :class:`FormatError`.  Each lookup decodes a field
+of ``count`` adjacent codes through a cached, read-only table of
+``2^(count * width)`` entries, each entry the field's ``count`` values, LSB
+first, as one raw ``8 * count``-byte element, so one lookup writes them
+all:
+
+* when the width divides 8 (1, 2, 4 or 8 bits) and a row's codes fill
+  whole bytes, the field is a packed byte (``count = 8 / width``, 256
+  entries) and nothing is unpacked; for width 8 the table is the code
+  table;
+* for any other width, a row that fills whole words is read by the word
+  path at twice the width, so its fields are adjacent pairs (``count =
+  2``: 4096 entries, 64 KB, for 6-bit codes), built from the row's bytes
+  with no zero-filled buffer;
+* a row that ends mid-byte or mid-word is unpacked by the word path and
+  looked up code by code.
+
+One loop does the lookups in row groups into one preallocated output,
+where the NaN check and the scale multiply find each group in cache;
+fields are unpacked and copied to ``intp`` by ``np.take`` one group at a
+time, never the whole matrix's.  :func:`dequantize` runs that loop with
+the scale multiply; :func:`matmul_dequantized` runs it without when ``x``
+has at most an eighth as many rows as a block holds values, and multiplies
+the scales into ``x`` instead, block by block: that touches ``m * rows *
+n_blocks`` values where scaling the decoded matrix touches ``rows *
+n_blocks * block_size``, at the price of one narrow matmul per block.
 """
 
 from __future__ import annotations
@@ -115,6 +131,7 @@ __all__ = [
     "PASSTHROUGH",
     "quantize_blockwise",
     "dequantize",
+    "matmul_dequantized",
     "fake_quant",
 ]
 
@@ -527,7 +544,9 @@ def _pack_codes(codes: np.ndarray, width: int) -> np.ndarray:
 def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarray:
     """Inverse of :func:`_pack_codes`: ``(rows, n)`` codes, each below ``2^width``.
 
-    Bits past the ``n``-th code of a row are ignored.
+    Bits past the ``n``-th code of a row are ignored.  ``width`` may be up
+    to 16: ``n`` codes of ``w`` bits, read as ``n / 2`` codes of ``2 * w``
+    bits, come out as ``uint16`` pairs with the first code in the low bits.
     """
     row_bytes = -(-(n * width) // 8)
     if packed.size != rows * row_bytes:
@@ -541,13 +560,19 @@ def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarr
     words = -(-row_bytes // group)
     if group == 1:
         word = packed
+    elif words * group == row_bytes:
+        # whole words need no zero-filled buffer or padded copy
+        grouped = packed.reshape(rows, words, group)
+        word = grouped[:, :, 0].astype(dtype)
+        for k in range(1, group):
+            word |= grouped[:, :, k].astype(dtype) << dtype.type(8 * k)
     else:
         buf = np.zeros((rows, words, dtype.itemsize), dtype=np.uint8)
         tail = words * group - row_bytes
         buf[:, :, :group] = np.pad(packed, ((0, 0), (0, tail))).reshape(rows, words, group)
         word = buf.view(dtype).reshape(rows, words)
     mask = word.dtype.type((1 << width) - 1)
-    codes = np.empty((rows, words, per_word), dtype=np.uint8)
+    codes = np.empty((rows, words, per_word), dtype=np.uint8 if width <= 8 else np.uint16)
     for j in range(per_word):
         shifted = word >> word.dtype.type(j * width) if j else word
         np.bitwise_and(shifted, mask, out=codes[:, :, j], casting="unsafe")
@@ -555,23 +580,22 @@ def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _byte_table(codec: IntCodec | MinifloatCodec) -> np.ndarray:
-    """Decode table indexed by a packed byte, for a width that divides 8.
+def _code_table(codec: IntCodec | MinifloatCodec, count: int) -> np.ndarray:
+    """Decode table indexed by a field of ``count`` adjacent codes.
 
-    Entry ``b`` holds the values of the ``8 / width`` codes in ``b``, LSB
-    first, as one element of ``8 * (8 / width)`` bytes: the float64 code
-    table itself for width 8, raw bytes otherwise.  Taking an entry copies
-    those bytes unchanged, so one lookup writes ``8 / width`` float64s.
+    Entry ``f`` holds the values of the ``count`` codes in ``f``, LSB
+    first, as one element of ``8 * count`` bytes: the float64 code table
+    itself for one code, raw bytes otherwise.  Taking an entry copies those
+    bytes unchanged, so one lookup writes ``count`` float64s.
     """
     table, _ = codec.decode_table()
-    width = codec.width
-    per_byte = 8 // width
-    if per_byte == 1:
+    if count == 1:
         return table
-    shifts = np.arange(per_byte) * width
-    codes = (np.arange(256)[:, None] >> shifts) & ((1 << width) - 1)
-    entries = np.ascontiguousarray(table[codes]).view(np.dtype((np.void, 8 * per_byte)))
-    entries = entries.reshape(256)
+    width = codec.width
+    shifts = np.arange(count) * width
+    codes = (np.arange(1 << (count * width))[:, None] >> shifts) & ((1 << width) - 1)
+    entries = np.ascontiguousarray(table[codes]).view(np.dtype((np.void, 8 * count)))
+    entries = entries.reshape(-1)
     entries.flags.writeable = False
     return entries
 
@@ -673,18 +697,22 @@ def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
     )
 
 
-def dequantize(t: QuantizedTensor) -> np.ndarray:
-    """Decode a quantized tensor back to float64 values."""
-    rows, cols = t.shape
+def _codes_per_lookup(width: int, padded: int) -> int:
+    """How many adjacent codes one table lookup decodes, for rows of
+    ``padded`` codes: a whole packed byte's when the width divides 8 and
+    the rows fill whole bytes, a pair when the rows fill whole words of a
+    width that does not, else one."""
+    if 8 % width == 0:
+        return 8 // width if padded * width % 8 == 0 else 1
+    return 2 if padded % _word_layout(width)[1] == 0 else 1
+
+
+def _decoded_blocks(t: QuantizedTensor, scaled: bool) -> np.ndarray:
+    """The ``(rows, n_blocks * block_size)`` values of a blockwise tensor's
+    codes, padded tail included, multiplied by their block scales when
+    ``scaled``.  An invalid code anywhere raises :class:`FormatError`."""
+    rows, _ = t.shape
     spec = t.spec
-    if spec.is_passthrough:
-        if t.codes.size != rows * cols * 8:
-            raise FormatError(
-                f"passthrough payload holds {t.codes.size} bytes, "
-                f"expected {rows * cols * 8}"
-            )
-        flat = np.ascontiguousarray(t.codes, dtype=np.uint8).reshape(rows, cols * 8)
-        return flat.view("<f8").astype(np.float64)
     n_blocks = t.n_blocks
     padded = n_blocks * spec.block_size
     if t.scales.shape != (rows, n_blocks):
@@ -702,23 +730,77 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
     table, message = codec.decode_table()
     checked = bool(np.isnan(table).any())
     values = np.empty((rows, padded))
-    if 8 % width == 0 and padded * width % 8 == 0:
-        # one lookup per packed byte writes its 8 / width values
-        lookup = _byte_table(codec)
-        indices, dest = packed, values.view(lookup.dtype)
-    else:
-        lookup = table
-        indices, dest = _unpack_codes(packed, width, rows, padded), values
-    scales = t.scale_values()
+    count = _codes_per_lookup(width, padded)
+    lookup = _code_table(codec, count)
+    dest = values.view(lookup.dtype)
+    field = count * width
+    scales = t.scale_values() if scaled else None
     for group in _row_groups(rows, padded):
-        # take copies a row group's indices to intp, never the matrix's
-        np.take(lookup, indices[group], out=dest[group], mode="clip")
         block = values[group]
+        indices = packed[group]
+        if field != 8:  # the fields are not the packed bytes themselves
+            indices = _unpack_codes(indices, field, len(block), padded // count)
+        # take copies a row group's indices to intp, never the matrix's
+        np.take(lookup, indices, out=dest[group], mode="clip")
         if checked and np.isnan(block).any():
             raise FormatError(message)
-        grid = block.reshape(len(block), n_blocks, spec.block_size)
-        grid *= scales[group][:, :, None]
-    return values[:, :cols]
+        if scaled:
+            grid = block.reshape(len(block), n_blocks, spec.block_size)
+            grid *= scales[group][:, :, None]
+    return values
+
+
+def dequantize(t: QuantizedTensor) -> np.ndarray:
+    """Decode a quantized tensor back to float64 values."""
+    rows, cols = t.shape
+    if t.spec.is_passthrough:
+        if t.codes.size != rows * cols * 8:
+            raise FormatError(
+                f"passthrough payload holds {t.codes.size} bytes, "
+                f"expected {rows * cols * 8}"
+            )
+        flat = np.ascontiguousarray(t.codes, dtype=np.uint8).reshape(rows, cols * 8)
+        return flat.view("<f8").astype(np.float64)
+    return _decoded_blocks(t, scaled=True)[:, :cols]
+
+
+def matmul_dequantized(x, t: QuantizedTensor) -> np.ndarray:
+    """``x @ dequantize(t)`` up to rounding, for a finite 2-D ``x`` with one
+    column per row of ``t`` (else :class:`NumericError` or
+    :class:`ShapeError`).
+
+    When ``x`` has at most an eighth as many rows as a block has values,
+    the block scales go into the activations instead of the decoded codes:
+    block ``b`` of the result is ``(x * s[:, b]) @ T[:, b]``, where ``T``
+    holds the unscaled code values and ``s`` the scales, and all blocks run
+    as one batched matmul.  Otherwise, and for passthrough, this is ``x @
+    dequantize(t)``.  The choice is a cost model: scaling ``x`` touches
+    ``m * rows * n_blocks`` values where scaling ``T`` touches ``rows *
+    n_blocks * block_size``, but the fold also trades one matmul for
+    ``n_blocks`` narrow ones, which run several times slower per
+    multiply-add.  Measured on 1024 x 1024 tensors (2-vCPU Xeon, numpy
+    2.4.6 with OpenBLAS), the fold stopped paying at 8 to 12 rows for
+    blocks of 64 and 4 to 6 for blocks of 32, and at ``m = block_size - 1``
+    it took 4 to 5 times as long as decoding with the scales.  Either way
+    only the order of the sums may differ, except that a product with an
+    fp16 scale rounds once more when folded (e8m0 scales are powers of
+    two, so folding them is exact).  Invalid codes raise the
+    :class:`FormatError` that :func:`dequantize` raises.
+    """
+    x = as_matrix(x, "activations")
+    rows, cols = t.shape
+    if x.shape[1] != rows:
+        raise ShapeError(f"activations have {x.shape[1]} columns, tensor has {rows} rows")
+    spec = t.spec
+    if spec.is_passthrough or 8 * len(x) > spec.block_size:
+        return x @ dequantize(t)
+    codes = _decoded_blocks(t, scaled=False)
+    n_blocks, size = t.n_blocks, spec.block_size
+    # (n_blocks, rows, m): block b's scales times the activations, transposed
+    scaled_x = np.multiply(t.scale_values().T[:, :, None], x.T, order="C")
+    blocks = codes.reshape(rows, n_blocks, size).transpose(1, 2, 0)
+    y = np.matmul(blocks, scaled_x)  # (n_blocks, size, m): y.T, block by block
+    return y.transpose(2, 0, 1).reshape(len(x), n_blocks * size)[:, :cols]
 
 
 def _destination(m: np.ndarray, out) -> np.ndarray:

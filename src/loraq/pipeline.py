@@ -25,6 +25,7 @@ from .formats import (
     QuantizedTensor,
     dequantize,
     fake_quant,
+    matmul_dequantized,
     quantize_blockwise,
 )
 from .numerics import OptimizerConfig, as_matrix
@@ -467,8 +468,15 @@ def forward(
     the shared one), and pushed through both branches, associated as
     ``x_res @ D + (x_lr @ L) @ R``: ``D`` is the decoded residual and ``L``
     and ``R`` the decoded factors of the low-rank branch, whose dense
-    product ``L @ R`` is never built.  Only the summation order differs
-    from ``x @ reconstruct_weight(bundle)``.
+    product ``L @ R`` is never built.  Each of the three products is a
+    :func:`~loraq.formats.matmul_dequantized`: when its left operand has
+    at most an eighth as many rows as the tensor's blocks have values (8
+    rows for blocks of 64, 4 for blocks of 32; a batch of 1 always does),
+    the block scales multiply that operand, ``(x * s[:, b]) @ T[:, b]``
+    per block ``b`` of the unscaled code values ``T``; otherwise the
+    tensor is decoded with its scales and multiplied as a whole.  Only the
+    order of the sums and, with fp16 scales, of the products differs from
+    ``x @ reconstruct_weight(bundle)``.
     """
     x = as_matrix(x, "activations")
     d = bundle.meta.shape[0]
@@ -487,8 +495,9 @@ def forward(
         x_lr = fake_quant(x_s, lr_format)
     else:
         x_lr = x_s
-    y = x_res @ dequantize(bundle.residual)
-    y += (x_lr @ dequantize(bundle.lowrank_left)) @ dequantize(bundle.lowrank_right)
+    y = matmul_dequantized(x_res, bundle.residual)
+    y += matmul_dequantized(matmul_dequantized(x_lr, bundle.lowrank_left),
+                            bundle.lowrank_right)
     return y
 
 

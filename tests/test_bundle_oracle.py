@@ -7,7 +7,13 @@ the arithmetic minifloat rounder.  The ``forward`` hashes were recorded with
 the factored low-rank branch ``(x @ L) @ R``, whose summation order differs
 from the dense ``x @ (L @ R)``; the decode under them (word-based
 unpacking, the byte-table lookup) kept the hashes of the dense association
-unchanged.  A refactor that
+unchanged.  The three cases with a SINT4 residual were re-recorded when a
+batch smaller than a block began to fold the block scales into the
+activations (``formats.matmul_dequantized``): their fp16 scales are not
+powers of two, so ``(x * s) @ T`` rounds differently from ``x @ (s * T)``,
+by at most 1.7e-16 relative on their batch-1 outputs without activation
+quantization.  The e8m0 scales of the other five are powers of two, which
+makes the fold exact, and their hashes held.  A refactor that
 keeps these hashes keeps every byte of every bundle and of every layer
 output.  Floating-point results depend on the numpy build and on the BLAS
 kernels, so the test skips on any other numpy or BLAS version.
@@ -57,9 +63,9 @@ ASSEMBLED = {
 # bundle above at batch 1 and 64, without and then with MXINT8 activations
 FORWARD = {
     ("SINT4", "SINT4", True, True):
-        "756d9104a776e536919628b6b0aecb963ebe3f9550b758381f5330084b8216f7",
+        "f5ab5936754d782f458c7bb9d79fe25f8017e99d72925ec211775e2cdfa7c5fd",
     ("SINT4", "SINT4", False, False):
-        "6a4baf1a2a2c2ccf47d063f55867ff0ed143e53484204569e2644bb39ba86a9e",
+        "4cf57a22f1122d60ee7dc79f93a450a4adf8abbaa27d7d6f10826650ae94102b",
     ("MXINT4", "MXINT4", True, True):
         "aa348e42eca9ef8fa7b5820a65c3a4841660d71264a3c6e96561d3fec442e0ff",
     ("MXINT4", "MXINT4", False, False):
@@ -69,7 +75,7 @@ FORWARD = {
     ("MXFP4e2", "MXFP6e2", False, False):
         "6d2939ac3f93ea395f4afe0993ad53808d691584d2664493407c941cf30049dd",
     ("SINT4", "MXINT8", True, True):
-        "dea78118522d4c4b1b9b1cd2e5c422f10073e47694f6248f8a30feff69434287",
+        "588d2d75d1372dfde3f7e3fe75bf681fafd3160c2fb7c4e9bd812dc6e4a8ca7c",
     ("MXFP4e2", "MXFP8e4", True, True):
         "9e4d63d9627033410347bfc19875b92bc6f76e0c8060e895a9ab8b37dff226db",
 }

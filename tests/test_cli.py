@@ -258,3 +258,67 @@ def test_non_finite_learning_rate_is_a_config_error(tmp_path, capsys, flag, valu
     code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN, flag, value])
     assert code == 2
     assert _last_error_line(err).startswith("error: [E_CONFIG] learning rate ")
+
+
+def _quantize_with_config(tmp_path, capsys, settings: dict, *flags):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "w.lrqb"
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *flags,
+                                 "--config", str(config), "--out", str(out)])
+    return code, err, out
+
+
+@pytest.mark.parametrize("key", ["optimized_lr", "rotations"])
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None, [False]])
+def test_config_toggle_must_be_a_json_boolean(tmp_path, capsys, key, value):
+    # bool() turned every one of these but 0 and null into True
+    code, err, _ = _quantize_with_config(tmp_path, capsys, {key: value}, *RUN)
+    assert code == 2
+    assert _last_error_line(err) == (
+        f"error: [E_CONFIG] config key {key!r} must be true or false, got {value!r}")
+
+
+def test_config_toggles_take_json_booleans(tmp_path, capsys):
+    code, _, out = _quantize_with_config(
+        tmp_path, capsys, {"optimized_lr": False, "rotations": False}, *RUN)
+    assert code == 0
+    meta = load_bundle(out).meta
+    assert (meta.optimized_lr, meta.rotations) == (False, False)
+    code, _, out = _quantize_with_config(
+        tmp_path, capsys, {"optimized_lr": True, "rotations": True}, *RUN)
+    assert code == 0
+    meta = load_bundle(out).meta
+    assert (meta.optimized_lr, meta.rotations) == (True, True)
+
+
+@pytest.mark.parametrize("key,value,what", [
+    ("lr", "abc", "a number"),  # a raw ValueError escaped
+    ("steps", [1], "an integer"),  # a raw TypeError escaped
+    ("rot_lr", {"x": 1}, "a number"),
+    ("rot_steps", 2.5, "an integer"),  # int() truncated it
+    ("budget", "512", "an integer"),
+    ("rank", True, "an integer"),  # int(True) is 1
+    ("seed", 1.0, "an integer"),
+    ("lr", False, "a number"),
+])
+def test_config_numbers_are_checked(tmp_path, capsys, key, value, what):
+    settings = {"q1": "SINT4", "q2": "MXINT4", "rank": 4, "steps": 2, "rot_steps": 1}
+    settings[key] = value
+    if key == "budget":
+        del settings["rank"]
+    code, err, _ = _quantize_with_config(tmp_path, capsys, settings)
+    assert code == 2
+    assert _last_error_line(err) == (
+        f"error: [E_CONFIG] config key {key!r} must be {what}, got {value!r}")
+
+
+def test_config_numbers_are_used(tmp_path, capsys):
+    settings = {"q1": "SINT4", "q2": "MXINT4", "rank": 3, "steps": 2, "lr": 1e-3,
+                "rot_steps": 1, "rot_lr": 2, "seed": 4}
+    code, _, out = _quantize_with_config(tmp_path, capsys, settings, "--machine")
+    assert code == 0
+    meta = load_bundle(out).meta
+    assert (meta.rank, meta.seed) == (3, 4)
+    assert (meta.absorb["steps"], meta.absorb["learning_rate"]) == (2, 1e-3)
+    assert (meta.rotation["steps"], meta.rotation["learning_rate"]) == (1, 2.0)

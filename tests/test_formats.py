@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loraq import (
     PASSTHROUGH,
@@ -911,8 +913,148 @@ class TestByteTableDecode:
 
     def test_byte_tables_are_read_only(self):
         for codec in (IntCodec(4), MinifloatCodec(2, 1, 1), IntCodec(8)):
-            table = formats._byte_table(codec)
+            table = formats._code_table(codec, 8 // codec.width)
             assert table.shape == (256,) and not table.flags.writeable
+
+
+# element widths that do not divide 8, so rows are read as words
+PAIR_CODECS = [IntCodec(3), IntCodec(5), IntCodec(6), IntCodec(7),
+               MinifloatCodec(2, 3, 1), MinifloatCodec(3, 2, 3),
+               MinifloatCodec(2, 2, 1), MinifloatCodec(3, 3, 3)]
+
+
+class TestPairDecode:
+    """Rows that fill whole words decode two codes per lookup; rows that end
+    mid-word decode code by code.  Both equal the one-element decoder."""
+
+    @pytest.mark.parametrize("whole_words", [True, False], ids=["whole", "mid-word"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_element_decoder(self, whole_words, data):
+        codec = data.draw(st.sampled_from(PAIR_CODECS), label="codec")
+        per_word = formats._word_layout(codec.width)[1]
+        block_size = data.draw(st.integers(1, 12), label="block_size")
+        n_blocks = data.draw(st.integers(1, 4), label="n_blocks")
+        padded = n_blocks * block_size
+        assume((padded % per_word == 0) == whole_words)
+        rows = data.draw(st.integers(1, 5), label="rows")
+        cols = data.draw(st.integers(padded - block_size + 1, padded), label="cols")
+        scale_kind = data.draw(st.sampled_from(["e8m0", "fp16"]), label="scale_kind")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 1 << codec.width, size=(rows, padded), dtype=np.uint8)
+        if data.draw(st.booleans(), label="valid codes only"):
+            codes[np.isnan(codec.decode_table()[0])[codes]] = 0
+        if scale_kind == "e8m0":
+            stored = rng.integers(0, 256, size=(rows, n_blocks), dtype=np.uint8)
+        else:
+            stored = rng.uniform(1e-3, 1e3, size=(rows, n_blocks)).astype(np.float16)
+            stored = stored.view(np.uint16)
+        t = QuantizedTensor((rows, cols), _spec(codec, block_size, scale_kind),
+                            _bitwise_pack(codes, codec.width), stored, padded - cols)
+        scales = np.repeat(t.scale_values(), block_size, axis=1)
+        try:
+            want = np.array([[decode_element(int(c), codec, s) for c, s in zip(cr, sr)]
+                             for cr, sr in zip(codes, scales)])[:, :cols]
+        except FormatError as exc:
+            want = f"FormatError: {exc}"
+        widths = []
+
+        def recording(packed, width, *args):
+            widths.append(width)
+            return _unpack_codes(packed, width, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_unpack_codes", recording)
+            got = _decoded_or_error(dequantize, t)
+        assert got == (want if isinstance(want, str) else _bits(want).tobytes())
+        # a pair is one field of twice the width
+        assert set(widths) == {2 * codec.width if whole_words else codec.width}
+
+    def test_pair_tables_are_read_only(self):
+        for codec in (IntCodec(3), MinifloatCodec(2, 3, 1), IntCodec(7)):
+            table = formats._code_table(codec, 2)
+            assert table.shape == (1 << 2 * codec.width,) and not table.flags.writeable
+            assert table.dtype.itemsize == 16
+
+
+def _rel(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+# blocks of 11 leave 77 codes per row, so 6-bit rows end mid-word; blocks
+# of 16 leave 80, whole words
+MATMUL_SPECS = {**{name: make_format(name) for name in ALL_FORMATS},
+                "int6-b11-fp16": _spec(IntCodec(6), 11, "fp16"),
+                "e2m3-b16": _spec(MinifloatCodec(2, 3, 1), 16)}
+
+
+class TestMatmulDequantized:
+    """``matmul_dequantized(x, t)`` is ``x @ dequantize(t)`` up to rounding,
+    folding the block scales into ``x`` only up to an eighth of a block of
+    rows."""
+
+    @pytest.mark.parametrize("name", [*MATMUL_SPECS, PASSTHROUGH.name])
+    def test_matches_the_decoded_product(self, name):
+        spec = MATMUL_SPECS.get(name, PASSTHROUGH)
+        rng = np.random.default_rng(54)
+        t = quantize_blockwise(rng.standard_t(df=3, size=(40, 72)), spec)
+        x = rng.standard_t(df=5, size=(70, 40))
+        eighth = spec.block_size // 8
+        for m in sorted({1, 2, eighth, eighth + 1, spec.block_size, 70} - {0}):
+            want = x[:m] @ dequantize(t)
+            got = formats.matmul_dequantized(x[:m], t)
+            assert got.shape == want.shape
+            assert _rel(got, want) <= 1e-12, m
+
+    @pytest.mark.parametrize("name", ["SINT4", "MXINT4", "MXFP6e2", PASSTHROUGH.name])
+    def test_folds_up_to_an_eighth_of_a_block_of_rows(self, monkeypatch, name):
+        spec = make_format(name)
+        t = quantize_blockwise(np.random.default_rng(55).normal(size=(20, 40)), spec)
+        calls = []
+
+        def counting(tensor):
+            calls.append(tensor)
+            return dequantize(tensor)
+
+        monkeypatch.setattr(formats, "dequantize", counting)
+        eighth = spec.block_size // 8
+        for m in sorted({1, eighth, eighth + 1, spec.block_size - 1} - {0}):
+            calls.clear()
+            formats.matmul_dequantized(np.ones((m, 20)), t)
+            folded = 8 * m <= spec.block_size and not spec.is_passthrough
+            assert len(calls) == (0 if folded else 1), m
+
+    def test_e8m0_fold_multiplies_exactly(self):
+        # a power-of-two scale changes no product, so one row of one block
+        # gives the decoded product's bits
+        t = quantize_blockwise(np.random.default_rng(56).normal(size=(1, 32)),
+                               make_format("MXFP4e2"))
+        x = np.array([[3.0 ** 0.5]])
+        assert _bits(formats.matmul_dequantized(x, t)).tobytes() == \
+            _bits(x @ dequantize(t)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["int4", "int6", "e4m3"])
+    def test_invalid_codes_raise_what_dequantize_raises(self, kind):
+        codec = DECODE_CODECS[kind]
+        rng = np.random.default_rng(57)
+        outcomes = set()
+        for draw in range(60):
+            # blocks of 8 and 32 values, so one row of x folds
+            spec = _spec(codec, (8, 32)[draw % 2], ("e8m0", "fp16")[draw // 2 % 2])
+            t = _random_codes(spec, 3, int(rng.integers(1, 40)), rng)
+            x = np.ones((1, 3))
+            want = _decoded_or_error(lambda t: x @ dequantize(t), t)
+            got = _decoded_or_error(lambda t: formats.matmul_dequantized(x, t), t)
+            if isinstance(want, str):  # the FormatError's message
+                assert got == want
+            outcomes.add(isinstance(want, str))
+        assert outcomes == {False, True}
+
+    def test_shape_mismatch_is_refused(self):
+        t = quantize_blockwise(np.ones((4, 8)), make_format("MXINT4"))
+        with pytest.raises(ShapeError):
+            formats.matmul_dequantized(np.ones((1, 5)), t)
 
 
 def _dividing_fake_quant(m: np.ndarray, spec: FormatSpec) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 from loraq import (
     PASSTHROUGH,
     BudgetError,
+    FormatError,
     FormatSpec,
     BudgetPolicy,
     ErrorReport,
@@ -572,7 +573,9 @@ def _small_bundles(q1: str, q2: str):
 
 class TestFactoredForward:
     """``forward`` runs the low-rank branch as ``(x @ L) @ R``, which only
-    reorders the sums of the dense ``x @ (L @ R)``."""
+    reorders the sums of the dense ``x @ (L @ R)``, and a batch of at most
+    an eighth of a block folds the block scales into the activations, which
+    only reorders the products."""
 
     @pytest.mark.parametrize("q2", PAIR_FORMATS)
     @pytest.mark.parametrize("q1", PAIR_FORMATS)
@@ -582,7 +585,9 @@ class TestFactoredForward:
         act4, act8 = make_format("MXINT4"), make_format("MXINT8")
         for b in bundles:
             w_hat = reconstruct_weight(b)
-            for rows in (1, 64):
+            # both sides of the fold for blocks of 32 (MX: up to 4 rows) and
+            # of 64 (SINT4: up to 8), and of a block of rows
+            for rows in (1, 4, 5, 8, 9, 31, 32, 63, 64):
                 xs = x[:rows]
                 for act, lowrank_act in ((None, None), (act8, None), (act4, act8)):
                     got = forward(b, xs, act, lowrank_act)
@@ -591,6 +596,26 @@ class TestFactoredForward:
                         x_s = xs / b.gamma[None, :] if b.gamma is not None else xs
                         x_q = fake_quant(x_s, act) if act is not None else x_s
                         assert _rel(got, x_q @ w_hat) <= 1e-12
+
+    @pytest.mark.parametrize("col", [71, 72], ids=["last-column", "padded-tail"])
+    @pytest.mark.parametrize("q1", ["SINT4", "MXINT4"])
+    def test_invalid_residual_code_raises_what_dequantize_raises(self, q1, col):
+        # the int4 pattern 0b1000 in the residual's last real column (71 of
+        # 72) or the first column of its padded tail; batch 1 folds the
+        # scales, batch 64 decodes them
+        _, (b, _) = _small_bundles(q1, "MXFP6e2")
+        codes = b.residual.codes.copy()
+        shift = 4 * (col % 2)  # codes are packed two to a byte, LSB first
+        codes[5, col // 2] = (codes[5, col // 2] & (0xF0 >> shift)) | (0b1000 << shift)
+        residual = dataclasses.replace(b.residual, codes=codes)
+        with pytest.raises(FormatError) as want:
+            dequantize(residual)
+        bundle = dataclasses.replace(b, residual=residual)
+        x = np.random.default_rng(66).normal(size=(64, 40))
+        for rows in (1, 64):
+            with pytest.raises(FormatError) as got:
+                forward(bundle, x[:rows])
+            assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("q1,q2", [("SINT4", "MXFP6e2"), ("MXFP4e2", "MXINT8"),
