@@ -41,6 +41,7 @@ allocating, and round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -168,12 +169,7 @@ def load_stats(path) -> ChannelStats:
 
 
 def _tensor_chunks(prefix: str, t: QuantizedTensor) -> list[tuple[str, bytes]]:
-    codes = np.ascontiguousarray(t.codes, dtype=np.uint8).tobytes()
-    if t.spec.scale_kind == "fp16":
-        scales = np.ascontiguousarray(t.scales, dtype="<u2").tobytes()
-    else:
-        scales = np.ascontiguousarray(t.scales, dtype=np.uint8).tobytes()
-    return [(prefix + "COD", codes), (prefix + "SCL", scales)]
+    return [(prefix + "COD", t.codes.tobytes()), (prefix + "SCL", t.scales.tobytes())]
 
 
 def save_bundle(path, bundle: LayerBundle) -> None:
@@ -208,34 +204,24 @@ def save_bundle(path, bundle: LayerBundle) -> None:
             fh.write(data)
 
 
+def _chunk_array(chunk: memoryview, shape: tuple[int, int], dtype: np.dtype,
+                 what: str, offset: int) -> np.ndarray:
+    """A copy of ``chunk`` as a ``shape`` array of ``dtype``; a chunk of
+    another length raises :class:`CorruptFileError` at ``offset``."""
+    expected = math.prod(shape) * dtype.itemsize
+    if len(chunk) != expected:
+        raise CorruptFileError(
+            f"{what} chunk holds {len(chunk)} bytes, expected {expected}", offset=offset
+        )
+    return np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+
+
 def _decode_tensor(spec, shape, chunk_codes: memoryview, chunk_scales: memoryview,
                    pad_count: int, offset: int, scale_offset: int) -> QuantizedTensor:
-    rows, cols = shape
-    if spec.is_passthrough:
-        expected_codes = rows * cols * 8
-        n_blocks = 0
-        scale_dtype = "<u2"
-        expected_scales = 0
-        expected_pad = 0
-    else:
-        n_blocks = -(-cols // spec.block_size)
-        padded = n_blocks * spec.block_size
-        expected_codes = rows * (-(-(padded * spec.codec.width) // 8))
-        scale_dtype = "<u2" if spec.scale_kind == "fp16" else "u1"
-        expected_scales = rows * n_blocks * (2 if spec.scale_kind == "fp16" else 1)
-        expected_pad = padded - cols
-    if len(chunk_codes) != expected_codes:
-        raise CorruptFileError(
-            f"code chunk holds {len(chunk_codes)} bytes, expected {expected_codes}",
-            offset=offset,
-        )
-    if len(chunk_scales) != expected_scales:
-        raise CorruptFileError(
-            f"scale chunk holds {len(chunk_scales)} bytes, expected {expected_scales}",
-            offset=scale_offset,
-        )
-    codes = np.frombuffer(chunk_codes, dtype=np.uint8).reshape(rows, -1).copy()
-    scales = np.frombuffer(chunk_scales, dtype=scale_dtype).reshape(rows, n_blocks).copy()
+    codes_shape, scales_shape = spec.stored_shapes(shape)
+    codes = _chunk_array(chunk_codes, codes_shape, np.dtype(np.uint8), "code", offset)
+    scales = _chunk_array(chunk_scales, scales_shape, spec.scale_dtype, "scale",
+                          scale_offset)
     if spec.is_passthrough and not np.all(np.isfinite(codes.view("<f8"))):
         raise CorruptFileError(
             "passthrough payload holds an entry that is not finite", offset=offset
@@ -247,14 +233,13 @@ def _decode_tensor(spec, shape, chunk_codes: memoryview, chunk_scales: memoryvie
                 "scale chunk holds a float16 scale that is not finite and positive",
                 offset=scale_offset,
             )
-    if pad_count != expected_pad:
+    t = QuantizedTensor(shape, spec, codes, scales)
+    if pad_count != t.pad_count:
         raise CorruptFileError(
-            f"pad count {pad_count} does not match the shape, expected {expected_pad}",
+            f"pad count {pad_count} does not match the shape, expected {t.pad_count}",
             offset=offset,
         )
-    return QuantizedTensor(
-        shape=(rows, cols), spec=spec, codes=codes, scales=scales, pad_count=pad_count
-    )
+    return t
 
 
 def load_bundle(path) -> LayerBundle:
@@ -297,6 +282,11 @@ def load_bundle(path) -> LayerBundle:
         raise CorruptFileError(
             f"manifest describes an unusable format: {exc}", offset=manifest_start
         ) from exc
+    if min(meta.rank, *meta.shape) < 1:
+        raise CorruptFileError(
+            f"manifest rank {meta.rank} and shape {list(meta.shape)} must be positive",
+            offset=manifest_start,
+        )
 
     payloads: dict[str, memoryview] = {}
     offsets: dict[str, int] = {}

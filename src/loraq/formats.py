@@ -76,6 +76,13 @@ if zero bytes followed, and bits past a row's last code are ignored.
 Packing is the mirror: OR each code into its word at ``j * width``, then
 split the words into bytes.  8-bit codes are the bytes themselves.
 
+That layout is decided in this module alone.  :meth:`FormatSpec.stored_shapes`
+gives the shapes of a matrix's codes and scales (block count, bytes per
+code row) and :attr:`FormatSpec.scale_dtype` the stored scale dtype;
+:class:`QuantizedTensor` refuses arrays that do not match them when it is
+built and derives its pad count.  The bundle reader and the budget
+accounting take their shapes and block counts from there.
+
 Decoding looks values up in a per-codec table of ``2^width`` float64s,
 indexed by code: the two's-complement value for integers, the sign,
 exponent and mantissa value for minifloats.  The table holds NaN at the
@@ -381,6 +388,24 @@ class FormatSpec:
     def scale_bits(self) -> int:
         return {"fp16": 16, "e8m0": 8, "none": 0}[self.scale_kind]
 
+    @property
+    def scale_dtype(self) -> np.dtype:
+        """Dtype of the stored scales: float16 bit patterns (``<u2``) for
+        fp16, exponent bytes (``u1``) for e8m0; a passthrough's are empty."""
+        return np.dtype("<u2" if self.scale_kind == "fp16" else "u1")
+
+    def stored_shapes(self, shape: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        """``(codes shape, scales shape)`` of a ``shape`` matrix in this
+        format: ``(rows, row_bytes)`` and ``(rows, n_blocks)``, where a row
+        of ``n_blocks`` whole blocks packs into ``row_bytes`` bytes, or
+        ``(rows, cols * 8)`` and ``(rows, 0)`` for passthrough."""
+        rows, cols = shape
+        if self.is_passthrough:
+            return (rows, cols * 8), (rows, 0)
+        n_blocks = -(-cols // self.block_size)
+        row_bytes = -(-(n_blocks * self.block_size * self.codec.width) // 8)
+        return (rows, row_bytes), (rows, n_blocks)
+
     def to_dict(self) -> dict:
         codec = self.codec
         if isinstance(codec, IntCodec):
@@ -467,21 +492,37 @@ def make_format(name: str) -> FormatSpec:
         raise UnknownFormatError(f"unknown format {name!r}; known: {known}") from None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuantizedTensor:
     """Packed element codes plus per-block scales for one matrix.
 
-    ``codes`` is a ``(rows, bytes_per_row)`` uint8 array; ``scales`` holds
-    the stored scale representation: uint8 exponent bytes for e8m0, uint16
-    float16 bit patterns for fp16, and an empty array for passthrough
-    (whose codes are the raw little-endian float64 payload).
+    ``codes`` is a ``(rows, row_bytes)`` uint8 array, each row its
+    ``n_blocks`` whole blocks of codes packed LSB-first; ``scales`` is a
+    ``(rows, n_blocks)`` array of ``spec.scale_dtype``: uint8 exponent
+    bytes for e8m0, float16 bit patterns for fp16.  A passthrough tensor's
+    codes are the raw little-endian float64 payload, ``(rows, cols * 8)``,
+    and its scales are empty.  Construction refuses any other dtype or
+    shape (:meth:`FormatSpec.stored_shapes`) with :class:`FormatError`;
+    only invalid code patterns, which depend on the data, are found when
+    decoding.  ``pad_count``, the codes past the last column, is derived
+    from the shape.
     """
 
     shape: tuple[int, int]
     spec: FormatSpec
     codes: np.ndarray
     scales: np.ndarray
-    pad_count: int
+
+    def __post_init__(self):
+        codes_shape, scales_shape = self.spec.stored_shapes(self.shape)
+        for name, dtype, shape in (("codes", np.dtype(np.uint8), codes_shape),
+                                   ("scales", self.spec.scale_dtype, scales_shape)):
+            array = getattr(self, name)
+            if not isinstance(array, np.ndarray):
+                raise FormatError(f"{name} must be a numpy array, got {type(array)}")
+            if array.dtype != dtype or array.shape != shape:
+                raise FormatError(f"{self.spec.name} {name} must be {dtype} {shape}, "
+                                  f"got {array.dtype} {array.shape}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedTensor):
@@ -489,17 +530,20 @@ class QuantizedTensor:
         return (
             self.shape == other.shape
             and self.spec == other.spec
-            and self.pad_count == other.pad_count
-            and self.scales.dtype == other.scales.dtype
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.scales, other.scales)
         )
 
     @property
     def n_blocks(self) -> int:
+        return self.scales.shape[1]
+
+    @property
+    def pad_count(self) -> int:
+        """Codes past the last column: ``n_blocks * block_size - cols``."""
         if self.spec.is_passthrough:
             return 0
-        return -(-self.shape[1] // self.spec.block_size)
+        return self.n_blocks * self.spec.block_size - self.shape[1]
 
     def scale_values(self) -> np.ndarray:
         """Per-block scales as float64, shape (rows, n_blocks)."""
@@ -560,17 +604,13 @@ def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarr
     words = -(-row_bytes // group)
     if group == 1:
         word = packed
-    elif words * group == row_bytes:
-        # whole words need no zero-filled buffer or padded copy
+    else:
+        if words * group != row_bytes:  # a row ending mid-word reads on as zeros
+            packed = np.pad(packed, ((0, 0), (0, words * group - row_bytes)))
         grouped = packed.reshape(rows, words, group)
         word = grouped[:, :, 0].astype(dtype)
         for k in range(1, group):
             word |= grouped[:, :, k].astype(dtype) << dtype.type(8 * k)
-    else:
-        buf = np.zeros((rows, words, dtype.itemsize), dtype=np.uint8)
-        tail = words * group - row_bytes
-        buf[:, :, :group] = np.pad(packed, ((0, 0), (0, tail))).reshape(rows, words, group)
-        word = buf.view(dtype).reshape(rows, words)
     mask = word.dtype.type((1 << width) - 1)
     codes = np.empty((rows, words, per_word), dtype=np.uint8 if width <= 8 else np.uint16)
     for j in range(per_word):
@@ -672,29 +712,19 @@ def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
     """Encode a matrix into packed codes and per-block scales."""
     m = as_matrix(m)
     rows, cols = m.shape
+    _, scales_shape = spec.stored_shapes((rows, cols))
     if spec.is_passthrough:
         payload = np.ascontiguousarray(m, dtype="<f8").view(np.uint8)
-        return QuantizedTensor(
-            shape=(rows, cols),
-            spec=spec,
-            codes=payload.reshape(rows, cols * 8),
-            scales=np.zeros((rows, 0), dtype=np.uint16),
-            pad_count=0,
-        )
-    pad = -cols % spec.block_size
-    codes = np.empty((rows, cols + pad), dtype=np.uint8)
-    scale_dtype = np.uint16 if spec.scale_kind == "fp16" else np.uint8
-    stored = np.empty((rows, (cols + pad) // spec.block_size), dtype=scale_dtype)
-    for group in _row_groups(rows, cols + pad):
+        return QuantizedTensor((rows, cols), spec, payload.reshape(rows, cols * 8),
+                               np.empty(scales_shape, dtype=spec.scale_dtype))
+    padded = scales_shape[1] * spec.block_size
+    codes = np.empty((rows, padded), dtype=np.uint8)
+    stored = np.empty(scales_shape, dtype=spec.scale_dtype)
+    for group in _row_groups(rows, padded):
         grid, _, stored[group] = _round_blocks(m[group], spec)
         codes[group] = spec.codec.encode_values(grid).reshape(len(grid), -1)
-    return QuantizedTensor(
-        shape=(rows, cols),
-        spec=spec,
-        codes=_pack_codes(codes, spec.codec.width),
-        scales=stored,
-        pad_count=pad,
-    )
+    packed = _pack_codes(codes, spec.codec.width)
+    return QuantizedTensor((rows, cols), spec, packed, stored)
 
 
 def _codes_per_lookup(width: int, padded: int) -> int:
@@ -715,18 +745,8 @@ def _decoded_blocks(t: QuantizedTensor, scaled: bool) -> np.ndarray:
     spec = t.spec
     n_blocks = t.n_blocks
     padded = n_blocks * spec.block_size
-    if t.scales.shape != (rows, n_blocks):
-        raise FormatError(
-            f"scale array has shape {t.scales.shape}, expected {(rows, n_blocks)}"
-        )
     codec = spec.codec
     width = codec.width
-    row_bytes = -(-(padded * width) // 8)
-    if t.codes.size != rows * row_bytes:
-        raise FormatError(
-            f"code stream holds {t.codes.size} bytes, expected {rows * row_bytes}"
-        )
-    packed = t.codes.reshape(rows, row_bytes)
     table, message = codec.decode_table()
     checked = bool(np.isnan(table).any())
     values = np.empty((rows, padded))
@@ -737,7 +757,7 @@ def _decoded_blocks(t: QuantizedTensor, scaled: bool) -> np.ndarray:
     scales = t.scale_values() if scaled else None
     for group in _row_groups(rows, padded):
         block = values[group]
-        indices = packed[group]
+        indices = t.codes[group]
         if field != 8:  # the fields are not the packed bytes themselves
             indices = _unpack_codes(indices, field, len(block), padded // count)
         # take copies a row group's indices to intp, never the matrix's
@@ -752,16 +772,9 @@ def _decoded_blocks(t: QuantizedTensor, scaled: bool) -> np.ndarray:
 
 def dequantize(t: QuantizedTensor) -> np.ndarray:
     """Decode a quantized tensor back to float64 values."""
-    rows, cols = t.shape
     if t.spec.is_passthrough:
-        if t.codes.size != rows * cols * 8:
-            raise FormatError(
-                f"passthrough payload holds {t.codes.size} bytes, "
-                f"expected {rows * cols * 8}"
-            )
-        flat = np.ascontiguousarray(t.codes, dtype=np.uint8).reshape(rows, cols * 8)
-        return flat.view("<f8").astype(np.float64)
-    return _decoded_blocks(t, scaled=True)[:, :cols]
+        return np.ascontiguousarray(t.codes).view("<f8").astype(np.float64)
+    return _decoded_blocks(t, scaled=True)[:, :t.shape[1]]
 
 
 def matmul_dequantized(x, t: QuantizedTensor) -> np.ndarray:

@@ -10,6 +10,7 @@ quantized low-rank product, encoded with ``q1``) and a low-rank branch
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -130,15 +131,13 @@ class BundleMeta:
     def budget_accounting(self) -> dict:
         """Payload and scale-overhead bits of the low-rank branch."""
         d, n = self.shape
-        blocks_left = -(-self.rank // self.q2.block_size)
-        blocks_right = -(-n // self.q2.block_size)
-        if self.q2.is_passthrough:
-            blocks_left = blocks_right = 0
+        _, left_scales = self.q2.stored_shapes((d, self.rank))
+        _, right_scales = self.q2.stored_shapes((self.rank, n))
         return {
             "payload_bits_per_channel": self.rank * self.q2.bits_per_value,
             "budget_bits_per_channel": self.budget_bits_per_channel,
-            "scale_bits_per_channel_left": blocks_left * self.q2.scale_bits,
-            "total_scale_bits": (d * blocks_left + self.rank * blocks_right)
+            "scale_bits_per_channel_left": left_scales[1] * self.q2.scale_bits,
+            "total_scale_bits": (math.prod(left_scales) + math.prod(right_scales))
             * self.q2.scale_bits,
         }
 
@@ -489,12 +488,7 @@ def forward(
         if lowrank_activation_format is not None
         else activation_format
     )
-    if lr_format == activation_format:
-        x_lr = x_res
-    elif lr_format is not None:
-        x_lr = fake_quant(x_s, lr_format)
-    else:
-        x_lr = x_s
+    x_lr = x_res if lr_format == activation_format else fake_quant(x_s, lr_format)
     y = matmul_dequantized(x_res, bundle.residual)
     y += matmul_dequantized(matmul_dequantized(x_lr, bundle.lowrank_left),
                             bundle.lowrank_right)
@@ -636,11 +630,11 @@ def assemble_batch(
     input order.
 
     The weight errors are ``(weight_err, weight_err_rel)`` from
-    :func:`weight_error`.  Each weight gets its own derived seed
-    (``seed + index``), so results are identical whether the batch runs
-    serially or across threads.  The worker count comes from ``threads``
-    or the ``LORAQ_THREADS`` environment variable, where an empty value
-    means unset, defaulting to 1.
+    :func:`weight_error`.  Nothing is random, so results are identical
+    whether the batch runs serially or across threads; each weight's
+    manifest only records the seed ``seed + index``.  The worker count
+    comes from ``threads`` or the ``LORAQ_THREADS`` environment variable,
+    where an empty value means unset, defaulting to 1.
     """
 
     def job(item):

@@ -114,8 +114,8 @@ def _smoothed_output_score(x, w, gamma, rank: int, q1: FormatSpec,
     w_s = apply_smoothing(w, gamma)
     x_s = x / gamma[None, :]
     l0, r0 = truncated_svd(w_s, rank)
-    residual = w_s - l0 @ r0
-    w_hat = l0 @ r0 + fake_quant(residual, q1)
+    lowrank = l0 @ r0
+    w_hat = lowrank + fake_quant(w_s - lowrank, q1)
     return float(np.mean(np.square(x_s @ w_hat - reference)))
 
 

@@ -2,6 +2,7 @@
 refused, and fuzzed files that must either load (and, for bundles, serve
 finite output) or be refused with a ``LoraqError``."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -17,6 +18,7 @@ from loraq import (
     CorruptFileError,
     ChannelStats,
     LoraqError,
+    QuantizedTensor,
     assemble_layer,
     forward,
     load_bundle,
@@ -200,6 +202,28 @@ def test_pad_count_must_match_the_shape(tmp_path, which, tag, pad):
     with pytest.raises(CorruptFileError) as info:
         _load_patched(tmp_path, data)
     assert info.value.offset == _chunk_offsets(data)[tag]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("rank", 0), ("rank", -3), ("shape", [0, 72]), ("shape", [12, 0]),
+    ("shape", [-12, 72]),
+])
+def test_rank_and_shape_below_one_are_refused(tmp_path, key, value):
+    data = _with_manifest(_saved(tmp_path), lambda m: m["meta"].update({key: value}))
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
+
+
+def test_rebuilt_tensors_round_trip(tmp_path):
+    # a tensor built from its arrays alone derives the pad count it is saved with
+    bundle = _bundle()
+    rebuilt = {name: QuantizedTensor(t.shape, t.spec, t.codes, t.scales)
+               for name in ("residual", "lowrank_left", "lowrank_right")
+               for t in [getattr(bundle, name)]}
+    path = tmp_path / "rebuilt.lrqb"
+    save_bundle(path, dataclasses.replace(bundle, **rebuilt))
+    assert load_bundle(path) == bundle
 
 
 @pytest.mark.parametrize("shape", [[12], [], 12])

@@ -243,6 +243,40 @@ def test_inspect_misdescribed_passthrough_exits_3(tmp_path, capsys, patch):
     assert _last_error_line(err).startswith("error: [E_FORMAT] ")
 
 
+def _emptied_chunks(path: str, prefixes: str, pad: dict) -> None:
+    """Rewrite the bundle at ``path`` with every chunk whose tag starts with
+    one of ``prefixes`` empty, its manifest entry and header included, and
+    the manifest's pad counts updated by ``pad``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    (size,) = struct.unpack_from("<I", data, 6)
+    manifest = json.loads(data[10:10 + size])
+    manifest["pad"].update(pad)
+    chunks, at = [], 10 + size
+    for entry in manifest["chunks"]:
+        payload = data[at + 12:at + 12 + entry["length"]]
+        at += 12 + entry["length"]
+        if entry["tag"][0] in prefixes:
+            payload, entry["length"] = b"", 0
+        chunks.append(entry["tag"].encode() + struct.pack("<Q", len(payload)) + payload)
+    patched = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(data[:6] + struct.pack("<I", len(patched)) + patched + b"".join(chunks))
+
+
+@pytest.mark.parametrize("patch,emptied,pad", [
+    ({"rank": 0}, "LR", {"left": 0}), ({"shape": [0, 40]}, "PL", {}),
+])
+def test_inspect_empty_manifest_shape_exits_3(tmp_path, capsys, patch, emptied, pad):
+    # the empty tensors' chunks are empty and their pad counts match, so
+    # only the rank or the shape itself can refuse the file
+    bundle = _patched_bundle(tmp_path, capsys, lambda meta: meta.update(patch))
+    _emptied_chunks(bundle, emptied, pad)
+    code, _, err = _run(capsys, ["inspect", bundle])
+    assert code == 3
+    assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+
+
 def test_evaluate_mistyped_act_format_exits_3(tmp_path, capsys):
     bundle = _patched_bundle(tmp_path, capsys,
                              lambda meta: meta.update({"act_format": [1]}))

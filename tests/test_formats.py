@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -678,9 +680,43 @@ class TestPackUnpack:
     def test_corrupt_length_detected(self):
         spec = int_test_format(4, 4)
         t = quantize_blockwise(np.ones((2, 4)), spec)
-        t.codes = t.codes[:, :1]
         with pytest.raises(FormatError):
-            dequantize(t)
+            dequantize(dataclasses.replace(t, codes=t.codes[:, :1]))
+
+
+class TestConstruction:
+    """A tensor checks its arrays against the layout once, when it is built,
+    and derives its pad count from the shape."""
+
+    @pytest.mark.parametrize("name,change", [
+        ("MXINT4", lambda t: {"scales": t.scales.astype(np.int64)}),
+        ("SINT4", lambda t: {"scales": t.scales.astype(np.uint8)}),
+        ("SINT4", lambda t: {"scales": t.scales.view(np.float16)}),
+        ("SINT4", lambda t: {"scales": t.scales[:, :1]}),
+        ("MXINT4", lambda t: {"scales": t.scales.reshape(-1)}),
+        ("SINT4", lambda t: {"codes": t.codes[:, :-1]}),
+        ("MXFP6e2", lambda t: {"codes": t.codes[:-1]}),
+        ("MXINT4", lambda t: {"codes": np.vstack([t.codes, t.codes[:1]])}),
+        ("MXINT8", lambda t: {"codes": t.codes.astype(np.int16)}),
+        ("MXINT8", lambda t: {"codes": t.codes.tolist()}),
+        ("fp16-passthrough", lambda t: {"codes": t.codes[:, :-8]}),
+        ("fp16-passthrough", lambda t: {"scales": np.zeros((3, 1), np.uint16)}),
+    ], ids=["int64-scales", "fp16-as-uint8", "fp16-as-float16", "too-few-blocks",
+            "flat-scales", "short-code-row", "missing-code-row", "extra-code-row",
+            "int16-codes", "list-codes", "short-payload", "passthrough-scales"])
+    def test_arrays_that_do_not_match_the_layout_are_refused(self, name, change):
+        t = quantize_blockwise(np.random.default_rng(7).normal(size=(3, 72)),
+                               make_format(name))
+        with pytest.raises(FormatError):
+            dataclasses.replace(t, **change(t))
+
+    def test_pad_count_is_derived_from_the_shape(self):
+        t = quantize_blockwise(np.ones((2, 72)), make_format("SINT4"))
+        rebuilt = QuantizedTensor(t.shape, t.spec, t.codes, t.scales)
+        assert rebuilt == t and rebuilt.pad_count == 56
+        assert quantize_blockwise(np.ones((2, 72)), PASSTHROUGH).pad_count == 0
+        with pytest.raises(TypeError):
+            QuantizedTensor(t.shape, t.spec, t.codes, t.scales, pad_count=0)
 
 
 def _with_code(t, row: int, col: int, code: int):
@@ -690,8 +726,7 @@ def _with_code(t, row: int, col: int, code: int):
     padded = t.n_blocks * t.spec.block_size
     codes = _bitwise_unpack(t.codes, width, rows, padded)
     codes[row, col] = code
-    t.codes = _bitwise_pack(codes, width)
-    return t
+    return dataclasses.replace(t, codes=_bitwise_pack(codes, width))
 
 
 @pytest.mark.parametrize("name,pattern", [
@@ -817,7 +852,7 @@ def _random_codes(spec, rows: int, cols: int, rng) -> QuantizedTensor:
     return QuantizedTensor(
         shape=(rows, cols), spec=spec,
         codes=rng.integers(0, 256, size=(rows, row_bytes), dtype=np.uint8),
-        scales=scales, pad_count=n_blocks * spec.block_size - cols)
+        scales=scales)
 
 
 class TestByteTableDecode:
@@ -876,7 +911,7 @@ class TestByteTableDecode:
         valid = quantize_blockwise(np.ones((2, cols)), spec)
         for col in range(padded):
             t = _with_code(QuantizedTensor(valid.shape, spec, valid.codes.copy(),
-                                           valid.scales, valid.pad_count), 1, col, pattern)
+                                           valid.scales), 1, col, pattern)
             want = _decoded_or_error(_word_dequantize, t)
             assert want.startswith("FormatError"), col
             assert _decoded_or_error(dequantize, t) == want, col
@@ -951,7 +986,7 @@ class TestPairDecode:
             stored = rng.uniform(1e-3, 1e3, size=(rows, n_blocks)).astype(np.float16)
             stored = stored.view(np.uint16)
         t = QuantizedTensor((rows, cols), _spec(codec, block_size, scale_kind),
-                            _bitwise_pack(codes, codec.width), stored, padded - cols)
+                            _bitwise_pack(codes, codec.width), stored)
         scales = np.repeat(t.scale_values(), block_size, axis=1)
         try:
             want = np.array([[decode_element(int(c), codec, s) for c, s in zip(cr, sr)]

@@ -86,3 +86,17 @@ def test_only_the_shared_loop_calls_adam_step():
     callers = {path.name: count for path in sorted(SRC.glob("*.py"))
                if (count := _calls_to(path, "adam_step"))}
     assert callers == {"numerics.py": 1}
+
+
+def _attribute_reads(path: Path, attr: str) -> int:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_only_formats_reads_block_size():
+    # the packed layout (block count, padding, bytes per code row) is derived
+    # in formats alone; a block size read elsewhere would be a second copy
+    readers = {path.name for path in sorted(SRC.glob("*.py"))
+               if _attribute_reads(path, "block_size")}
+    assert readers == {"formats.py"}
