@@ -4,8 +4,6 @@ optimized data-free, with bit-exact packed bundles and error reporting."""
 
 from .absorber import (
     LowRankFactors,
-    absorption_grads,
-    absorption_loss,
     init_factors,
     optimize_factors,
 )
@@ -58,13 +56,11 @@ from .numerics import (
 from .pipeline import (
     DEFAULT_ABSORB_STEPS,
     DEFAULT_ROTATION_STEPS,
-    BudgetPolicy,
     BundleMeta,
     ErrorReport,
     LayerBundle,
     RankCapWarning,
     ablate_layer,
-    assemble_batch,
     assemble_layer,
     default_absorb_lr,
     default_rotation_lr,
@@ -78,7 +74,6 @@ from .rotation import (
     fuse_rotation,
     optimize_rotation,
     rotation_grad,
-    rotation_loss,
 )
 from .smoothing import (
     ChannelStats,

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .formats import FormatSpec, fake_quant
+from .formats import fake_quant
 from .numerics import OptimizerConfig, adam_descent, as_matrix, truncated_svd
 
 __all__ = [
     "LowRankFactors",
     "init_factors",
-    "absorption_loss",
-    "absorption_grads",
     "optimize_factors",
 ]
 
@@ -32,15 +30,13 @@ __all__ = [
 class LowRankFactors:
     """A rank-``rank`` factor pair ``(left, right)``.
 
-    The additive inference branch carries ``BRANCH_SIGN * left @ right``:
-    the reconstruction is ``Q1(W - A) + A`` with ``A = -left @ right``.
+    The additive inference branch carries ``-left @ right``: the
+    reconstruction is ``Q1(W - A) + A`` with ``A = -left @ right``.
     """
 
     left: np.ndarray
     right: np.ndarray
     rank: int
-
-    BRANCH_SIGN = -1.0
 
     def __post_init__(self):
         if self.rank < 1:
@@ -63,34 +59,15 @@ def init_factors(w, rank: int) -> LowRankFactors:
     return LowRankFactors(-l0, r0, rank)
 
 
-def _shift_error(w: np.ndarray, factors: LowRankFactors,
-                 quantizer: FormatSpec) -> np.ndarray:
-    shifted = w + factors.left @ factors.right
-    return fake_quant(shifted, quantizer) - shifted
-
-
-def absorption_loss(w, factors: LowRankFactors, quantizer: FormatSpec) -> float:
-    """Mean squared quantization error of the shifted weight matrix."""
-    w = as_matrix(w)
-    err = _shift_error(w, factors, quantizer)
-    return float(np.mean(np.square(err)))
-
-
 def _grads_from_error(err: np.ndarray,
                       factors: LowRankFactors) -> tuple[np.ndarray, np.ndarray]:
-    coeff = -2.0 / err.size
-    return coeff * (err @ factors.right.T), coeff * (factors.left.T @ err)
-
-
-def absorption_grads(w, factors: LowRankFactors,
-                     quantizer: FormatSpec) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form loss gradients with the quantizer output held constant.
 
     With ``E = Q(W + LR) - W - LR`` and ``N = d * n`` entries, the
     gradients are ``(-2/N) E @ R.T`` and ``(-2/N) L.T @ E``.
     """
-    w = as_matrix(w)
-    return _grads_from_error(_shift_error(w, factors, quantizer), factors)
+    coeff = -2.0 / err.size
+    return coeff * (err @ factors.right.T), coeff * (factors.left.T @ err)
 
 
 def optimize_factors(w, factors: LowRankFactors,

@@ -47,7 +47,7 @@ import struct
 import numpy as np
 
 from .errors import CorruptFileError, FileFormatError, FormatError, VersionError
-from .formats import QuantizedTensor
+from .formats import QuantizedTensor, json_bool, json_int
 from .numerics import as_matrix
 from .pipeline import BundleMeta, LayerBundle
 from .smoothing import ChannelStats
@@ -268,12 +268,12 @@ def load_bundle(path) -> LayerBundle:
     try:
         meta = BundleMeta.from_dict(manifest["meta"])
         pad = manifest["pad"]
-        has_gamma = bool(manifest["gamma"])
-        chunk_table = manifest["chunks"]
-        declared = [(str(c["tag"]), int(c["length"])) for c in chunk_table]
-        pad_residual = int(pad["residual"])
-        pad_left = int(pad["left"])
-        pad_right = int(pad["right"])
+        has_gamma = json_bool(manifest["gamma"], "gamma")
+        declared = [(str(c["tag"]), json_int(c["length"], "chunk length"))
+                    for c in manifest["chunks"]]
+        pad_residual, pad_left, pad_right = (
+            json_int(pad[key], f"{key} pad") for key in ("residual", "left", "right")
+        )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(
             f"manifest is missing or mistypes a field: {exc}", offset=manifest_start

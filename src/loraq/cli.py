@@ -21,6 +21,8 @@ order and the output bytes do not depend on it.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import sys
 from dataclasses import dataclass
@@ -229,6 +231,14 @@ def _print_quantize_summary(summary: dict) -> None:
           f" scale overhead bits/channel: {b['scale_bits_per_channel_left']}")
 
 
+def _trim_heap() -> None:
+    """Return freed C-heap pages to the OS (glibc's ``malloc_trim``), so a
+    layer's peak resident memory does not also hold pages earlier layers
+    freed: at 4096x1024 that varied between runs by up to 29 MB."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):  # not glibc
+        ctypes.CDLL(None).malloc_trim(ctypes.c_size_t(0))
+
+
 def cmd_quantize(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     inputs = list(args.weights)
@@ -237,12 +247,12 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 
     def job(item):
         i, w = item
+        _trim_heap()
         bundle = assemble_layer(
             w, cfg.q1, cfg.q2, optimized_lr=cfg.optimized_lr,
             rotations=cfg.rotations, calibration=calibration, seed=cfg.seed + i,
-            **_layer_kwargs(cfg),
+            act_format=cfg.act_format, **_layer_kwargs(cfg),
         )
-        bundle.meta.act_format = None if cfg.act_format is None else cfg.act_format.name
         return bundle, weight_error(w, bundle)
 
     summaries = []
@@ -290,6 +300,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
     def job(item):
         i, w = item
+        _trim_heap()
         cells = ablate_layer(w, cfg.q1, cfg.q2, seed=cfg.seed + i, **_layer_kwargs(cfg))
         return {key: weight_error(w, bundle) for key, bundle in cells.items()}
 

@@ -187,19 +187,6 @@ class IntCodec:
             "symmetric range"
         )
 
-    def decode_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Values of codes below ``2^bits``; the pattern ``-2^(bits-1)`` raises."""
-        return _table_decode(codes, *self.decode_table())
-
-
-def _table_decode(codes: np.ndarray, table: np.ndarray, message: str) -> np.ndarray:
-    """``table[codes]``; a NaN entry marks an invalid pattern and raises
-    :class:`FormatError` with ``message``."""
-    out = table[codes]
-    if np.isnan(out).any():
-        raise FormatError(message)
-    return out
-
 
 @lru_cache(maxsize=None)
 def _int_table(bits: int) -> np.ndarray:
@@ -327,10 +314,6 @@ class MinifloatCodec:
         )
         return decode, f"invalid e{self.exp_bits}m{self.mantissa_bits} code pattern"
 
-    def decode_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Values of codes below ``2^width``; the e4m3 NaN pattern raises."""
-        return _table_decode(codes, *self.decode_table())
-
 
 @dataclass(frozen=True)
 class PassthroughCodec:
@@ -434,22 +417,21 @@ class FormatSpec:
         try:
             c = d["codec"]
             if c["kind"] == "int":
-                codec: Codec = IntCodec(int(c["bits"]))
+                codec: Codec = IntCodec(json_int(c["bits"], "bits"))
             elif c["kind"] == "minifloat":
-                codec = MinifloatCodec(
-                    int(c["exp_bits"]), int(c["mantissa_bits"]), int(c["bias"])
-                )
+                codec = MinifloatCodec(*(json_int(c[key], key) for key in
+                                         ("exp_bits", "mantissa_bits", "bias")))
             elif c["kind"] == "passthrough":
                 codec = PassthroughCodec()
             else:
                 raise FormatError(f"unknown codec kind {c['kind']!r}")
             spec = cls(
                 name=str(d["name"]),
-                block_size=int(d["block_size"]),
+                block_size=json_int(d["block_size"], "block_size"),
                 scale_kind=str(d["scale_kind"]),
                 codec=codec,
             )
-            if d["bits_per_value"] != spec.bits_per_value:
+            if json_int(d["bits_per_value"], "bits_per_value") != spec.bits_per_value:
                 raise FormatError(
                     f"bits_per_value {d['bits_per_value']} does not match the "
                     f"{spec.bits_per_value}-bit element codec"
@@ -457,6 +439,22 @@ class FormatSpec:
             return spec
         except (KeyError, TypeError, ValueError, ParameterError) as exc:
             raise FormatError(f"malformed format description: {exc}") from exc
+
+
+def json_int(value, key: str) -> int:
+    """``value`` if it is a JSON integer; a float, a string or a boolean
+    raises ``TypeError`` naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_bool(value, key: str) -> bool:
+    """``value`` if it is a JSON boolean; anything else raises ``TypeError``
+    naming ``key``."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 _REGISTRY: dict[str, FormatSpec] = {

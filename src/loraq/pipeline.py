@@ -26,6 +26,8 @@ from .formats import (
     QuantizedTensor,
     dequantize,
     fake_quant,
+    json_bool,
+    json_int,
     matmul_dequantized,
     quantize_blockwise,
 )
@@ -39,7 +41,6 @@ from .smoothing import (
 )
 
 __all__ = [
-    "BudgetPolicy",
     "BundleMeta",
     "LayerBundle",
     "ErrorReport",
@@ -55,7 +56,6 @@ __all__ = [
     "forward",
     "weight_error",
     "error_report",
-    "assemble_batch",
 ]
 
 DEFAULT_ABSORB_STEPS = 1000
@@ -69,31 +69,20 @@ class RankCapWarning(UserWarning):
     """The budget-derived rank exceeded the matrix dimensions."""
 
 
-@dataclass(frozen=True)
-class BudgetPolicy:
-    """Bit budget per channel for the low-rank branch."""
+def rank_for_budget(budget: int, bits: int) -> int:
+    """Largest rank whose payload fits the budget: floor(budget / bits).
 
-    budget_bits_per_channel: int
-    lowrank_bits: int
-
-    def __post_init__(self):
-        if self.budget_bits_per_channel < 1:
-            raise BudgetError(
-                f"budget must be positive, got {self.budget_bits_per_channel}"
-            )
-        if self.lowrank_bits not in (4, 6, 8, 16):
-            raise ParameterError(
-                f"lowrank bits must be one of 4/6/8/16, got {self.lowrank_bits}"
-            )
-
-
-def rank_for_budget(policy: BudgetPolicy) -> int:
-    """Largest rank whose payload fits the budget: floor(budget / bits)."""
-    rank = policy.budget_bits_per_channel // policy.lowrank_bits
+    ``budget`` is in bits per channel and ``bits`` is the low-rank branch's
+    bits per value, one of 4/6/8/16.
+    """
+    if budget < 1:
+        raise BudgetError(f"budget must be positive, got {budget}")
+    if bits not in (4, 6, 8, 16):
+        raise ParameterError(f"lowrank bits must be one of 4/6/8/16, got {bits}")
+    rank = budget // bits
     if rank < 1:
         raise BudgetError(
-            f"budget {policy.budget_bits_per_channel} bits/channel cannot fit "
-            f"a single {policy.lowrank_bits}-bit rank"
+            f"budget {budget} bits/channel cannot fit a single {bits}-bit rank"
         )
     return rank
 
@@ -108,7 +97,7 @@ def default_rotation_lr(spec: FormatSpec) -> float:
     return 5e-1 if spec.scale_kind == "fp16" else 1e-1
 
 
-@dataclass
+@dataclass(frozen=True)
 class BundleMeta:
     """Everything needed to reproduce and account for a bundle."""
 
@@ -162,19 +151,23 @@ class BundleMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BundleMeta":
+        """Inverse of :meth:`to_dict`.  A count or toggle that is not a JSON
+        integer or boolean raises ``TypeError``, which
+        :func:`bundle_io.load_bundle` reports as corrupt."""
+        rows, cols = d["shape"]
+        budget = d["budget_bits_per_channel"]
         return cls(
             q1=FormatSpec.from_dict(d["q1"]),
             q2=FormatSpec.from_dict(d["q2"]),
-            shape=(int(d["shape"][0]), int(d["shape"][1])),
-            rank=int(d["rank"]),
-            rank_requested=int(d["rank_requested"]),
+            shape=(json_int(rows, "shape"), json_int(cols, "shape")),
+            rank=json_int(d["rank"], "rank"),
+            rank_requested=json_int(d["rank_requested"], "rank_requested"),
             budget_bits_per_channel=(
-                None if d["budget_bits_per_channel"] is None
-                else int(d["budget_bits_per_channel"])
+                None if budget is None else json_int(budget, "budget_bits_per_channel")
             ),
-            optimized_lr=bool(d["optimized_lr"]),
-            rotations=bool(d["rotations"]),
-            seed=int(d["seed"]),
+            optimized_lr=json_bool(d["optimized_lr"], "optimized_lr"),
+            rotations=json_bool(d["rotations"], "rotations"),
+            seed=json_int(d["seed"], "seed"),
             absorb=dict(d["absorb"]),
             rotation=None if d["rotation"] is None else dict(d["rotation"]),
             smoothing=None if d["smoothing"] is None else dict(d["smoothing"]),
@@ -193,7 +186,7 @@ def _format_name(d: dict, key: str) -> str | None:
     return name
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LayerBundle:
     """A fully assembled quantized linear layer."""
 
@@ -321,7 +314,8 @@ def _rotate_and_pack(work: np.ndarray, factors: LowRankFactors, q1: FormatSpec,
 
 def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]], *,
               budget=None, rank=None, calibration=None, seed=0, absorb_steps=None,
-              absorb_lr=None, rotation_steps=None, rotation_lr=None) -> list[LayerBundle]:
+              absorb_lr=None, rotation_steps=None, rotation_lr=None,
+              act_format=None) -> list[LayerBundle]:
     """The stage sequence, with one bundle per ``(optimized_lr, rotations)``
     cell.  Smoothing, SVD init and absorption run once for all cells; an
     un-optimized cell starts from the SVD factors, scored by the first
@@ -335,7 +329,7 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
             raise ParameterError(f"rank must be >= 1, got {rank}")
         requested = rank
     else:
-        requested = rank_for_budget(BudgetPolicy(budget, q2.bits_per_value))
+        requested = rank_for_budget(budget, q2.bits_per_value)
     effective_rank = min(requested, d, n)
     if effective_rank < requested:
         warnings.warn(
@@ -381,6 +375,7 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
             rotation=rotation_meta,
             smoothing=smoothing_meta,
             lowrank_q2_mse=lowrank_q2_mse,
+            act_format=None if act_format is None else act_format.name,
         )
         bundles.append(LayerBundle(*tensors, gamma, meta))
     return bundles
@@ -401,6 +396,7 @@ def assemble_layer(
     absorb_lr: float | None = None,
     rotation_steps: int | None = None,
     rotation_lr: float | None = None,
+    act_format: FormatSpec | None = None,
 ) -> LayerBundle:
     """Run the full per-weight pipeline and return the packed bundle.
 
@@ -412,11 +408,15 @@ def assemble_layer(
     ``rank`` must be given; a rank larger than the matrix dimensions is
     capped with a warning.  ``seed`` is recorded in the manifest; nothing
     is random, so the result is deterministic for fixed inputs.
+    ``act_format``, the activation format the layer is meant to serve
+    with, changes no weight: its name is recorded as ``meta.act_format``,
+    which ``loraq evaluate`` uses when no ``--act-format`` is given.
     """
     [bundle] = _assemble(
         w, q1, q2, [(optimized_lr, rotations)], budget=budget, rank=rank,
         calibration=calibration, seed=seed, absorb_steps=absorb_steps,
         absorb_lr=absorb_lr, rotation_steps=rotation_steps, rotation_lr=rotation_lr,
+        act_format=act_format,
     )
     return bundle
 
@@ -595,51 +595,19 @@ def error_report(
     )
 
 
-def ordered_map(fn, items, threads: int | None = None) -> list:
+def ordered_map(fn, items) -> list:
     """``[fn(item) for item in items]``, spread over worker threads.
 
-    The worker count is ``threads`` if given, else the ``LORAQ_THREADS``
-    environment variable (an empty value counts as unset), else 1.
-    Results keep the input order.
+    The worker count is the ``LORAQ_THREADS`` environment variable (an
+    empty value counts as unset), else 1.  Results keep the input order.
     """
-    if threads is None:
-        env = os.environ.get("LORAQ_THREADS", "")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            raise ParameterError(
-                f"LORAQ_THREADS must be an integer, got {env!r}"
-            ) from None
+    env = os.environ.get("LORAQ_THREADS", "")
+    try:
+        threads = int(env) if env else 1
+    except ValueError:
+        raise ParameterError(f"LORAQ_THREADS must be an integer, got {env!r}") from None
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def assemble_batch(
-    named_weights,
-    q1: FormatSpec,
-    q2: FormatSpec,
-    *,
-    threads: int | None = None,
-    seed: int = 0,
-    **kwargs,
-) -> list[tuple[str, LayerBundle, tuple[float, float]]]:
-    """Assemble many weights; returns ``(name, bundle, weight errors)`` in
-    input order.
-
-    The weight errors are ``(weight_err, weight_err_rel)`` from
-    :func:`weight_error`.  Nothing is random, so results are identical
-    whether the batch runs serially or across threads; each weight's
-    manifest only records the seed ``seed + index``.  The worker count
-    comes from ``threads`` or the ``LORAQ_THREADS`` environment variable,
-    where an empty value means unset, defaulting to 1.
-    """
-
-    def job(item):
-        index, (name, w) = item
-        bundle = assemble_layer(w, q1, q2, seed=seed + index, **kwargs)
-        return name, bundle, weight_error(w, bundle)
-
-    return ordered_map(job, enumerate(named_weights), threads)

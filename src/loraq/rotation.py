@@ -24,7 +24,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "rotation_loss",
     "rotation_grad",
     "optimize_rotation",
     "fuse_rotation",
@@ -58,16 +57,8 @@ def _branch_errors(left, right, omega, quantizer):
 
 
 def _loss(err_left: np.ndarray, err_right: np.ndarray) -> float:
+    """Sum of the per-factor mean squared quantization errors."""
     return float(np.mean(np.square(err_left)) + np.mean(np.square(err_right)))
-
-
-def rotation_loss(left, right, omega, quantizer: FormatSpec) -> float:
-    """Sum of the per-factor mean squared quantization errors after rotation."""
-    left = as_matrix(left, "left factor")
-    right = as_matrix(right, "right factor")
-    omega = as_matrix(omega, "rotation")
-    _check_rotation_inputs(left, right, omega)
-    return _loss(*_branch_errors(left, right, omega, quantizer))
 
 
 def _grad_from_errors(left, right, a, omega, err_left, err_right) -> np.ndarray:

@@ -1,6 +1,18 @@
 """Slow, obviously-correct helpers that tests check the package against:
 a finite-difference gradient, the Frobenius norm, one-element encode and
-decode, and small hand-checkable formats outside the registry."""
+decode, and small hand-checkable formats outside the registry.
+
+It also holds the math references that no pipeline stage calls, kept with
+the arithmetic the package used when it exported them, so that the
+optimizer loops can be checked against them bit for bit:
+
+* :func:`absorption_loss` and :func:`absorption_grads`, the score and
+  gradient of one absorption iterate (``absorber.optimize_factors``);
+* :func:`rotation_loss`, the score of one rotation iterate
+  (``rotation.optimize_rotation``);
+* :func:`decode_codes`, the whole-array table decode of element codes
+  that ``formats.dequantize`` does by byte tables.
+"""
 
 import numpy as np
 
@@ -12,6 +24,8 @@ from loraq import (
     ParameterError,
     PassthroughCodec,
     as_matrix,
+    fake_quant,
+    fuse_rotation,
 )
 
 
@@ -73,4 +87,47 @@ def decode_element(code: int, codec, scale: float) -> float:
         raise ParameterError("the passthrough codec has no element codes")
     if not 0 <= code < (1 << codec.width):
         raise FormatError(f"code {code} does not fit in {codec.width} bits")
-    return float(codec.decode_codes(np.array([code], dtype=np.uint8))[0] * scale)
+    return float(decode_codes(codec, np.array([code], dtype=np.uint8))[0] * scale)
+
+
+def decode_codes(codec, codes: np.ndarray) -> np.ndarray:
+    """Values of codes below ``2^width`` by the codec's decode table; an
+    invalid pattern (int ``-2^(bits-1)``, the e4m3 NaN) raises
+    :class:`FormatError`."""
+    table, message = codec.decode_table()
+    out = table[codes]
+    if np.isnan(out).any():
+        raise FormatError(message)
+    return out
+
+
+def _shift_error(w: np.ndarray, factors, quantizer: FormatSpec) -> np.ndarray:
+    shifted = w + factors.left @ factors.right
+    return fake_quant(shifted, quantizer) - shifted
+
+
+def absorption_loss(w, factors, quantizer: FormatSpec) -> float:
+    """Mean squared quantization error of the shifted weight ``W + L @ R``."""
+    w = as_matrix(w)
+    err = _shift_error(w, factors, quantizer)
+    return float(np.mean(np.square(err)))
+
+
+def absorption_grads(w, factors, quantizer: FormatSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form absorption gradients with the quantizer output held
+    constant: with ``E = Q(W + LR) - W - LR`` and ``N = d * n`` entries,
+    ``(-2/N) E @ R.T`` and ``(-2/N) L.T @ E``."""
+    w = as_matrix(w)
+    err = _shift_error(w, factors, quantizer)
+    coeff = -2.0 / err.size
+    return coeff * (err @ factors.right.T), coeff * (factors.left.T @ err)
+
+
+def rotation_loss(left, right, omega, quantizer: FormatSpec) -> float:
+    """Sum of the per-factor mean squared quantization errors after the
+    rotation ``omega``; a non-orthogonal ``omega`` raises
+    :class:`ParameterError` (through ``fuse_rotation``)."""
+    rotated_left, rotated_right = fuse_rotation(left, right, omega)
+    err_left = fake_quant(rotated_left, quantizer) - rotated_left
+    err_right = fake_quant(rotated_right, quantizer) - rotated_right
+    return float(np.mean(np.square(err_left)) + np.mean(np.square(err_right)))

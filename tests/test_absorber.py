@@ -13,14 +13,13 @@ from loraq import (
     ParameterError,
     ShapeError,
     adam_step,
-    absorption_grads,
-    absorption_loss,
     fake_quant,
     init_factors,
     make_format,
     optimize_factors,
+    truncated_svd,
 )
-from oracles import finite_diff_grad, int_test_format
+from oracles import absorption_grads, absorption_loss, finite_diff_grad, int_test_format
 
 
 class TestInitFactors:
@@ -45,8 +44,11 @@ class TestInitFactors:
         assert residual == pytest.approx(tail, rel=1e-8)
 
     def test_branch_sign_recorded(self):
-        f = init_factors(np.eye(3), 1)
-        assert f.BRANCH_SIGN == -1.0
+        # the branch -left @ right starts as the truncated-SVD product
+        w = np.diag([3.0, 2.0, 1.0])
+        f = init_factors(w, 1)
+        l0, r0 = truncated_svd(w, 1)
+        assert np.array_equal(-f.left @ f.right, l0 @ r0)
 
 
 class TestAbsorptionLoss:

@@ -215,6 +215,35 @@ def test_rank_and_shape_below_one_are_refused(tmp_path, key, value):
     assert info.value.offset == _HEADER
 
 
+def _float_length(manifest, tag):
+    [chunk] = [c for c in manifest["chunks"] if c["tag"] == tag]
+    chunk["length"] = float(chunk["length"])
+
+
+# manifest counts and toggles that are not JSON integers or booleans; each
+# loaded at a bare int() or bool() as the value it truncates or tests true to
+NOT_JSON_COUNTS = {
+    "rank 3.9": lambda m: m["meta"].update(rank=3.9),
+    "shape 12.7": lambda m: m["meta"].update(shape=[12.7, 72]),
+    "residual pad 56.4": lambda m: m["pad"].update(residual=56.4),
+    "q1 bits 4.9": lambda m: m["meta"]["q1"]["codec"].update(bits=4.9),
+    "q1 bits '4'": lambda m: m["meta"]["q1"]["codec"].update(bits="4"),
+    "seed 1.5": lambda m: m["meta"].update(seed=1.5),
+    "rank_requested '3'": lambda m: m["meta"].update(rank_requested="3"),
+    "chunk length as a float": lambda m: _float_length(m, "RSCL"),
+    "optimized_lr 'false'": lambda m: m["meta"].update(optimized_lr="false"),
+    "gamma 'false'": lambda m: m.update(gamma="false"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_JSON_COUNTS))
+def test_counts_and_toggles_must_be_json_integers_and_booleans(tmp_path, case):
+    data = _with_manifest(_saved(tmp_path), NOT_JSON_COUNTS[case])
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
+
+
 def test_rebuilt_tensors_round_trip(tmp_path):
     # a tensor built from its arrays alone derives the pad count it is saved with
     bundle = _bundle()

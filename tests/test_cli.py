@@ -88,6 +88,19 @@ def test_non_integer_thread_count_is_a_config_error(tmp_path, capsys, monkeypatc
     assert _last_error_line(err).startswith("error: [E_CONFIG] LORAQ_THREADS")
 
 
+@pytest.mark.parametrize("command", ["quantize", "ablate"])
+def test_heap_is_trimmed_before_each_layer(tmp_path, capsys, monkeypatch, command):
+    cli._trim_heap()
+    events = []
+    svd = absorber.truncated_svd
+    monkeypatch.setattr(cli, "_trim_heap", lambda: events.append("trim"))
+    monkeypatch.setattr(absorber, "truncated_svd",
+                        lambda *args: events.append("svd") or svd(*args))
+    code, _, _ = _run(capsys, [command, *_weights(tmp_path), *RUN])
+    assert code == 0
+    assert events == ["trim", "svd"] * 2
+
+
 def test_ablate_cells_match_independent_runs(tmp_path, capsys, monkeypatch):
     inputs = _weights(tmp_path)
     calls = {"svd": 0, "absorb": 0}
@@ -275,6 +288,46 @@ def test_inspect_empty_manifest_shape_exits_3(tmp_path, capsys, patch, emptied, 
     code, _, err = _run(capsys, ["inspect", bundle])
     assert code == 3
     assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+
+
+@pytest.mark.parametrize("key,value,what", [
+    ("rank", 4.5, "an integer"), ("optimized_lr", "false", "true or false"),
+])
+def test_inspect_non_json_count_or_toggle_exits_3(tmp_path, capsys, key, value, what):
+    bundle = _patched_bundle(tmp_path, capsys, lambda meta: meta.update({key: value}))
+    code, _, err = _run(capsys, ["inspect", bundle])
+    assert code == 3
+    assert _last_error_line(err) == (
+        f"error: [E_FORMAT] manifest is missing or mistypes a field: "
+        f"{key} must be {what}, got {value!r}")
+
+
+def _manifest(path) -> dict:
+    data = path.read_bytes()
+    (size,) = struct.unpack_from("<I", data, 6)
+    return json.loads(data[10:10 + size])
+
+
+def test_quantize_records_the_activation_format_for_evaluate(tmp_path, capsys):
+    [weight] = _weights(tmp_path, 1)
+    activations = tmp_path / "x.lqt"
+    save_tensor(activations, np.random.default_rng(32).normal(size=(6, 24)))
+    recorded, plain = tmp_path / "recorded.lrqb", tmp_path / "plain.lrqb"
+    assert _run(capsys, ["quantize", weight, *RUN, "--act-format", "MXINT8",
+                         "--out", str(recorded)])[0] == 0
+    assert _run(capsys, ["quantize", weight, *RUN, "--out", str(plain)])[0] == 0
+    assert _manifest(recorded)["meta"]["act_format"] == "MXINT8"
+    assert _manifest(plain)["meta"]["act_format"] is None
+
+    def matmul_err(bundle, *flags):
+        code, out, _ = _run(capsys, ["evaluate", str(bundle), weight, "--activations",
+                                     str(activations), *flags, "--machine"])
+        assert code == 0
+        return json.loads(out)["matmul_err"]
+
+    assert matmul_err(recorded) == matmul_err(recorded, "--act-format", "MXINT8")
+    assert matmul_err(recorded) == matmul_err(plain, "--act-format", "MXINT8")
+    assert matmul_err(recorded) != matmul_err(plain)
 
 
 def test_evaluate_mistyped_act_format_exits_3(tmp_path, capsys):

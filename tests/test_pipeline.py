@@ -13,14 +13,12 @@ from loraq import (
     BudgetError,
     FormatError,
     FormatSpec,
-    BudgetPolicy,
     ErrorReport,
     NumericError,
     ParameterError,
     RankCapWarning,
     ShapeError,
     ablate_layer,
-    assemble_batch,
     assemble_layer,
     compute_channel_stats,
     default_absorb_lr,
@@ -53,21 +51,21 @@ def save_bytes(bundle) -> bytes:
 
 class TestRankForBudget:
     def test_svdquant_equivalent_budget(self):
-        assert rank_for_budget(BudgetPolicy(512, 16)) == 32
+        assert rank_for_budget(512, 16) == 32
 
     def test_four_bit_budget(self):
-        assert rank_for_budget(BudgetPolicy(512, 4)) == 128
+        assert rank_for_budget(512, 4) == 128
 
     def test_six_bit_floor(self):
-        assert rank_for_budget(BudgetPolicy(512, 6)) == 85
+        assert rank_for_budget(512, 6) == 85
 
     def test_too_small_budget(self):
         with pytest.raises(BudgetError):
-            rank_for_budget(BudgetPolicy(3, 4))
+            rank_for_budget(3, 4)
 
     def test_bad_bits(self):
         with pytest.raises(ParameterError):
-            BudgetPolicy(512, 5)
+            rank_for_budget(512, 5)
 
 
 class TestDefaults:
@@ -162,6 +160,28 @@ class TestAssembleLayer:
         assert acc["scale_bits_per_channel_left"] == 2 * 8
         assert acc["total_scale_bits"] == (64 * 2 + 64 * 2) * 8
 
+
+    def test_act_format_is_recorded_and_changes_no_weight(self):
+        rng = np.random.default_rng(6)
+        w = rng.normal(size=(16, 24))
+        q = make_format("SINT4")
+        plain = assemble_layer(w, q, q, rank=2, absorb_steps=3, rotation_steps=2)
+        recorded = assemble_layer(w, q, q, rank=2, absorb_steps=3, rotation_steps=2,
+                                  act_format=make_format("MXINT8"))
+        assert (plain.meta.act_format, recorded.meta.act_format) == (None, "MXINT8")
+        assert dataclasses.replace(recorded.meta, act_format=None) == plain.meta
+        for name in ("residual", "lowrank_left", "lowrank_right"):
+            assert getattr(recorded, name) == getattr(plain, name)
+
+    def test_bundle_and_meta_are_frozen(self):
+        w = np.random.default_rng(7).normal(size=(8, 8))
+        b = _quick(w, make_format("SINT4"), make_format("SINT4"), rank=2,
+                   optimized_lr=False, rotations=False)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.meta.act_format = "MXINT8"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.gamma = np.ones(8)
+        assert b.meta.act_format is None and b.gamma is None
 
 class TestReconstructionIdentities:
     def test_error_matches_stored_factor_loss(self):
@@ -413,34 +433,16 @@ class TestToggleOrderingSmoke:
 
 
 class TestBatch:
-    def test_order_and_determinism(self, monkeypatch):
-        rng = np.random.default_rng(18)
-        weights = [(f"w{i}", rng.normal(size=(16, 12))) for i in range(4)]
-        kwargs = dict(rank=3, optimized_lr=False, rotations=False)
-        q1, q2 = make_format("SINT4"), make_format("MXINT4")
-        serial = assemble_batch(weights, q1, q2, threads=1, **kwargs)
-        monkeypatch.setenv("LORAQ_THREADS", "4")
-        threaded = assemble_batch(weights, q1, q2, **kwargs)
-        assert [name for name, _, _ in serial] == ["w0", "w1", "w2", "w3"]
-        for (n1, b1, e1), (n2, b2, e2) in zip(serial, threaded):
-            assert n1 == n2
-            assert b1 == b2
-            assert save_bytes(b1) == save_bytes(b2)
-            assert e1 == e2
-            assert b1.meta.seed == int(n1[1:])
-
     @pytest.mark.parametrize("smoothed", [False, True])
     def test_weight_errors_match_error_report(self, smoothed):
         rng = np.random.default_rng(19)
         w = rng.normal(size=(10, 8))
         cal = rng.normal(size=(20, 10)) * 10.0 if smoothed else None
-        [(_, bundle, errors)] = assemble_batch(
-            [("only", w)], make_format("SINT4"), make_format("SINT4"),
-            rank=2, optimized_lr=False, rotations=False, calibration=cal,
-        )
+        bundle = assemble_layer(w, make_format("SINT4"), make_format("SINT4"), rank=2,
+                                optimized_lr=False, rotations=False, calibration=cal)
         assert (bundle.gamma is not None) == smoothed
         rep = error_report(w, rng.normal(size=(7, 10)), bundle)
-        assert errors == (rep.weight_err, rep.weight_err_rel) == weight_error(w, bundle)
+        assert weight_error(w, bundle) == (rep.weight_err, rep.weight_err_rel)
 
     @pytest.mark.parametrize("value, workers", [("", 1), ("3", 3), (" 2 ", 2), ("0", 1)])
     def test_thread_count_from_environment(self, monkeypatch, value, workers):
@@ -461,8 +463,7 @@ class TestBatch:
     def test_non_integer_thread_count_is_a_parameter_error(self, monkeypatch):
         monkeypatch.setenv("LORAQ_THREADS", "two")
         with pytest.raises(ParameterError, match="LORAQ_THREADS"):
-            assemble_batch([("w", np.ones((4, 4)))], make_format("SINT4"),
-                           make_format("SINT4"), rank=1)
+            ordered_map(abs, [1, -2])
 
 
 class TestWeightError:

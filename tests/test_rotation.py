@@ -12,11 +12,10 @@ from loraq import (
     make_format,
     optimize_rotation,
     rotation_grad,
-    rotation_loss,
     skew_project,
 )
 from loraq import rotation
-from oracles import finite_diff_grad, int_test_format
+from oracles import finite_diff_grad, int_test_format, rotation_loss
 
 
 def _random_rotation(rng, size):

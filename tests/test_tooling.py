@@ -100,3 +100,39 @@ def test_only_formats_reads_block_size():
     readers = {path.name for path in sorted(SRC.glob("*.py"))
                if _attribute_reads(path, "block_size")}
     assert readers == {"formats.py"}
+
+
+# Exported functions that no package module calls, each with why it stays.
+# Anything exported only for tests belongs in tests/oracles.py instead.
+_UNCALLED_EXPORTS = {
+    "pipeline.forward": "user API: serving a bundle; the CLI only measures errors",
+    "bundle_io.save_tensor": "user API: writes the LQT1 inputs the CLI reads",
+    "bundle_io.save_stats": "user API: writes the LQS1 statistics `--stats` reads",
+    "formats.registry_names": "user API: lists the names make_format accepts",
+    "rotation.rotation_grad": "benchmark hook: the traced run wraps it per step",
+}
+
+
+def _exported_functions(tree: ast.Module) -> set[str]:
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported = {element.value for element in node.value.elts}
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in exported}
+
+
+def test_every_exported_function_is_called_or_listed():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = {f"{module}.{name}" for module, tree in trees.items()
+                for name in _exported_functions(tree) if name not in referenced}
+    assert uncalled == set(_UNCALLED_EXPORTS)
