@@ -47,7 +47,7 @@ import struct
 import numpy as np
 
 from .errors import CorruptFileError, FileFormatError, FormatError, VersionError
-from .formats import QuantizedTensor, json_bool, json_int
+from .formats import QuantizedTensor, json_bool, json_int, json_str
 from .numerics import as_matrix
 from .pipeline import BundleMeta, LayerBundle
 from .smoothing import ChannelStats
@@ -260,7 +260,7 @@ def load_bundle(path) -> LayerBundle:
     manifest_bytes = reader.take(manifest_len, "manifest")
     try:
         manifest = json.loads(str(manifest_bytes, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, an integer too long
         raise CorruptFileError(
             f"manifest does not parse: {exc}", offset=manifest_start
         ) from exc
@@ -269,8 +269,8 @@ def load_bundle(path) -> LayerBundle:
         meta = BundleMeta.from_dict(manifest["meta"])
         pad = manifest["pad"]
         has_gamma = json_bool(manifest["gamma"], "gamma")
-        declared = [(str(c["tag"]), json_int(c["length"], "chunk length"))
-                    for c in manifest["chunks"]]
+        declared = [(json_str(c["tag"], "chunk tag"),
+                     json_int(c["length"], "chunk length")) for c in manifest["chunks"]]
         pad_residual, pad_left, pad_right = (
             json_int(pad[key], f"{key} pad") for key in ("residual", "left", "right")
         )

@@ -6,9 +6,11 @@ source weight, ``ablate`` runs the 2x2 optimization/rotation toggle grid
 (sharing one SVD and one absorption run per weight), and ``inspect`` dumps
 a bundle's manifest and bit accounting.
 
-Every run flag except ``--config`` and ``--machine`` has a config-file
-twin (JSON, see ``CONFIG_KEYS``); flags win over the file.  Results go to
-stdout, diagnostics to stderr.  On failure, usage errors included, the
+``quantize`` and ``ablate`` take a JSON ``--config`` file whose keys are
+the subcommand's own flag destinations (``--rot-lr`` is ``rot_lr``,
+``--no-optimize`` is ``optimized_lr``), ``config`` and ``machine`` aside.
+Its values become the flags' defaults, so flags win over the file.  Results
+go to stdout, diagnostics to stderr.  On failure, usage errors included, the
 last stderr line is machine-parsable: ``error: [E_XXX] message``.  Exit
 codes: 0 success, 2 usage/config, 3 file or codec format, 4 shape
 mismatch, 5 numeric failure, 1 internal.
@@ -25,7 +27,6 @@ import contextlib
 import ctypes
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .formats import FormatSpec, make_format
+from .formats import json_bool, json_int, json_number, json_str, make_format
 from .pipeline import (
     LayerBundle,
     ablate_layer,
@@ -48,123 +49,47 @@ from .pipeline import (
     weight_error,
 )
 
-__all__ = ["main", "entrypoint", "CONFIG_KEYS"]
-
-CONFIG_KEYS = (
-    "q1",
-    "q2",
-    "budget",
-    "rank",
-    "act_format",
-    "optimized_lr",
-    "rotations",
-    "steps",
-    "lr",
-    "rot_steps",
-    "rot_lr",
-    "seed",
-    "stats",
-    "out",
-)
+__all__ = ["main", "entrypoint"]
 
 _DEFAULT_BUDGET = 512
+# Option destinations that are not run settings, so no config key either.
+_NOT_SETTINGS = ("help", "config", "machine")
+# The JSON type a config value for a flag of this ``type`` must have; a
+# toggle takes a boolean and any other flag a string.
+_JSON_TYPES = {int: json_int, float: json_number}
 
 
-@dataclass
-class RunConfig:
-    q1: FormatSpec
-    q2: FormatSpec
-    budget: int | None
-    rank: int | None
-    act_format: FormatSpec | None
-    optimized_lr: bool
-    rotations: bool
-    steps: int | None
-    lr: float | None
-    rot_steps: int | None
-    rot_lr: float | None
-    seed: int
-    stats: str | None
-    out: str | None
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
+    """The settings in the JSON config file at ``path``, as defaults for the
+    subcommand parser ``sub``.  Its keys are ``sub``'s flag destinations;
+    each value is checked against its flag's JSON type here, because
+    argparse would parse a string default through the flag's ``type``.  A
+    null leaves a setting unset, except a toggle, which takes only a boolean."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, an integer too long
         raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    flags = {a.dest: a for a in sub._actions
+             if a.option_strings and a.dest not in _NOT_SETTINGS}
+    unknown = sorted(set(data) - set(flags))
     if unknown:
         raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
-    return data
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg and file_cfg[key] is not None:
-            return file_cfg[key]
-        return default
-
-    def number(key, kind, default=None):
-        return _config_number(pick(getattr(args, key, None), key, default), key, kind)
-
-    def toggle(key, off_flag):
-        # the --no-* flag forces False, else the file decides
-        if getattr(args, off_flag, None):
-            return False
-        value = file_cfg.get(key, True)
-        if not isinstance(value, bool):
-            raise ParameterError(f"config key {key!r} must be true or false, got {value!r}")
-        return value
-
-    budget = number("budget", int)
-    rank = number("rank", int)
-    if budget is not None and rank is not None:
-        raise ParameterError("budget and rank are mutually exclusive")
-    if budget is None and rank is None:
-        budget = _DEFAULT_BUDGET
-
-    act_name = pick(getattr(args, "act_format", None), "act_format")
-    return RunConfig(
-        q1=make_format(str(pick(getattr(args, "q1", None), "q1", "SINT4"))),
-        q2=make_format(str(pick(getattr(args, "q2", None), "q2", "SINT4"))),
-        budget=budget,
-        rank=rank,
-        act_format=None if act_name is None else make_format(str(act_name)),
-        optimized_lr=toggle("optimized_lr", "no_optimize"),
-        rotations=toggle("rotations", "no_rotate"),
-        steps=number("steps", int),
-        lr=number("lr", float),
-        rot_steps=number("rot_steps", int),
-        rot_lr=number("rot_lr", float),
-        seed=number("seed", int, 0),
-        stats=pick(getattr(args, "stats", None), "stats"),
-        out=pick(getattr(args, "out", None), "out"),
-    )
-
-
-def _config_number(value, key: str, kind: type):
-    """A numeric run setting as ``kind`` (``int``, or ``float``, which also
-    takes an integer), or None when unset.  Anything else, a boolean or a
-    numeric string included, raises :class:`ParameterError` naming the key."""
-    if value is None:
-        return None
-    accepted = (int, float) if kind is float else int
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        what = "a number" if kind is float else "an integer"
-        raise ParameterError(f"config key {key!r} must be {what}, got {value!r}")
-    return kind(value)
+    defaults = {}
+    for key, value in data.items():
+        toggle = flags[key].nargs == 0
+        if value is None and not toggle:
+            continue
+        read = json_bool if toggle else _JSON_TYPES.get(flags[key].type, json_str)
+        try:
+            defaults[key] = read(value, f"config key {key!r}")
+        except TypeError as exc:
+            raise ParameterError(str(exc)) from exc
+    return defaults
 
 
 def _load_calibration(path: str | None):
@@ -177,11 +102,18 @@ def _load_calibration(path: str | None):
     return bundle_io.load_tensor(path)
 
 
-def _layer_kwargs(cfg: RunConfig) -> dict:
-    """The ``assemble_layer`` keywords that quantize and ablate share."""
-    return dict(budget=cfg.budget, rank=cfg.rank, absorb_steps=cfg.steps,
-                absorb_lr=cfg.lr, rotation_steps=cfg.rot_steps,
-                rotation_lr=cfg.rot_lr)
+def _layer_kwargs(args: argparse.Namespace) -> dict:
+    """The ``assemble_layer`` keywords that quantize and ablate share.  At
+    most one of budget and rank may be set; with neither, the budget is
+    ``_DEFAULT_BUDGET`` bits/channel."""
+    budget, rank = args.budget, args.rank
+    if budget is not None and rank is not None:
+        raise ParameterError("budget and rank are mutually exclusive")
+    if budget is None and rank is None:
+        budget = _DEFAULT_BUDGET
+    return dict(budget=budget, rank=rank, absorb_steps=args.steps,
+                absorb_lr=args.lr, rotation_steps=args.rot_steps,
+                rotation_lr=args.rot_lr)
 
 
 def _out_path(inputs: list[str], out: str | None, index: int) -> Path:
@@ -240,24 +172,24 @@ def _trim_heap() -> None:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+    layer = _layer_kwargs(args)
     inputs = list(args.weights)
     weights = [bundle_io.load_tensor(p) for p in inputs]
-    calibration = _load_calibration(cfg.stats)
+    calibration = _load_calibration(args.stats)
 
     def job(item):
         i, w = item
         _trim_heap()
         bundle = assemble_layer(
-            w, cfg.q1, cfg.q2, optimized_lr=cfg.optimized_lr,
-            rotations=cfg.rotations, calibration=calibration, seed=cfg.seed + i,
-            act_format=cfg.act_format, **_layer_kwargs(cfg),
+            w, args.q1, args.q2, optimized_lr=args.optimized_lr,
+            rotations=args.rotations, calibration=calibration, seed=args.seed + i,
+            act_format=args.act_format, **layer,
         )
         return bundle, weight_error(w, bundle)
 
     summaries = []
     for i, (bundle, errors) in enumerate(ordered_map(job, enumerate(weights))):
-        path = _out_path(inputs, cfg.out, i)
+        path = _out_path(inputs, args.out, i)
         bundle_io.save_bundle(path, bundle)
         summary = _quantize_summary(inputs[i], bundle, errors)
         summary["out"] = str(path)
@@ -278,10 +210,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         x = bundle_io.load_tensor(args.activations)
     else:
         x = np.eye(w.shape[0])
-    act = None
-    if args.act_format is not None:
-        act = make_format(args.act_format)
-    elif bundle.meta.act_format is not None:
+    act = args.act_format
+    if act is None and bundle.meta.act_format is not None:
         act = make_format(bundle.meta.act_format)
     report = error_report(w, x, bundle, act)
     if args.machine:
@@ -294,17 +224,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
+    layer = _layer_kwargs(args)
     inputs = list(args.weights)
     weights = [bundle_io.load_tensor(p) for p in inputs]
 
-    def job(item):
-        i, w = item
+    def job(w):
         _trim_heap()
-        cells = ablate_layer(w, cfg.q1, cfg.q2, seed=cfg.seed + i, **_layer_kwargs(cfg))
+        cells = ablate_layer(w, args.q1, args.q2, **layer)
         return {key: weight_error(w, bundle) for key, bundle in cells.items()}
 
-    rows = ordered_map(job, enumerate(weights))
+    rows = ordered_map(job, weights)
     cells = []
     for optimized, rotated in rows[0]:
         errs, rels = zip(*(row[optimized, rotated] for row in rows))
@@ -375,7 +304,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``loraq`` parser, and its subcommand parsers that take a
+    ``--config`` file, by name."""
     parser = _Parser(
         prog="loraq",
         description="Quantize dense weight matrices into a 4-bit residual "
@@ -383,34 +314,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p, with_stats=True):
-        p.add_argument("--config", help="JSON config file; flags win over it")
-        p.add_argument("--q1", help="residual branch format (default SINT4)")
-        p.add_argument("--q2", help="low-rank branch format (default SINT4)")
-        p.add_argument("--budget", type=int, help="bits/channel for the low-rank branch")
+    def add_run_flags(p):
+        p.add_argument("weights", nargs="+", help="input LQT1 weight files")
+        p.add_argument("--config", help="JSON config file whose keys are this "
+                       "command's flag destinations (--rot-lr is rot_lr, "
+                       "--no-optimize is optimized_lr); flags win over it")
+        p.add_argument("--q1", type=make_format, default="SINT4",
+                       help="residual branch format (default SINT4)")
+        p.add_argument("--q2", type=make_format, default="SINT4",
+                       help="low-rank branch format (default SINT4)")
+        p.add_argument("--budget", type=int, help="bits/channel for the low-rank "
+                       f"branch (default {_DEFAULT_BUDGET})")
         p.add_argument("--rank", type=int, help="explicit rank (excludes --budget)")
-        p.add_argument("--act-format", dest="act_format",
-                       help="activation format recorded for evaluation")
-        p.add_argument("--no-optimize", dest="no_optimize", action="store_const",
-                       const=True, help="skip factor optimization (SVD init only)")
-        p.add_argument("--no-rotate", dest="no_rotate", action="store_const",
-                       const=True, help="skip rotation optimization")
         p.add_argument("--steps", type=int, help="factor optimization steps")
         p.add_argument("--lr", type=float, help="factor optimization learning rate")
         p.add_argument("--rot-steps", dest="rot_steps", type=int,
                        help="rotation optimization steps")
         p.add_argument("--rot-lr", dest="rot_lr", type=float,
                        help="rotation optimization learning rate")
-        p.add_argument("--seed", type=int, help="base seed (per-weight seeds derive from it)")
-        if with_stats:
-            p.add_argument("--stats", help="calibration file: LQT1 activations "
-                           "(grid-searched smoothing) or LQS1 statistics")
         p.add_argument("--machine", action="store_true",
                        help="machine-readable JSON output")
 
     q = sub.add_parser("quantize", help="quantize LQT1 weights into LRQB bundles")
-    q.add_argument("weights", nargs="+", help="input LQT1 weight files")
     add_run_flags(q)
+    q.add_argument("--act-format", dest="act_format", type=make_format,
+                   help="activation format recorded for evaluation")
+    q.add_argument("--no-optimize", dest="optimized_lr", action="store_false",
+                   help="skip factor optimization (SVD init only)")
+    q.add_argument("--no-rotate", dest="rotations", action="store_false",
+                   help="skip rotation optimization")
+    q.add_argument("--seed", type=int, default=0,
+                   help="base seed (per-weight seeds derive from it)")
+    q.add_argument("--stats", help="calibration file: LQT1 activations "
+                   "(grid-searched smoothing) or LQS1 statistics")
     q.add_argument("--out", help="output file (single input) or directory")
     q.set_defaults(func=cmd_quantize)
 
@@ -418,23 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("bundle", help="LRQB bundle file")
     e.add_argument("weight", help="LQT1 source weight file")
     e.add_argument("--activations", help="optional LQT1 activation file")
-    e.add_argument("--act-format", dest="act_format",
+    e.add_argument("--act-format", dest="act_format", type=make_format,
                    help="activation quantization format")
     e.add_argument("--machine", action="store_true",
                    help="machine-readable JSON output")
     e.set_defaults(func=cmd_evaluate)
 
     a = sub.add_parser("ablate", help="run the 2x2 optimization/rotation grid")
-    a.add_argument("weights", nargs="+", help="input LQT1 weight files")
-    add_run_flags(a, with_stats=False)
-    a.set_defaults(func=cmd_ablate, stats=None, out=None)
+    add_run_flags(a)
+    a.set_defaults(func=cmd_ablate)
 
     i = sub.add_parser("inspect", help="dump a bundle's manifest and accounting")
     i.add_argument("bundle", help="LRQB bundle file")
     i.add_argument("--machine", action="store_true",
                    help="machine-readable JSON output")
     i.set_defaults(func=cmd_inspect)
-    return parser
+    return parser, {"quantize": q, "ablate": a}
 
 
 def _classify(exc: Exception) -> tuple[str, int]:
@@ -453,7 +388,14 @@ def _classify(exc: Exception) -> tuple[str, int]:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser, configurable = build_parser()
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # the file's settings become the subcommand's defaults: parse
+            # again, so that flags win over them
+            sub = configurable[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         code = exc.code

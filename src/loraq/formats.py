@@ -426,9 +426,9 @@ class FormatSpec:
             else:
                 raise FormatError(f"unknown codec kind {c['kind']!r}")
             spec = cls(
-                name=str(d["name"]),
+                name=json_str(d["name"], "name"),
                 block_size=json_int(d["block_size"], "block_size"),
-                scale_kind=str(d["scale_kind"]),
+                scale_kind=json_str(d["scale_kind"], "scale_kind"),
                 codec=codec,
             )
             if json_int(d["bits_per_value"], "bits_per_value") != spec.bits_per_value:
@@ -441,20 +441,42 @@ class FormatSpec:
             raise FormatError(f"malformed format description: {exc}") from exc
 
 
-def json_int(value, key: str) -> int:
-    """``value`` if it is a JSON integer; a float, a string or a boolean
-    raises ``TypeError`` naming ``key``."""
+# Typed readers for JSON from outside (manifests, config files): each returns
+# ``value`` if it has the JSON type asked for, and otherwise raises
+# ``TypeError("{label} must be ..., got {value!r}")``.
+
+def json_int(value, label: str) -> int:
+    """A JSON integer; a float, a string or a boolean is refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
+        raise TypeError(f"{label} must be an integer, got {value!r}")
     return value
 
 
-def json_bool(value, key: str) -> bool:
-    """``value`` if it is a JSON boolean; anything else raises ``TypeError``
-    naming ``key``."""
-    if not isinstance(value, bool):
-        raise TypeError(f"{key} must be true or false, got {value!r}")
-    return value
+def json_number(value, label: str) -> float:
+    """A finite JSON number (an integer included), as a float; a boolean, a
+    string, NaN or an infinity is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{label} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise TypeError(f"{label} must be a finite number, got {value!r}")
+    return number
+
+
+def _json_reader(kind: type, what: str):
+    def read(value, label: str):
+        if not isinstance(value, kind):
+            raise TypeError(f"{label} must be {what}, got {value!r}")
+        return value
+    return read
+
+
+json_bool = _json_reader(bool, "true or false")
+json_str = _json_reader(str, "a string")
+json_object = _json_reader(dict, "an object")
 
 
 _REGISTRY: dict[str, FormatSpec] = {

@@ -28,6 +28,9 @@ from .formats import (
     fake_quant,
     json_bool,
     json_int,
+    json_number,
+    json_object,
+    json_str,
     matmul_dequantized,
     quantize_blockwise,
 )
@@ -151,39 +154,33 @@ class BundleMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BundleMeta":
-        """Inverse of :meth:`to_dict`.  A count or toggle that is not a JSON
-        integer or boolean raises ``TypeError``, which
-        :func:`bundle_io.load_bundle` reports as corrupt."""
+        """Inverse of :meth:`to_dict`.  A value without its JSON type raises
+        ``TypeError``, which :func:`bundle_io.load_bundle` reports as corrupt."""
         rows, cols = d["shape"]
-        budget = d["budget_bits_per_channel"]
         return cls(
             q1=FormatSpec.from_dict(d["q1"]),
             q2=FormatSpec.from_dict(d["q2"]),
             shape=(json_int(rows, "shape"), json_int(cols, "shape")),
             rank=json_int(d["rank"], "rank"),
             rank_requested=json_int(d["rank_requested"], "rank_requested"),
-            budget_bits_per_channel=(
-                None if budget is None else json_int(budget, "budget_bits_per_channel")
-            ),
+            budget_bits_per_channel=_nullable(
+                json_int, d["budget_bits_per_channel"], "budget_bits_per_channel"),
             optimized_lr=json_bool(d["optimized_lr"], "optimized_lr"),
             rotations=json_bool(d["rotations"], "rotations"),
             seed=json_int(d["seed"], "seed"),
-            absorb=dict(d["absorb"]),
-            rotation=None if d["rotation"] is None else dict(d["rotation"]),
-            smoothing=None if d["smoothing"] is None else dict(d["smoothing"]),
-            lowrank_q2_mse=float(d["lowrank_q2_mse"]),
-            act_format=_format_name(d, "act_format"),
-            lowrank_act_format=_format_name(d, "lowrank_act_format"),
+            absorb=json_object(d["absorb"], "absorb"),
+            rotation=_nullable(json_object, d["rotation"], "rotation"),
+            smoothing=_nullable(json_object, d["smoothing"], "smoothing"),
+            lowrank_q2_mse=json_number(d["lowrank_q2_mse"], "lowrank_q2_mse"),
+            act_format=_nullable(json_str, d.get("act_format"), "act_format"),
+            lowrank_act_format=_nullable(
+                json_str, d.get("lowrank_act_format"), "lowrank_act_format"),
         )
 
 
-def _format_name(d: dict, key: str) -> str | None:
-    """``d[key]`` when it is absent, null or a string; anything else is a
-    ``TypeError``, which :func:`bundle_io.load_bundle` reports as corrupt."""
-    name = d.get(key)
-    if name is not None and not isinstance(name, str):
-        raise TypeError(f"{key} must be a format name or null, got {name!r}")
-    return name
+def _nullable(read, value, label: str):
+    """None for a JSON null, else ``value`` through the JSON reader ``read``."""
+    return None if value is None else read(value, label)
 
 
 @dataclass(frozen=True, eq=False)

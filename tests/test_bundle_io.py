@@ -244,6 +244,47 @@ def test_counts_and_toggles_must_be_json_integers_and_booleans(tmp_path, case):
     assert info.value.offset == _HEADER
 
 
+def _chunk_tag(manifest, tag, value):
+    [chunk] = [c for c in manifest["chunks"] if c["tag"] == tag]
+    chunk["tag"] = value
+
+
+# manifest names, numbers and objects without their JSON type, refused at
+# the manifest rather than taken through a bare str(), float() or dict()
+NOT_JSON_TYPED = {
+    "q1 name 5": lambda m: m["meta"]["q1"].update(name=5),
+    "lowrank_q2_mse true": lambda m: m["meta"].update(lowrank_q2_mse=True),
+    "lowrank_q2_mse 'nan'": lambda m: m["meta"].update(lowrank_q2_mse="nan"),
+    "lowrank_q2_mse NaN": lambda m: m["meta"].update(lowrank_q2_mse=float("nan")),
+    "lowrank_q2_mse Infinity": lambda m: m["meta"].update(lowrank_q2_mse=float("inf")),
+    "absorb as pairs": lambda m: m["meta"].update(absorb=[["steps", 1]]),
+    "rotation as pairs": lambda m: m["meta"].update(rotation=[["steps", 1]]),
+    "chunk tag 5": lambda m: _chunk_tag(m, "PCOD", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_JSON_TYPED))
+def test_names_numbers_and_objects_must_have_their_json_type(tmp_path, case):
+    data = _with_manifest(_saved(tmp_path), NOT_JSON_TYPED[case])
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
+
+
+def test_manifest_integer_beyond_the_parser_limit_is_refused(tmp_path):
+    # json.loads raises a plain ValueError for over 4300 digits; it escaped
+    data = _saved(tmp_path)
+    (manifest_len,) = struct.unpack_from("<I", data, 6)
+    manifest = data[_HEADER:_HEADER + manifest_len]
+    patched = manifest.replace(b'"seed":0', b'"seed":' + b"9" * 5000)
+    assert patched != manifest
+    data = (data[:6] + struct.pack("<I", len(patched)) + patched
+            + data[_HEADER + manifest_len:])
+    with pytest.raises(CorruptFileError) as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
+
+
 def test_rebuilt_tensors_round_trip(tmp_path):
     # a tensor built from its arrays alone derives the pad count it is saved with
     bundle = _bundle()

@@ -115,8 +115,7 @@ def test_ablate_cells_match_independent_runs(tmp_path, capsys, monkeypatch):
                         counting("svd", absorber.truncated_svd))
     monkeypatch.setattr(pipeline, "optimize_factors",
                         counting("absorb", pipeline.optimize_factors))
-    code, out, _ = _run(capsys, ["ablate", *inputs, *RUN, "--seed", "4",
-                                 "--machine"])
+    code, out, _ = _run(capsys, ["ablate", *inputs, *RUN, "--machine"])
     assert code == 0
     assert calls == {"svd": len(inputs), "absorb": len(inputs)}
 
@@ -388,6 +387,13 @@ def test_config_toggles_take_json_booleans(tmp_path, capsys):
     ("rank", True, "an integer"),  # int(True) is 1
     ("seed", 1.0, "an integer"),
     ("lr", False, "a number"),
+    ("rot_lr", float("nan"), "a finite number"),
+    pytest.param("lr", 10 ** 400, "a finite number",  # a raw OverflowError escaped
+                 id="lr-1e400-a finite number"),
+    # format names and paths take strings
+    ("out", 5, "a string"),  # a raw TypeError escaped
+    ("stats", 0, "a string"),  # open(0) read and closed stdin
+    ("q1", 5, "a string"),
 ])
 def test_config_numbers_are_checked(tmp_path, capsys, key, value, what):
     settings = {"q1": "SINT4", "q2": "MXINT4", "rank": 4, "steps": 2, "rot_steps": 1}
@@ -409,3 +415,108 @@ def test_config_numbers_are_used(tmp_path, capsys):
     assert (meta.rank, meta.seed) == (3, 4)
     assert (meta.absorb["steps"], meta.absorb["learning_rate"]) == (2, 1e-3)
     assert (meta.rotation["steps"], meta.rotation["learning_rate"]) == (1, 2.0)
+
+
+def test_evaluate_nan_lowrank_mse_exits_3(tmp_path, capsys):
+    # float() took a manifest NaN, and --machine printed it with exit 0
+    bundle = _patched_bundle(tmp_path, capsys,
+                             lambda meta: meta.update(lowrank_q2_mse=float("nan")))
+    [weight] = _weights(tmp_path, 1)
+    code, _, err = _run(capsys, ["evaluate", bundle, weight, "--machine"])
+    assert code == 3
+    assert _last_error_line(err) == (
+        "error: [E_FORMAT] manifest is missing or mistypes a field: "
+        "lowrank_q2_mse must be a finite number, got nan")
+
+
+@pytest.mark.parametrize("flag", [["--seed", "4"], ["--act-format", "MXINT8"],
+                                  ["--no-optimize"], ["--no-rotate"]])
+def test_ablate_takes_no_setting_it_ignores(tmp_path, capsys, flag):
+    code, _, err = _run(capsys, ["ablate", *_weights(tmp_path, 1), *RUN, *flag])
+    assert code == 2
+    assert _last_error_line(err).startswith("error: [E_CONFIG] ")
+
+
+def test_config_integer_beyond_the_parser_limit_exits_3(tmp_path, capsys):
+    # json.load raises a plain ValueError for over 4300 digits; it escaped
+    config = tmp_path / "cfg.json"
+    config.write_text('{"steps": ' + "9" * 5000 + "}")
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN,
+                                 "--config", str(config)])
+    assert code == 3
+    assert _last_error_line(err).startswith(
+        f"error: [E_FORMAT] config file {config} is not valid JSON: ")
+
+
+def test_ablate_config_takes_no_setting_it_ignores(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"stats": "x.lqs"}))
+    code, _, err = _run(capsys, ["ablate", *_weights(tmp_path, 1), *RUN,
+                                 "--config", str(config)])
+    assert code == 2
+    assert _last_error_line(err) == "error: [E_CONFIG] unknown config keys: stats"
+
+
+# Each run setting: its flag, and the same value as a config-file value.
+# Paths are relative to the working directory; rot_lr is an integer in the
+# file and 10.0 from the flag.
+QUANTIZE_SETTINGS = {
+    "q1": (["--q1", "MXINT4"], "MXINT4"),
+    "q2": (["--q2", "MXFP6e2"], "MXFP6e2"),
+    "budget": (["--budget", "64"], 64),
+    "rank": (["--rank", "3"], 3),
+    "act_format": (["--act-format", "MXINT8"], "MXINT8"),
+    "optimized_lr": (["--no-optimize"], False),
+    "rotations": (["--no-rotate"], False),
+    "steps": (["--steps", "3"], 3),
+    "lr": (["--lr", "0.002"], 0.002),
+    "rot_steps": (["--rot-steps", "5"], 5),
+    "rot_lr": (["--rot-lr", "10"], 10),
+    "seed": (["--seed", "7"], 7),
+    "stats": (["--stats", "x.lqs"], "x.lqs"),
+    "out": (["--out", "set.lrqb"], "set.lrqb"),
+}
+ABLATE_SETTINGS = {key: QUANTIZE_SETTINGS[key] for key in (
+    "q1", "q2", "budget", "rank", "steps", "lr", "rot_steps", "rot_lr")}
+SETTINGS = {"quantize": QUANTIZE_SETTINGS, "ablate": ABLATE_SETTINGS}
+# flags under every run, less the one a run sets and, for budget, the rank
+_BASE_FLAGS = {"rank": ["--rank", "4"], "steps": ["--steps", "2"],
+               "rot_steps": ["--rot-steps", "3"]}
+
+
+def test_config_keys_are_the_flag_destinations():
+    _, configurable = cli.build_parser()
+    for command, sub in configurable.items():
+        flags = {a.dest for a in sub._actions if a.option_strings}
+        assert flags - {"help", "config", "machine"} == set(SETTINGS[command])
+
+
+def _outputs(capsys, command, weight, flags) -> tuple[str, bytes | None]:
+    """The ``--machine`` output of one run, and for quantize its bundle's bytes."""
+    code, out, err = _run(capsys, [command, weight, *flags, "--machine"])
+    assert code == 0, err
+    if command == "ablate":
+        return out, None
+    [summary] = json.loads(out)
+    with open(summary["out"], "rb") as fh:
+        return out, fh.read()
+
+
+@pytest.mark.filterwarnings("ignore:rank 128 exceeds")  # the default budget
+@pytest.mark.parametrize("command,key", [(command, key) for command in SETTINGS
+                                         for key in SETTINGS[command]])
+def test_config_value_acts_as_its_flag(tmp_path, capsys, monkeypatch, command, key):
+    monkeypatch.chdir(tmp_path)
+    save_stats("x.lqs", compute_channel_stats(
+        np.random.default_rng(33).normal(size=(6, 24))))
+    [weight] = _weights(tmp_path, 1)
+    flag, value = SETTINGS[command][key]
+    base = [arg for name, args in _BASE_FLAGS.items()
+            if name != key and (name, key) != ("rank", "budget") for arg in args]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    unset = _outputs(capsys, command, weight, base)
+    by_flag = _outputs(capsys, command, weight, [*base, *flag])
+    by_file = _outputs(capsys, command, weight, [*base, "--config", str(config)])
+    assert by_file == by_flag
+    assert by_flag != unset
