@@ -3,7 +3,6 @@ residual branch plus a quantized low-rank error-compensation branch,
 optimized data-free, with bit-exact packed bundles and error reporting."""
 
 from .absorber import (
-    LowRankFactors,
     init_factors,
     optimize_factors,
 )

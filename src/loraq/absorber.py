@@ -1,117 +1,87 @@
-"""Low-rank shift that absorbs residual-branch quantization error.
+"""Low-rank branch that absorbs residual-branch quantization error.
 
+The deployed weight is ``Ŵ = Q1(W − L R) + L R``: the residual ``W − L R``
+is quantized with ``q1`` and the low-rank branch ``L R`` is added back.
 Starting from the truncated-SVD factors of the weight matrix, the pair
-``(left, right)`` is tuned with Adam so that the quantization error of the
-shifted point ``W + left @ right`` is itself as close as possible to the
-shift, making the error absorbable by the additive branch.  The quantizer
-is treated as locally constant when differentiating, so the gradients are
-closed-form.  The step loop is :func:`numerics.adam_descent`; this module
-supplies the score of one iterate.
+``(L, R)`` is tuned with Adam so that the quantization error of the
+residual is as small as possible, which is exactly the error of ``Ŵ``.
+The quantizer is treated as locally constant when differentiating, so the
+gradients are closed-form.  The step loop is :func:`numerics.adam_descent`;
+this module supplies the score of one iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ShapeError
 from .formats import fake_quant
 from .numerics import OptimizerConfig, adam_descent, as_matrix, truncated_svd
 
 __all__ = [
-    "LowRankFactors",
     "init_factors",
     "optimize_factors",
 ]
 
 
-@dataclass
-class LowRankFactors:
-    """A rank-``rank`` factor pair ``(left, right)``.
-
-    The additive inference branch carries ``-left @ right``: the
-    reconstruction is ``Q1(W - A) + A`` with ``A = -left @ right``.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ParameterError(f"rank must be >= 1, got {self.rank}")
-        if self.left.shape[1] != self.rank or self.right.shape[0] != self.rank:
-            raise ShapeError(
-                f"factor shapes {self.left.shape} x {self.right.shape} do not "
-                f"carry rank {self.rank}"
-            )
+def init_factors(w, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """SVD initialization: the truncated-SVD pair ``(L0, R0)`` of ``w``,
+    whose residual ``W − L0 R0`` is the best rank-``rank`` one."""
+    return truncated_svd(w, rank)
 
 
-def init_factors(w, rank: int) -> LowRankFactors:
-    """SVD initialization: ``left = -L0`` and ``right = R0``.
+def optimize_factors(w, start, cfg: OptimizerConfig):
+    """Run Adam on the branch ``(L, R)`` from ``start`` and return (best, trace).
 
-    With this sign, ``W + left @ right`` equals the optimal rank-``rank``
-    residual ``W - L0 @ R0``, the best possible starting point for the
-    shifted quantization input.
-    """
-    l0, r0 = truncated_svd(w, rank)
-    return LowRankFactors(-l0, r0, rank)
+    The deployed weight is ``Ŵ = Q1(W − L R) + L R``, so the loss is
+    ``mean(E²)`` with ``E = Q1(W − L R) − (W − L R)``, the error of ``Ŵ``.
+    With ``N = d * n`` entries and the quantizer output held constant, the
+    gradients are ``(2/N) E Rᵀ`` and ``(2/N) Lᵀ E``.
 
-
-def _grads_from_error(err: np.ndarray,
-                      factors: LowRankFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form loss gradients with the quantizer output held constant.
-
-    With ``E = Q(W + LR) - W - LR`` and ``N = d * n`` entries, the
-    gradients are ``(-2/N) E @ R.T`` and ``(-2/N) L.T @ E``.
-    """
-    coeff = -2.0 / err.size
-    return coeff * (err @ factors.right.T), coeff * (factors.left.T @ err)
-
-
-def optimize_factors(w, factors: LowRankFactors,
-                     cfg: OptimizerConfig) -> tuple[LowRankFactors, list[float]]:
-    """Run Adam on the factor pair from ``factors`` and return (best, trace).
-
-    ``factors`` is the starting point, normally :func:`init_factors`.  The
-    trace holds one loss value per iterate, starting at ``factors``, so
-    its length is ``cfg.steps + 1``; the lowest-loss iterate is returned
-    (holding the arrays of ``factors`` when no step improves on them).
-    Deterministic for fixed inputs.  A failure raises the
-    :class:`NumericError` of :func:`numerics.adam_descent`, whose
-    ``last_iterate`` is ``factors`` itself when the start cannot be scored.
+    ``start`` is the pair ``(L, R)`` to start from, normally
+    :func:`init_factors`; factors that are not 2-D or whose shapes do not
+    multiply to ``w.shape`` raise :class:`ShapeError`.  The trace holds one
+    loss value per iterate, starting at ``start``, so its length is
+    ``cfg.steps + 1``; the lowest-loss pair is returned (holding the arrays
+    of ``start`` when no step improves on them).  Deterministic for fixed
+    inputs.  A failure raises the :class:`NumericError` of
+    :func:`numerics.adam_descent`, whose ``last_iterate`` is the best pair
+    so far, the start when it cannot be scored.
 
     The call allocates its d×n work buffers once and every iterate reuses
-    them: ``shifted`` takes ``left @ right + w`` (the same sum as ``w +
-    left @ right``, since IEEE addition commutes), ``err`` takes its
-    quantization error through ``fake_quant(..., out=err)``, and
-    ``shifted``, dead by then, takes the squared error for the loss.
-    ``fake_quant``'s own input check is the only finiteness check of
-    ``shifted``.  The buffers are local to the call, so layers may be
-    optimized on concurrent threads.
+    them: ``residual`` takes ``W − L R``, ``err`` takes its quantization
+    error through ``fake_quant(..., out=err)``, and ``residual``, dead by
+    then, takes the squared error for the loss.  ``fake_quant``'s own input
+    check is the only finiteness check of ``residual``.
     """
     w = as_matrix(w)
-    if (factors.left.shape[0], factors.right.shape[1]) != w.shape:
+    left = as_matrix(start[0], "left factor")
+    right = as_matrix(start[1], "right factor")
+    if left.shape[1] != right.shape[0] or (left.shape[0], right.shape[1]) != w.shape:
         raise ShapeError(
-            f"factor shapes {factors.left.shape} x {factors.right.shape} do "
-            f"not match weight shape {w.shape}"
+            f"factor shapes {left.shape} x {right.shape} do not multiply to "
+            f"weight shape {w.shape}"
         )
-    shifted = np.empty(w.shape)
+    residual = np.empty(w.shape)
     err = np.empty(w.shape)
 
     def score(params):
-        cand = LowRankFactors(*params, factors.rank)
+        left, right = params
         with np.errstate(over="ignore"):
-            np.matmul(cand.left, cand.right, out=shifted)
-            np.add(shifted, w, out=shifted)
+            np.matmul(left, right, out=residual)
+            np.subtract(w, residual, out=residual)
         try:
-            fake_quant(shifted, cfg.quantizer, out=err)
+            fake_quant(residual, cfg.quantizer, out=err)
         except NumericError:  # fake_quant refuses a non-finite input
-            raise NumericError("shifted weight became non-finite") from None
-        np.subtract(err, shifted, out=err)
+            raise NumericError("residual weight became non-finite") from None
+        np.subtract(err, residual, out=err)
         with np.errstate(over="ignore"):
-            loss = float(np.square(err, out=shifted).mean())
-        return loss, lambda: _grads_from_error(err, cand), cand
+            loss = float(np.square(err, out=residual).mean())
 
-    return adam_descent(score, (factors.left, factors.right), cfg, best=factors)
+        def grads():
+            coeff = 2.0 / err.size
+            return coeff * (err @ right.T), coeff * (left.T @ err)
+        return loss, grads, (left, right)
+
+    start = (left, right)
+    return adam_descent(score, start, cfg, best=start)

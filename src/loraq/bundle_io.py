@@ -46,7 +46,13 @@ import struct
 
 import numpy as np
 
-from .errors import CorruptFileError, FileFormatError, FormatError, VersionError
+from .errors import (
+    CorruptFileError,
+    FileFormatError,
+    FormatError,
+    ParameterError,
+    VersionError,
+)
 from .formats import QuantizedTensor, json_bool, json_int, json_str
 from .numerics import as_matrix
 from .pipeline import BundleMeta, LayerBundle
@@ -162,10 +168,14 @@ def load_stats(path) -> ChannelStats:
     _check_magic(reader, _STATS_MAGIC, "statistics")
     sample_count = reader.u64("sample count")
     length = reader.u64("channel count")
+    payload_offset = reader.offset
     payload = reader.take(length * 8, "statistics payload")
     reader.expect_end("statistics payload")
     maxima = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return ChannelStats(maxima, sample_count=sample_count)
+    try:
+        return ChannelStats(maxima, sample_count=sample_count)
+    except ParameterError as exc:  # a NaN, inf or negative maximum
+        raise CorruptFileError(f"statistics payload: {exc}", offset=payload_offset) from exc
 
 
 def _tensor_chunks(prefix: str, t: QuantizedTensor) -> list[tuple[str, bytes]]:

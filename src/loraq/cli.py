@@ -14,10 +14,6 @@ go to stdout, diagnostics to stderr.  On failure, usage errors included, the
 last stderr line is machine-parsable: ``error: [E_XXX] message``.  Exit
 codes: 0 success, 2 usage/config, 3 file or codec format, 4 shape
 mismatch, 5 numeric failure, 1 internal.
-
-``LORAQ_THREADS`` caps parallelism across input weights (empty means
-unset, a non-integer is a config error); output order is always input
-order and the output bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -38,6 +34,7 @@ from .errors import (
     NumericError,
     ParameterError,
     ShapeError,
+    UnknownFormatError,
 )
 from .formats import json_bool, json_int, json_number, json_str, make_format
 from .pipeline import (
@@ -45,7 +42,6 @@ from .pipeline import (
     ablate_layer,
     assemble_layer,
     error_report,
-    ordered_map,
     weight_error,
 )
 
@@ -177,21 +173,17 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     weights = [bundle_io.load_tensor(p) for p in inputs]
     calibration = _load_calibration(args.stats)
 
-    def job(item):
-        i, w = item
+    summaries = []
+    for i, w in enumerate(weights):
         _trim_heap()
         bundle = assemble_layer(
             w, args.q1, args.q2, optimized_lr=args.optimized_lr,
             rotations=args.rotations, calibration=calibration, seed=args.seed + i,
             act_format=args.act_format, **layer,
         )
-        return bundle, weight_error(w, bundle)
-
-    summaries = []
-    for i, (bundle, errors) in enumerate(ordered_map(job, enumerate(weights))):
         path = _out_path(inputs, args.out, i)
         bundle_io.save_bundle(path, bundle)
-        summary = _quantize_summary(inputs[i], bundle, errors)
+        summary = _quantize_summary(inputs[i], bundle, weight_error(w, bundle))
         summary["out"] = str(path)
         summaries.append(summary)
     if args.machine:
@@ -212,7 +204,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         x = np.eye(w.shape[0])
     act = args.act_format
     if act is None and bundle.meta.act_format is not None:
-        act = make_format(bundle.meta.act_format)
+        try:
+            act = make_format(bundle.meta.act_format)
+        except UnknownFormatError:
+            raise FormatError(
+                f"bundle records activation format {bundle.meta.act_format!r}, "
+                "which names no format") from None
     report = error_report(w, x, bundle, act)
     if args.machine:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -228,12 +225,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     inputs = list(args.weights)
     weights = [bundle_io.load_tensor(p) for p in inputs]
 
-    def job(w):
+    rows = []
+    for w in weights:
         _trim_heap()
         cells = ablate_layer(w, args.q1, args.q2, **layer)
-        return {key: weight_error(w, bundle) for key, bundle in cells.items()}
-
-    rows = ordered_map(job, weights)
+        rows.append({key: weight_error(w, bundle) for key, bundle in cells.items()})
     cells = []
     for optimized, rotated in rows[0]:
         errs, rels = zip(*(row[optimized, rotated] for row in rows))

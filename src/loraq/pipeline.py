@@ -2,23 +2,22 @@
 dual-quantized bundle, plus reconstruction, forward evaluation and error
 reporting with the matmul-error upper bound.
 
-The assembled bundle holds a residual branch (the weight minus the
-quantized low-rank product, encoded with ``q1``) and a low-rank branch
-(the fused factor pair encoded with ``q2``).  Reconstruction is
+The deployed weight is ``Ŵ = Q1(W − L R) + L R``.  The assembled bundle
+holds the low-rank branch ``L R`` (the fused factor pair encoded with
+``q2``) and the residual branch (the weight minus the quantized low-rank
+product, encoded with ``q1``).  Reconstruction is
 ``dequantize(residual) + dequantize(left) @ dequantize(right)``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .absorber import LowRankFactors, init_factors, optimize_factors
+from .absorber import init_factors, optimize_factors
 from .errors import BudgetError, NumericError, ParameterError, ShapeError
 from .formats import (
     FormatSpec,
@@ -284,11 +283,12 @@ def _smooth(w: np.ndarray, q1: FormatSpec, rank: int, calibration):
     }
 
 
-def _rotate_and_pack(work: np.ndarray, factors: LowRankFactors, q1: FormatSpec,
-                     q2: FormatSpec, rotation: OptimizerConfig | None):
-    """Rotation (when configured) and dual quantization: returns the three
-    tensors, the rotation summary and the low-rank branch's ``q2`` error."""
-    branch_left, branch_right = -factors.left, factors.right
+def _rotate_and_pack(work: np.ndarray, factors: tuple[np.ndarray, np.ndarray],
+                     q1: FormatSpec, q2: FormatSpec, rotation: OptimizerConfig | None):
+    """Rotation (when configured) and dual quantization of the branch
+    ``factors``: returns the three tensors, the rotation summary and the
+    low-rank branch's ``q2`` error."""
+    branch_left, branch_right = factors
     rotation_meta = None
     if rotation is not None:
         omega, rtrace = optimize_rotation(branch_left, branch_right, rotation)
@@ -590,21 +590,3 @@ def error_report(
         residual_mse=residual_mse,
         lowrank_q2_mse=bundle.meta.lowrank_q2_mse,
     )
-
-
-def ordered_map(fn, items) -> list:
-    """``[fn(item) for item in items]``, spread over worker threads.
-
-    The worker count is the ``LORAQ_THREADS`` environment variable (an
-    empty value counts as unset), else 1.  Results keep the input order.
-    """
-    env = os.environ.get("LORAQ_THREADS", "")
-    try:
-        threads = int(env) if env else 1
-    except ValueError:
-        raise ParameterError(f"LORAQ_THREADS must be an integer, got {env!r}") from None
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

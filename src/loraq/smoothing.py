@@ -59,8 +59,11 @@ class SmoothingResult:
 
 
 def compute_channel_stats(x) -> ChannelStats:
-    """Column-wise max of |X| over the calibration samples."""
+    """Column-wise max of |X| over the calibration samples; a matrix with
+    no rows has no maxima and raises :class:`ShapeError`."""
     x = as_matrix(x, "calibration activations")
+    if x.shape[0] == 0:
+        raise ShapeError("calibration activations have no rows")
     return ChannelStats(np.abs(x).max(axis=0), sample_count=x.shape[0])
 
 

@@ -101,26 +101,29 @@ def decode_codes(codec, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shift_error(w: np.ndarray, factors, quantizer: FormatSpec) -> np.ndarray:
-    shifted = w + factors.left @ factors.right
-    return fake_quant(shifted, quantizer) - shifted
+def _residual_error(w: np.ndarray, factors, quantizer: FormatSpec) -> np.ndarray:
+    left, right = factors
+    residual = w - left @ right
+    return fake_quant(residual, quantizer) - residual
 
 
 def absorption_loss(w, factors, quantizer: FormatSpec) -> float:
-    """Mean squared quantization error of the shifted weight ``W + L @ R``."""
+    """Mean squared quantization error of the residual ``W − L @ R``, which
+    is the error of the deployed weight ``Q1(W − L R) + L R``."""
     w = as_matrix(w)
-    err = _shift_error(w, factors, quantizer)
+    err = _residual_error(w, factors, quantizer)
     return float(np.mean(np.square(err)))
 
 
 def absorption_grads(w, factors, quantizer: FormatSpec) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form absorption gradients with the quantizer output held
-    constant: with ``E = Q(W + LR) - W - LR`` and ``N = d * n`` entries,
-    ``(-2/N) E @ R.T`` and ``(-2/N) L.T @ E``."""
+    constant: with ``E = Q(W − LR) − (W − LR)`` and ``N = d * n`` entries,
+    ``(2/N) E @ R.T`` and ``(2/N) L.T @ E``."""
     w = as_matrix(w)
-    err = _shift_error(w, factors, quantizer)
-    coeff = -2.0 / err.size
-    return coeff * (err @ factors.right.T), coeff * (factors.left.T @ err)
+    left, right = factors
+    err = _residual_error(w, factors, quantizer)
+    coeff = 2.0 / err.size
+    return coeff * (err @ right.T), coeff * (left.T @ err)
 
 
 def rotation_loss(left, right, omega, quantizer: FormatSpec) -> float:

@@ -7,7 +7,6 @@ from loraq import formats
 from loraq import (
     PASSTHROUGH,
     AdamState,
-    LowRankFactors,
     NumericError,
     OptimizerConfig,
     ParameterError,
@@ -25,30 +24,31 @@ from oracles import absorption_grads, absorption_loss, finite_diff_grad, int_tes
 class TestInitFactors:
     def test_diagonal_residual(self):
         w = np.diag([5.0, 3.0, 1.0])
-        f = init_factors(w, 2)
-        assert np.allclose(w + f.left @ f.right, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
+        left, right = init_factors(w, 2)
+        assert np.allclose(w - left @ right, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
     def test_full_rank_residual_vanishes(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(10, 7))
-        f = init_factors(w, 7)
-        assert np.linalg.norm(w + f.left @ f.right) <= 1e-9 * np.linalg.norm(w)
+        left, right = init_factors(w, 7)
+        assert np.linalg.norm(w - left @ right) <= 1e-9 * np.linalg.norm(w)
 
     def test_residual_equals_tail_energy(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(48, 32))
-        f = init_factors(w, 8)
+        left, right = init_factors(w, 8)
         s = np.linalg.svd(w, compute_uv=False)
         tail = np.sqrt(np.sum(s[8:] ** 2))
-        residual = np.linalg.norm(w + f.left @ f.right)
+        residual = np.linalg.norm(w - left @ right)
         assert residual == pytest.approx(tail, rel=1e-8)
 
-    def test_branch_sign_recorded(self):
-        # the branch -left @ right starts as the truncated-SVD product
-        w = np.diag([3.0, 2.0, 1.0])
-        f = init_factors(w, 1)
-        l0, r0 = truncated_svd(w, 1)
-        assert np.array_equal(-f.left @ f.right, l0 @ r0)
+    def test_returns_the_truncated_svd_pair(self):
+        # the branch starts as the truncated-SVD pair itself, bit for bit
+        w = np.random.default_rng(21).normal(size=(9, 6))
+        left, right = init_factors(w, 3)
+        l0, r0 = truncated_svd(w, 3)
+        assert (left.tobytes(), right.tobytes()) == (l0.tobytes(), r0.tobytes())
+        assert (left.shape, right.shape) == ((9, 3), (3, 6))
 
 
 class TestAbsorptionLoss:
@@ -62,9 +62,7 @@ class TestAbsorptionLoss:
         rng = np.random.default_rng(3)
         w = rng.normal(size=(4, 8))
         spec = int_test_format(4, 4)
-        f = init_factors(w, 2)
-        f.left[:] = 0.0
-        f.right[:] = 0.0
+        f = (np.zeros((4, 2)), np.zeros((2, 8)))
         expected = float(np.mean((fake_quant(w, spec) - w) ** 2))
         assert absorption_loss(w, f, spec) == pytest.approx(expected, rel=1e-14)
 
@@ -72,13 +70,13 @@ class TestAbsorptionLoss:
         rng = np.random.default_rng(4)
         w = rng.normal(size=(4, 4))
         spec = int_test_format(4, 4)
-        f = init_factors(w, 1)
-        shifted = w + f.left @ f.right
-        q = fake_quant(shifted, spec)
+        f = left, right = init_factors(w, 1)
+        branch = left @ right
+        q = fake_quant(w - branch, spec)
         oracle = 0.0
         for i in range(4):
             for j in range(4):
-                oracle += (q[i, j] - w[i, j] - (f.left @ f.right)[i, j]) ** 2
+                oracle += (q[i, j] - (w[i, j] - branch[i, j])) ** 2
         oracle /= 16.0
         assert absorption_loss(w, f, spec) == pytest.approx(oracle, rel=1e-12)
 
@@ -88,9 +86,7 @@ class TestAbsorptionGrads:
         spec = int_test_format(4, 4)
         # a matrix already on the grid with zero factors has no error
         w = fake_quant(np.random.default_rng(5).normal(size=(4, 8)), spec)
-        f = init_factors(w, 2)
-        f.left[:] = 0.0
-        f.right[:] = 0.0
+        f = (np.zeros((4, 2)), np.zeros((2, 8)))
         gl, gr = absorption_grads(w, f, spec)
         assert not gl.any() and not gr.any()
 
@@ -105,22 +101,20 @@ class TestAbsorptionGrads:
         rng = np.random.default_rng(7)
         w = rng.normal(size=(8, 6))
         spec = int_test_format(4, 4)
-        f = init_factors(w, 2)
+        f = left0, right0 = init_factors(w, 2)
         gl, gr = absorption_grads(w, f, spec)
 
         # freeze the quantizer output at the base point
-        frozen = fake_quant(w + f.left @ f.right, spec)
+        frozen = fake_quant(w - left0 @ right0, spec)
 
         def loss_wrt_left(left):
-            shift = left @ f.right
-            return float(np.mean((frozen - w - shift) ** 2))
+            return float(np.mean((frozen - (w - left @ right0)) ** 2))
 
         def loss_wrt_right(right):
-            shift = f.left @ right
-            return float(np.mean((frozen - w - shift) ** 2))
+            return float(np.mean((frozen - (w - left0 @ right)) ** 2))
 
-        fd_l = finite_diff_grad(loss_wrt_left, f.left, eps=1e-6)
-        fd_r = finite_diff_grad(loss_wrt_right, f.right, eps=1e-6)
+        fd_l = finite_diff_grad(loss_wrt_left, left0, eps=1e-6)
+        fd_r = finite_diff_grad(loss_wrt_right, right0, eps=1e-6)
         assert np.linalg.norm(gl - fd_l) <= 1e-5 * np.linalg.norm(fd_l)
         assert np.linalg.norm(gr - fd_r) <= 1e-5 * np.linalg.norm(fd_r)
 
@@ -133,8 +127,8 @@ class TestOptimizeFactors:
         cfg = OptimizerConfig(1e-4, 0, spec)
         factors, trace = optimize_factors(w, init_factors(w, 3), cfg)
         ref = init_factors(w, 3)
-        assert np.array_equal(factors.left, ref.left)
-        assert np.array_equal(factors.right, ref.right)
+        assert np.array_equal(factors[0], ref[0])
+        assert np.array_equal(factors[1], ref[1])
         assert len(trace) == 1
         assert trace[0] == absorption_loss(w, ref, spec)
 
@@ -177,8 +171,8 @@ class TestOptimizeFactors:
         cfg = OptimizerConfig(1e-3, 25, make_format("MXINT4"))
         f1, t1 = optimize_factors(w, init_factors(w, 4), cfg)
         f2, t2 = optimize_factors(w, init_factors(w, 4), cfg)
-        assert np.array_equal(f1.left, f2.left)
-        assert np.array_equal(f1.right, f2.right)
+        assert np.array_equal(f1[0], f2[0])
+        assert np.array_equal(f1[1], f2[1])
         assert t1 == t2
 
     def test_first_step_uses_absorption_grads(self):
@@ -186,9 +180,9 @@ class TestOptimizeFactors:
         spec = make_format("MXINT4")
         init = init_factors(w, 3)
         gl, gr = absorption_grads(w, init, spec)
-        left = adam_step(AdamState.for_param(gl.shape), init.left, gl, 1e-2)
-        right = adam_step(AdamState.for_param(gr.shape), init.right, gr, 1e-2)
-        stepped = LowRankFactors(left, right, 3)
+        left = adam_step(AdamState.for_param(gl.shape), init[0], gl, 1e-2)
+        right = adam_step(AdamState.for_param(gr.shape), init[1], gr, 1e-2)
+        stepped = (left, right)
         _, trace = optimize_factors(w, init, OptimizerConfig(1e-2, 1, spec))
         assert trace[1] == absorption_loss(w, stepped, spec)
 
@@ -196,6 +190,16 @@ class TestOptimizeFactors:
         w = np.ones((6, 5))
         with pytest.raises(ShapeError):
             optimize_factors(w, init_factors(np.ones((5, 6)), 2),
+                             OptimizerConfig(1e-3, 1, make_format("SINT4")))
+
+    @pytest.mark.parametrize("left, right, error", [
+        (np.ones((6, 2)), np.ones((3, 5)), ShapeError),  # inner dimensions differ
+        (np.ones(6), np.ones((1, 5)), ShapeError),  # a factor that is not 2-D
+        (np.full((6, 2), np.nan), np.ones((2, 5)), NumericError),
+    ])
+    def test_start_is_checked(self, left, right, error):
+        with pytest.raises(error):
+            optimize_factors(np.ones((6, 5)), (left, right),
                              OptimizerConfig(1e-3, 1, make_format("SINT4")))
 
     def test_divergence_aborts_with_diagnostic(self):
@@ -212,15 +216,16 @@ class TestOptimizeFactors:
         # one Adam step of about lr per entry
         w = np.random.default_rng(19).normal(size=(8, 8))
         size, lr = (1e200, 1e-3) if steps == 0 else (1.0, 1e200)
-        start = LowRankFactors(np.full((8, 2), size), np.full((2, 8), size), 2)
+        start = (np.full((8, 2), size), np.full((2, 8), size))
         with pytest.raises(NumericError) as info:
             optimize_factors(w, start, OptimizerConfig(lr, 3, make_format("SINT4")))
-        assert str(info.value) == f"shifted weight became non-finite at step {steps}"
+        assert str(info.value) == f"residual weight became non-finite at step {steps}"
         assert len(info.value.trace) == steps
-        if steps == 0:
-            assert info.value.last_iterate is start
+        best_left, best_right = info.value.last_iterate
+        if steps == 0:  # the start's own arrays
+            assert best_left is start[0] and best_right is start[1]
         else:  # the best iterate so far, a copy of the start
-            assert np.array_equal(info.value.last_iterate.left, start.left)
+            assert np.array_equal(best_left, start[0])
 
     def test_shifted_weight_is_checked_once_per_iterate(self, monkeypatch):
         w = np.random.default_rng(20).normal(size=(20, 72))
@@ -279,14 +284,14 @@ class TestOptimizeFactors:
 
 class TestReconstructionIdentity:
     def test_loss_ties_to_inference_error(self):
-        # with branch A = -L @ R the deployed weight is Q(W - A) + A and
-        # its error equals the optimization error exactly
+        # the deployed weight is Q(W - L R) + L R, and its error equals
+        # the optimization error exactly
         rng = np.random.default_rng(14)
         w = rng.normal(size=(16, 12))
         spec = make_format("MXINT4")
         cfg = OptimizerConfig(1e-3, 30, spec)
         factors, _ = optimize_factors(w, init_factors(w, 4), cfg)
-        branch = -(factors.left @ factors.right)
+        branch = factors[0] @ factors[1]
         w_hat = fake_quant(w - branch, spec) + branch
         loss = absorption_loss(w, factors, spec)
         assert loss * w.size == pytest.approx(np.linalg.norm(w_hat - w) ** 2, rel=1e-10)

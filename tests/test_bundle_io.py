@@ -391,6 +391,16 @@ def test_small_files_round_trip(case):
         assert _file_bytes(save_tensor, loaded, case[-3:]) == raw
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -2.0], ids=["nan", "inf", "negative"])
+def test_stats_maxima_must_be_finite_and_non_negative(value):
+    raw = bytearray(SMALL_FILES["LQS1"][0])
+    payload = 4 + 8 + 8  # magic, sample count, channel count
+    struct.pack_into("<d", raw, payload + 8 * 3, value)
+    with pytest.raises(CorruptFileError) as info:
+        _load_bytes(bytes(raw), load_stats)
+    assert info.value.offset == payload
+
+
 @pytest.mark.parametrize("case", sorted(SMALL_FILES))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())

@@ -1,8 +1,9 @@
 """The command-line contract: --machine output, exit codes and the last
-stderr line, LORAQ_THREADS, and the ablate grid's shared stages."""
+stderr line, batch runs, and the ablate grid's shared stages."""
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,28 +65,19 @@ def test_quantize_machine_output(tmp_path, capsys):
             load_tensor(inputs[i]), bundle)
 
 
-def test_serial_and_threaded_runs_write_identical_bytes(tmp_path, capsys, monkeypatch):
+def test_batch_run_writes_the_bytes_of_single_runs(tmp_path, capsys):
+    # weight i of a batch is quantized with seed + i, exactly as alone
     inputs = _weights(tmp_path, count=3)
-    outputs = {}
-    for threads in ("", "1", "3"):
-        monkeypatch.setenv("LORAQ_THREADS", threads)
-        out_dir = tmp_path / f"out{threads or 'unset'}"
-        code, out, _ = _run(capsys, ["quantize", *inputs, *RUN, "--out",
-                                     str(out_dir), "--machine"])
+    code, _, _ = _run(capsys, ["quantize", *inputs, *RUN, "--seed", "5", "--out",
+                               str(tmp_path / "batch")])
+    assert code == 0
+    for i, path in enumerate(inputs):
+        single = tmp_path / f"single{i}.lrqb"
+        code, _, _ = _run(capsys, ["quantize", path, *RUN, "--seed", str(5 + i),
+                                   "--out", str(single)])
         assert code == 0
-        summaries = json.loads(out)
-        for s in summaries:
-            s.pop("out")
-        files = sorted(out_dir.iterdir())
-        outputs[threads] = (summaries, [f.read_bytes() for f in files])
-    assert outputs[""] == outputs["1"] == outputs["3"]
-
-
-def test_non_integer_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LORAQ_THREADS", "many")
-    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN])
-    assert code == 2
-    assert _last_error_line(err).startswith("error: [E_CONFIG] LORAQ_THREADS")
+        batch = tmp_path / "batch" / Path(path).with_suffix(".lrqb").name
+        assert batch.read_bytes() == single.read_bytes()
 
 
 @pytest.mark.parametrize("command", ["quantize", "ablate"])
@@ -336,6 +328,44 @@ def test_evaluate_mistyped_act_format_exits_3(tmp_path, capsys):
     code, _, err = _run(capsys, ["evaluate", bundle, weight, "--machine"])
     assert code == 3
     assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+
+
+def test_evaluate_unknown_recorded_act_format_exits_3(tmp_path, capsys):
+    bundle = _patched_bundle(tmp_path, capsys,
+                             lambda meta: meta.update({"act_format": "BOGUS"}))
+    [weight] = _weights(tmp_path, 1)
+    assert _run(capsys, ["inspect", bundle])[0] == 0  # the bundle itself loads
+    code, _, err = _run(capsys, ["evaluate", bundle, weight, "--machine"])
+    assert code == 3
+    assert _last_error_line(err) == (
+        "error: [E_FORMAT] bundle records activation format 'BOGUS', "
+        "which names no format")
+
+
+@pytest.mark.parametrize("value, why", [
+    (np.nan, "must be finite"), (np.inf, "must be finite"), (-1.0, "cannot be negative"),
+], ids=["nan", "inf", "negative"])
+def test_quantize_corrupt_stats_exits_3(tmp_path, capsys, value, why):
+    maxima = np.ones(24)
+    maxima[5] = value
+    stats = tmp_path / "bad.lqs"
+    # save_stats takes a ChannelStats, which refuses these values
+    stats.write_bytes(b"LQS1" + struct.pack("<QQ", 8, 24) + maxima.astype("<f8").tobytes())
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN,
+                                 "--stats", str(stats)])
+    assert code == 3
+    assert _last_error_line(err).startswith("error: [E_FORMAT] statistics payload: ")
+    assert _last_error_line(err).endswith(why)
+
+
+def test_quantize_zero_row_calibration_exits_4(tmp_path, capsys):
+    activations = tmp_path / "empty.lqt"
+    save_tensor(activations, np.empty((0, 24)))
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN,
+                                 "--stats", str(activations)])
+    assert code == 4
+    assert _last_error_line(err) == (
+        "error: [E_SHAPE] calibration activations have no rows")
 
 
 @pytest.mark.parametrize("flag", ["--lr", "--rot-lr"])

@@ -1,8 +1,6 @@
 import dataclasses
 import os
 import tempfile
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -37,7 +35,6 @@ from loraq import (
     truncated_svd,
     weight_error,
 )
-from loraq.pipeline import ordered_map
 
 
 def save_bytes(bundle) -> bytes:
@@ -443,27 +440,6 @@ class TestBatch:
         assert (bundle.gamma is not None) == smoothed
         rep = error_report(w, rng.normal(size=(7, 10)), bundle)
         assert weight_error(w, bundle) == (rep.weight_err, rep.weight_err_rel)
-
-    @pytest.mark.parametrize("value, workers", [("", 1), ("3", 3), (" 2 ", 2), ("0", 1)])
-    def test_thread_count_from_environment(self, monkeypatch, value, workers):
-        monkeypatch.setenv("LORAQ_THREADS", value)
-        seen = set()
-
-        def job(item):
-            seen.add(threading.get_ident())
-            time.sleep(0.05)
-            return item * 2
-
-        assert ordered_map(job, range(6)) == [0, 2, 4, 6, 8, 10]
-        if workers == 1:
-            assert seen == {threading.get_ident()}
-        else:
-            assert 1 < len(seen) <= workers
-
-    def test_non_integer_thread_count_is_a_parameter_error(self, monkeypatch):
-        monkeypatch.setenv("LORAQ_THREADS", "two")
-        with pytest.raises(ParameterError, match="LORAQ_THREADS"):
-            ordered_map(abs, [1, -2])
 
 
 class TestWeightError:

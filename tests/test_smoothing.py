@@ -34,6 +34,11 @@ class TestChannelStats:
             expected = max(abs(x[j, i]) for j in range(100))
             assert stats.activation_max[i] == expected
 
+    def test_rejects_no_rows(self):
+        # a column maximum over no samples does not exist
+        with pytest.raises(ShapeError, match="no rows"):
+            compute_channel_stats(np.empty((0, 4)))
+
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
             ChannelStats(np.array([1.0, -0.5]), sample_count=1)

@@ -50,6 +50,26 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert foreign == []
 
 
+def _environment_reads(path: Path) -> list[str]:
+    """``os.environ``/``os.getenv`` uses and imports of them in ``path``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            hits.append(f"{path.name}:{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            hits += [f"{path.name}:{node.lineno}: {alias.name}"
+                     for alias in node.names if alias.name in names]
+    return hits
+
+
+def test_package_reads_no_environment():
+    # run settings come from flags and --config only, so that a run is
+    # reproduced by its command line
+    reads = [hit for path in sorted(SRC.glob("*.py")) for hit in _environment_reads(path)]
+    assert reads == []
+
+
 class _RecordingTracer:
     """Stands in for the benchmark's tracer and records what it is asked to wrap."""
 
