@@ -29,9 +29,12 @@ All integers are little-endian.  Three containers exist:
 
 Known chunk tags: ``PCOD``/``PSCL`` residual codes and scales,
 ``LCOD``/``LSCL`` and ``RCOD``/``RSCL`` for the two low-rank factors,
-``GAMA`` for the optional smoothing vector (float64).  Unknown tags
-listed in the manifest are skipped, which keeps old readers compatible
-with future chunk additions.  Packed codes are the row-major
+``GAMA`` for the optional smoothing vector (float64).
+:meth:`~loraq.pipeline.BundleMeta.tensor_layout` owns the tensor-to-chunk
+mapping: it names the packed tensors with their formats and shapes, in
+file order, and this module only maps each name to its tag prefix.
+Unknown tags listed in the manifest are skipped, which keeps old readers
+compatible with future chunk additions.  Packed codes are the row-major
 concatenation of per-row byte runs (LSB-first bit packing); scales are
 one byte per block for e8m0 and two bytes (float16 bit pattern) for fp16.
 Loaders validate magic, version and every declared length before
@@ -75,6 +78,13 @@ _STATS_MAGIC = b"LQS1"
 _BUNDLE_MAGIC = b"LRQB"
 
 _ELEMENT_KINDS = {4: "<f4", 8: "<f8"}
+
+# The tag prefix of each packed tensor that BundleMeta.tensor_layout names:
+# its codes are chunk prefix + "COD" and its scales chunk prefix + "SCL".
+_TAG_PREFIX = {"residual": "P", "left": "L", "right": "R"}
+_GAMMA_TAG = "GAMA"
+# A chunk's payload and the offset of its tag in the file.
+_Chunk = tuple[memoryview, int]
 
 
 class _Reader:
@@ -178,25 +188,23 @@ def load_stats(path) -> ChannelStats:
         raise CorruptFileError(f"statistics payload: {exc}", offset=payload_offset) from exc
 
 
-def _tensor_chunks(prefix: str, t: QuantizedTensor) -> list[tuple[str, bytes]]:
-    return [(prefix + "COD", t.codes.tobytes()), (prefix + "SCL", t.scales.tobytes())]
+def _tensor_tags(name: str) -> tuple[str, str]:
+    """The code and scale chunk tags of the packed tensor ``name``."""
+    return _TAG_PREFIX[name] + "COD", _TAG_PREFIX[name] + "SCL"
 
 
 def save_bundle(path, bundle: LayerBundle) -> None:
     """Write a layer bundle as an LRQB file; round-trips bit-exactly."""
+    names = [name for name, _, _ in bundle.meta.tensor_layout()]
     chunks: list[tuple[str, bytes]] = []
-    chunks += _tensor_chunks("P", bundle.residual)
-    chunks += _tensor_chunks("L", bundle.lowrank_left)
-    chunks += _tensor_chunks("R", bundle.lowrank_right)
+    for name, t in zip(names, bundle.tensors()):
+        chunks += zip(_tensor_tags(name), (t.codes.tobytes(), t.scales.tobytes()))
     if bundle.gamma is not None:
-        chunks.append(("GAMA", np.ascontiguousarray(bundle.gamma, dtype="<f8").tobytes()))
+        chunks.append((_GAMMA_TAG,
+                       np.ascontiguousarray(bundle.gamma, dtype="<f8").tobytes()))
     manifest = {
         "meta": bundle.meta.to_dict(),
-        "pad": {
-            "residual": bundle.residual.pad_count,
-            "left": bundle.lowrank_left.pad_count,
-            "right": bundle.lowrank_right.pad_count,
-        },
+        "pad": {name: t.pad_count for name, t in zip(names, bundle.tensors())},
         "gamma": bundle.gamma is not None,
         "chunks": [{"tag": tag, "length": len(data)} for tag, data in chunks],
     }
@@ -214,24 +222,26 @@ def save_bundle(path, bundle: LayerBundle) -> None:
             fh.write(data)
 
 
-def _chunk_array(chunk: memoryview, shape: tuple[int, int], dtype: np.dtype,
-                 what: str, offset: int) -> np.ndarray:
+def _chunk_array(chunk: _Chunk, shape: tuple[int, ...], dtype: np.dtype,
+                 what: str) -> np.ndarray:
     """A copy of ``chunk`` as a ``shape`` array of ``dtype``; a chunk of
-    another length raises :class:`CorruptFileError` at ``offset``."""
+    another length raises :class:`CorruptFileError` at the chunk."""
+    payload, offset = chunk
     expected = math.prod(shape) * dtype.itemsize
-    if len(chunk) != expected:
+    if len(payload) != expected:
         raise CorruptFileError(
-            f"{what} chunk holds {len(chunk)} bytes, expected {expected}", offset=offset
+            f"{what} chunk holds {len(payload)} bytes, expected {expected}",
+            offset=offset,
         )
-    return np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
-def _decode_tensor(spec, shape, chunk_codes: memoryview, chunk_scales: memoryview,
-                   pad_count: int, offset: int, scale_offset: int) -> QuantizedTensor:
+def _decode_tensor(spec, shape, pad_count: int, codes_chunk: _Chunk,
+                   scales_chunk: _Chunk) -> QuantizedTensor:
     codes_shape, scales_shape = spec.stored_shapes(shape)
-    codes = _chunk_array(chunk_codes, codes_shape, np.dtype(np.uint8), "code", offset)
-    scales = _chunk_array(chunk_scales, scales_shape, spec.scale_dtype, "scale",
-                          scale_offset)
+    codes = _chunk_array(codes_chunk, codes_shape, np.dtype(np.uint8), "code")
+    scales = _chunk_array(scales_chunk, scales_shape, spec.scale_dtype, "scale")
+    offset, scale_offset = codes_chunk[1], scales_chunk[1]
     if spec.is_passthrough and not np.all(np.isfinite(codes.view("<f8"))):
         raise CorruptFileError(
             "passthrough payload holds an entry that is not finite", offset=offset
@@ -281,9 +291,8 @@ def load_bundle(path) -> LayerBundle:
         has_gamma = json_bool(manifest["gamma"], "gamma")
         declared = [(json_str(c["tag"], "chunk tag"),
                      json_int(c["length"], "chunk length")) for c in manifest["chunks"]]
-        pad_residual, pad_left, pad_right = (
-            json_int(pad[key], f"{key} pad") for key in ("residual", "left", "right")
-        )
+        layout = meta.tensor_layout()
+        pads = {name: json_int(pad[name], f"{name} pad") for name, _, _ in layout}
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(
             f"manifest is missing or mistypes a field: {exc}", offset=manifest_start
@@ -298,8 +307,7 @@ def load_bundle(path) -> LayerBundle:
             offset=manifest_start,
         )
 
-    payloads: dict[str, memoryview] = {}
-    offsets: dict[str, int] = {}
+    chunks: dict[str, _Chunk] = {}
     for tag, length in declared:
         chunk_offset = reader.offset
         got_tag = bytes(reader.take(4, "chunk tag"))
@@ -314,42 +322,26 @@ def load_bundle(path) -> LayerBundle:
                 f"chunk {tag} declares {got_length} bytes, manifest says {length}",
                 offset=chunk_offset,
             )
-        payloads[tag] = reader.take(length, f"chunk {tag} payload")
-        offsets[tag] = chunk_offset
+        chunks[tag] = (reader.take(length, f"chunk {tag} payload"), chunk_offset)
     reader.expect_end("bundle chunks")
 
-    required = ["PCOD", "PSCL", "LCOD", "LSCL", "RCOD", "RSCL"]
-    missing = [tag for tag in required if tag not in payloads]
+    missing = [tag for name, _, _ in layout for tag in _tensor_tags(name)
+               if tag not in chunks]
     if missing:
         raise CorruptFileError(f"bundle is missing chunks: {missing}")
-    if has_gamma and "GAMA" not in payloads:
+    if has_gamma and _GAMMA_TAG not in chunks:
         raise CorruptFileError("manifest promises a gamma chunk but none is present")
 
-    d, n = meta.shape
-    residual = _decode_tensor(
-        meta.q1, (d, n), payloads["PCOD"], payloads["PSCL"], pad_residual,
-        offsets["PCOD"], offsets["PSCL"],
-    )
-    left = _decode_tensor(
-        meta.q2, (d, meta.rank), payloads["LCOD"], payloads["LSCL"], pad_left,
-        offsets["LCOD"], offsets["LSCL"],
-    )
-    right = _decode_tensor(
-        meta.q2, (meta.rank, n), payloads["RCOD"], payloads["RSCL"], pad_right,
-        offsets["RCOD"], offsets["RSCL"],
-    )
+    tensors = [_decode_tensor(spec, shape, pads[name],
+                              *(chunks[tag] for tag in _tensor_tags(name)))
+               for name, spec, shape in layout]
     gamma = None
     if has_gamma:
-        raw = payloads["GAMA"]
-        if len(raw) != d * 8:
-            raise CorruptFileError(
-                f"gamma chunk holds {len(raw)} bytes, expected {d * 8}",
-                offset=offsets["GAMA"],
-            )
-        gamma = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        gamma_chunk = chunks[_GAMMA_TAG]
+        gamma = _chunk_array(gamma_chunk, meta.shape[:1], np.dtype("<f8"), "gamma")
         if not np.all(np.isfinite(gamma) & (gamma > 0)):
             raise CorruptFileError(
                 "gamma chunk holds an entry that is not finite and positive",
-                offset=offsets["GAMA"],
+                offset=gamma_chunk[1],
             )
-    return LayerBundle(residual, left, right, gamma, meta)
+    return LayerBundle(*tensors, gamma, meta)

@@ -259,15 +259,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     bundle = bundle_io.load_bundle(args.bundle)
     meta = bundle.meta
     accounting = meta.budget_accounting()
+    chunks = {f"{name}_code_bytes": int(t.codes.size)
+              for (name, _, _), t in zip(meta.tensor_layout(), bundle.tensors())}
+    chunks["residual_scale_count"] = int(bundle.residual.scales.size)
     info = {
         "meta": meta.to_dict(),
         "gamma": bundle.gamma is not None,
-        "chunks": {
-            "residual_code_bytes": int(bundle.residual.codes.size),
-            "residual_scale_count": int(bundle.residual.scales.size),
-            "left_code_bytes": int(bundle.lowrank_left.codes.size),
-            "right_code_bytes": int(bundle.lowrank_right.codes.size),
-        },
+        "chunks": chunks,
         "budget": accounting,
     }
     if args.machine:

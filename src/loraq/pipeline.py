@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .absorber import init_factors, optimize_factors
-from .errors import BudgetError, NumericError, ParameterError, ShapeError
+from .errors import BudgetError, FormatError, NumericError, ParameterError, ShapeError
 from .formats import (
     FormatSpec,
     MinifloatCodec,
@@ -119,37 +119,32 @@ class BundleMeta:
     act_format: str | None = None
     lowrank_act_format: str | None = None
 
+    def tensor_layout(self) -> list[tuple[str, FormatSpec, tuple[int, int]]]:
+        """``(name, format, shape)`` of each packed tensor, in file order:
+        the residual in ``q1``, then the left and right factors in ``q2``."""
+        d, n = self.shape
+        return [("residual", self.q1, (d, n)),
+                ("left", self.q2, (d, self.rank)),
+                ("right", self.q2, (self.rank, n))]
+
     def budget_accounting(self) -> dict:
         """Payload and scale-overhead bits of the low-rank branch."""
-        d, n = self.shape
-        _, left_scales = self.q2.stored_shapes((d, self.rank))
-        _, right_scales = self.q2.stored_shapes((self.rank, n))
+        # (scale array shape, bits per scale) of the left and right factors
+        left, right = [(spec.stored_shapes(shape)[1], spec.scale_bits)
+                       for _, spec, shape in self.tensor_layout()[1:]]
         return {
             "payload_bits_per_channel": self.rank * self.q2.bits_per_value,
             "budget_bits_per_channel": self.budget_bits_per_channel,
-            "scale_bits_per_channel_left": left_scales[1] * self.q2.scale_bits,
-            "total_scale_bits": (math.prod(left_scales) + math.prod(right_scales))
-            * self.q2.scale_bits,
+            "scale_bits_per_channel_left": left[0][1] * left[1],
+            "total_scale_bits": sum(math.prod(scales) * bits
+                                    for scales, bits in (left, right)),
         }
 
     def to_dict(self) -> dict:
-        return {
-            "q1": self.q1.to_dict(),
-            "q2": self.q2.to_dict(),
-            "shape": list(self.shape),
-            "rank": self.rank,
-            "rank_requested": self.rank_requested,
-            "budget_bits_per_channel": self.budget_bits_per_channel,
-            "optimized_lr": self.optimized_lr,
-            "rotations": self.rotations,
-            "seed": self.seed,
-            "absorb": self.absorb,
-            "rotation": self.rotation,
-            "smoothing": self.smoothing,
-            "lowrank_q2_mse": self.lowrank_q2_mse,
-            "act_format": self.act_format,
-            "lowrank_act_format": self.lowrank_act_format,
-        }
+        """The manifest's ``meta`` object, read back by :meth:`from_dict`."""
+        out = {field.name: getattr(self, field.name) for field in fields(self)}
+        out.update(q1=self.q1.to_dict(), q2=self.q2.to_dict(), shape=list(self.shape))
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "BundleMeta":
@@ -193,36 +188,27 @@ class LayerBundle:
     meta: BundleMeta
 
     def __post_init__(self):
-        d, n = self.meta.shape
-        rank = self.meta.rank
-        if self.residual.shape != (d, n):
-            raise ShapeError(f"residual shape {self.residual.shape} != {(d, n)}")
-        if self.lowrank_left.shape != (d, rank):
-            raise ShapeError(
-                f"left factor shape {self.lowrank_left.shape} != {(d, rank)}"
-            )
-        if self.lowrank_right.shape != (rank, n):
-            raise ShapeError(
-                f"right factor shape {self.lowrank_right.shape} != {(rank, n)}"
-            )
+        for (name, spec, shape), t in zip(self.meta.tensor_layout(), self.tensors()):
+            if t.shape != shape:
+                raise ShapeError(f"{name} shape {t.shape} != {shape}")
+            if t.spec != spec:
+                raise FormatError(
+                    f"{name} tensor is {t.spec.name}, the manifest says {spec.name}")
+        d = self.meta.shape[0]
         if self.gamma is not None and self.gamma.shape != (d,):
             raise ShapeError(f"gamma shape {self.gamma.shape} != ({d},)")
+
+    def tensors(self) -> tuple[QuantizedTensor, QuantizedTensor, QuantizedTensor]:
+        """The packed tensors, in the order of :meth:`BundleMeta.tensor_layout`."""
+        return self.residual, self.lowrank_left, self.lowrank_right
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LayerBundle):
             return NotImplemented
-        gammas_equal = (
-            (self.gamma is None and other.gamma is None)
-            or (
-                self.gamma is not None
-                and other.gamma is not None
-                and np.array_equal(self.gamma, other.gamma)
-            )
-        )
+        gammas_equal = (self.gamma is None) == (other.gamma is None) and (
+            self.gamma is None or np.array_equal(self.gamma, other.gamma))
         return (
-            self.residual == other.residual
-            and self.lowrank_left == other.lowrank_left
-            and self.lowrank_right == other.lowrank_right
+            self.tensors() == other.tensors()
             and gammas_equal
             and self.meta.to_dict() == other.meta.to_dict()
         )
@@ -319,6 +305,8 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
     entry of the absorption trace (a 0-step run if no cell optimizes)."""
     w = as_matrix(w, "weight")
     d, n = w.shape
+    if min(d, n) < 1:
+        raise ShapeError(f"weight has no rows or no columns: shape {w.shape}")
     if (budget is None) == (rank is None):
         raise ParameterError("exactly one of budget and rank must be given")
     if rank is not None:

@@ -5,6 +5,7 @@ finite output) or be refused with a ``LoraqError``."""
 import dataclasses
 import json
 import os
+import re
 import struct
 import tempfile
 from functools import lru_cache
@@ -35,10 +36,10 @@ from loraq import (
 _HEADER = 4 + 2 + 4  # magic, version u16, manifest length u32
 
 
-def _bundle(q1="SINT4", q2="MXINT4", gamma=True):
+def _bundle(q1="SINT4", q2="MXINT4", gamma=True, rows=12):
     rng = np.random.default_rng(0)
-    w = rng.standard_t(df=5, size=(12, 72))  # 72 columns: padded last block
-    stats = ChannelStats(rng.uniform(0.5, 30.0, size=12), sample_count=8)
+    w = rng.standard_t(df=5, size=(rows, 72))  # 72 columns: padded last block
+    stats = ChannelStats(rng.uniform(0.5, 30.0, size=rows), sample_count=8)
     return assemble_layer(w, make_format(q1), make_format(q2), rank=3,
                           calibration=stats if gamma else None,
                           absorb_steps=2, rotation_steps=1)
@@ -73,6 +74,25 @@ def _with_manifest(data: bytes, edit) -> bytes:
     patched = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     return (data[:6] + struct.pack("<I", len(patched)) + patched
             + data[_HEADER + manifest_len:])
+
+
+def _with_chunk(data: bytes, tag: str, payload: bytes | None) -> bytes:
+    """``data`` with chunk ``tag`` holding ``payload``, or dropped for None,
+    and the manifest's chunk table to match."""
+    (manifest_len,) = struct.unpack_from("<I", data, 6)
+    manifest = json.loads(data[_HEADER:_HEADER + manifest_len])
+    body, table, at = b"", [], _HEADER + manifest_len
+    for chunk in manifest["chunks"]:
+        kept = data[at + 12:at + 12 + chunk["length"]]
+        at += 12 + chunk["length"]
+        if chunk["tag"] == tag:
+            if payload is None:
+                continue
+            kept = payload
+        table.append({"tag": chunk["tag"], "length": len(kept)})
+        body += chunk["tag"].encode() + struct.pack("<Q", len(kept)) + kept
+    return _with_manifest(data[:_HEADER + manifest_len],
+                          lambda m: m.update(chunks=table)) + body
 
 
 def _load_patched(tmp_path, data: bytes):
@@ -213,6 +233,39 @@ def test_rank_and_shape_below_one_are_refused(tmp_path, key, value):
     with pytest.raises(CorruptFileError) as info:
         _load_patched(tmp_path, data)
     assert info.value.offset == _HEADER
+
+
+def test_missing_chunk_is_refused(tmp_path):
+    data = _with_chunk(_saved(tmp_path, gamma=False), "RSCL", None)
+    with pytest.raises(CorruptFileError,
+                       match=re.escape("bundle is missing chunks: ['RSCL']")):
+        _load_patched(tmp_path, data)
+
+
+def test_promised_gamma_chunk_must_be_present(tmp_path):
+    data = _with_manifest(_saved(tmp_path, gamma=False), lambda m: m.update(gamma=True))
+    with pytest.raises(CorruptFileError,
+                       match="manifest promises a gamma chunk but none is present"):
+        _load_patched(tmp_path, data)
+
+
+def test_gamma_chunk_must_hold_one_value_per_row(tmp_path):
+    data = _with_chunk(_saved(tmp_path, rows=16), "GAMA", struct.pack("<d", 1.0))
+    with pytest.raises(CorruptFileError,
+                       match="gamma chunk holds 8 bytes, expected 128") as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _chunk_offsets(data)["GAMA"]
+
+
+def test_short_scale_chunk_is_refused(tmp_path):
+    # MXINT4 over rank 3 stores one e8m0 scale byte per row of the left factor
+    data = _saved(tmp_path, rows=16)
+    short = data[_payload(data, "LSCL"):_payload(data, "LSCL") + 15]
+    data = _with_chunk(data, "LSCL", short)
+    with pytest.raises(CorruptFileError,
+                       match="scale chunk holds 15 bytes, expected 16") as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _chunk_offsets(data)["LSCL"]
 
 
 def _float_length(manifest, tag):

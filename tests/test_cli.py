@@ -3,16 +3,19 @@ stderr line, batch runs, and the ablate grid's shared stages."""
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loraq import (
+    RankCapWarning,
     absorber,
     assemble_layer,
     cli,
     compute_channel_stats,
+    error_report,
     load_bundle,
     load_tensor,
     make_format,
@@ -139,6 +142,50 @@ def test_usage_errors_exit_2(tmp_path, capsys, extra):
     assert _last_error_line(err).startswith("error: [E_CONFIG] ")
 
 
+def test_help_exits_0(capsys):
+    code, out, _ = _run(capsys, ["--help"])
+    assert code == 0
+    assert out.startswith("usage: loraq")
+
+
+def test_zero_budget_exits_2(tmp_path, capsys):
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), "--budget", "0"])
+    assert code == 2
+    assert _last_error_line(err) == "error: [E_CONFIG] budget must be positive, got 0"
+
+
+def test_missing_input_exits_3(tmp_path, capsys):
+    code, _, err = _run(capsys, ["quantize", str(tmp_path / "absent.lqt"), *RUN])
+    assert code == 3
+    assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+
+
+@pytest.mark.parametrize("command", ["quantize", "ablate"])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 8), (8, 0)])
+def test_empty_weight_exits_4(tmp_path, capsys, command, shape):
+    weight = tmp_path / "empty.lqt"
+    save_tensor(weight, np.empty(shape))
+    with warnings.catch_warnings():
+        # refused before the default budget's rank is capped to the empty side
+        warnings.simplefilter("error", RankCapWarning)
+        code, _, err = _run(capsys, [command, str(weight)])
+    assert code == 4
+    assert _last_error_line(err) == (
+        f"error: [E_SHAPE] weight has no rows or no columns: shape {shape}")
+
+
+def test_svd_failure_exits_5(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError reaches the CLI only as a ConvergenceError
+    def fail(*_, **__):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, _, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN])
+    assert code == 5
+    assert _last_error_line(err) == (
+        "error: [E_NUMERIC] SVD did not converge for shape (24, 40)")
+
+
 def test_removed_config_key_is_rejected(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"lr_act_format": "MXINT8"}))
@@ -188,6 +235,18 @@ def test_evaluate_machine_output(tmp_path, capsys):
     assert report["matmul_err"] <= report["bound_rhs"]
     assert (report["weight_err"], report["weight_err_rel"]) == weight_error(
         load_tensor(weight), load_bundle(bundle))
+
+
+def test_evaluate_text_output(tmp_path, capsys):
+    [weight] = _weights(tmp_path, 1)
+    bundle = _bundle_file(tmp_path, capsys, weight)
+    code, out, _ = _run(capsys, ["evaluate", bundle, weight])
+    assert code == 0
+    report = error_report(load_tensor(weight), np.eye(24), load_bundle(bundle))
+    assert out.splitlines() == [
+        *(f"{key}: {value:.12e}" for key, value in report.to_dict().items()),
+        "bound holds: matmul_err <= bound_rhs",
+    ]
 
 
 def test_inspect_machine_output(tmp_path, capsys):

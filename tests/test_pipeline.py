@@ -2,6 +2,7 @@ import dataclasses
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from loraq import (
     init_factors,
     make_format,
     pipeline,
+    quantize_blockwise,
     rank_for_budget,
     reconstruct_weight,
     registry_names,
@@ -119,6 +121,24 @@ class TestAssembleLayer:
                        optimized_lr=False, rotations=False)
         assert b.meta.rank == 48
         assert b.meta.rank_requested == 128
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 8), (8, 0)])
+    def test_empty_weight_is_a_shape_error(self, shape):
+        # refused before the rank is capped to the empty dimension
+        q = make_format("SINT4")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankCapWarning)
+            with pytest.raises(ShapeError, match="weight has no rows or no columns"):
+                assemble_layer(np.empty(shape), q, q, budget=512)
+
+    @pytest.mark.parametrize("name", ["residual", "lowrank_left", "lowrank_right"])
+    def test_tensor_format_must_match_the_manifest(self, name):
+        w = np.random.default_rng(8).normal(size=(8, 64))
+        q = make_format("SINT4")
+        b = _quick(w, q, q, rank=2, optimized_lr=False, rotations=False)
+        other = quantize_blockwise(dequantize(getattr(b, name)), make_format("MXINT4"))
+        with pytest.raises(FormatError, match="MXINT4"):
+            dataclasses.replace(b, **{name: other})
 
     def test_budget_xor_rank(self):
         w = np.ones((4, 4))

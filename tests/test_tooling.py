@@ -122,6 +122,15 @@ def test_only_formats_reads_block_size():
     assert readers == {"formats.py"}
 
 
+def test_only_pipeline_reads_the_branch_factors():
+    # bundle_io and cli reach the three packed tensors through
+    # LayerBundle.tensors(), in the order BundleMeta.tensor_layout() names them
+    readers = {path.name for path in sorted(SRC.glob("*.py"))
+               for attr in ("lowrank_left", "lowrank_right")
+               if _attribute_reads(path, attr)}
+    assert readers == {"pipeline.py"}
+
+
 # Exported functions that no package module calls, each with why it stays.
 # Anything exported only for tests belongs in tests/oracles.py instead.
 _UNCALLED_EXPORTS = {
