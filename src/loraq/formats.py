@@ -94,26 +94,32 @@ of ``count`` adjacent codes through a cached, read-only table of
 first, as one raw ``8 * count``-byte element, so one lookup writes them
 all:
 
-* when the width divides 8 (1, 2, 4 or 8 bits) and a row's codes fill
-  whole bytes, the field is a packed byte (``count = 8 / width``, 256
+* when the width divides 8 (1, 2, 4 or 8 bits) and a tile row's codes
+  fill whole bytes, the field is a packed byte (``count = 8 / width``, 256
   entries) and nothing is unpacked; for width 8 the table is the code
   table;
-* for any other width, a row that fills whole words is read by the word
-  path at twice the width, so its fields are adjacent pairs (``count =
+* for any other width, a tile row that fills whole words is read by the
+  word path at twice the width, so its fields are adjacent pairs (``count =
   2``: 4096 entries, 64 KB, for 6-bit codes), built from the row's bytes
   with no zero-filled buffer;
-* a row that ends mid-byte or mid-word is unpacked by the word path and
+* a tile row that ends mid-byte or mid-word is unpacked by the word path and
   looked up code by code.
 
-One loop does the lookups in row groups into one preallocated output,
-where the NaN check and the scale multiply find each group in cache;
-fields are unpacked and copied to ``intp`` by ``np.take`` one group at a
-time, never the whole matrix's.  :func:`dequantize` runs that loop with
-the scale multiply; :func:`matmul_dequantized` runs it without when ``x``
-has at most an eighth as many rows as a block holds values, and multiplies
-the scales into ``x`` instead, block by block: that touches ``m * rows *
-n_blocks`` values where scaling the decoded matrix touches ``rows *
-n_blocks * block_size``, at the price of one narrow matmul per block.
+One tile decoder does the lookups into a preallocated tile of about
+``2^16`` values and runs the NaN check (one ``max``, which propagates NaN)
+on it while it is in cache; fields are unpacked and copied to ``intp`` by
+``np.take`` one tile at a time, never the whole matrix's.
+:func:`dequantize` decodes tiles of whole rows
+into one output and multiplies each by its scales.  When ``x`` has at
+most an eighth as many rows as a block holds values,
+:func:`matmul_dequantized` multiplies the scales into ``x`` instead, block
+by block: that touches ``m * rows * n_blocks`` values where scaling the
+decoded matrix touches ``rows * n_blocks * block_size``, at the price of
+one narrow matmul per block.  It decodes slabs of all rows and ``k`` whole
+block columns into one reused buffer and multiplies each slab's blocks
+with one batched matmul, so the unscaled matrix is never built.  ``k`` is
+a multiple of the blocks whose codes fill whole packed words, so a slab's
+codes start on a word and decode exactly like a row of their own.
 """
 
 from __future__ import annotations
@@ -757,36 +763,49 @@ def _codes_per_lookup(width: int, padded: int) -> int:
     return 2 if padded % _word_layout(width)[1] == 0 else 1
 
 
-def _decoded_blocks(t: QuantizedTensor, scaled: bool) -> np.ndarray:
-    """The ``(rows, n_blocks * block_size)`` values of a blockwise tensor's
-    codes, padded tail included, multiplied by their block scales when
-    ``scaled``.  An invalid code anywhere raises :class:`FormatError`."""
+@lru_cache(maxsize=None)
+def _invalid_message(codec: IntCodec | MinifloatCodec) -> str | None:
+    """The message an invalid code of ``codec`` raises, or None when every
+    pattern decodes."""
+    table, message = codec.decode_table()
+    return message if np.isnan(table).any() else None
+
+
+def _decode_tile(codec: IntCodec | MinifloatCodec, packed: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Decode a tile of codes into ``out``, a C-contiguous ``(rows, n)``
+    float64 array: row ``i`` of ``packed`` holds the ``n`` codes of row
+    ``i`` packed LSB-first from a word boundary on.  An invalid code
+    raises :class:`FormatError` while the tile is still in cache."""
+    rows, n = out.shape
+    count = _codes_per_lookup(codec.width, n)
+    lookup = _code_table(codec, count)
+    field = count * codec.width
+    if field != 8:  # the fields are not the packed bytes themselves
+        packed = _unpack_codes(packed, field, rows, n // count)
+    # take copies a tile's indices to intp, never the matrix's
+    np.take(lookup, packed, out=out.view(lookup.dtype), mode="clip")
+    message = _invalid_message(codec)
+    # max propagates NaN and every valid code's value is finite
+    if message is not None and np.isnan(out.max(initial=-np.inf)):
+        raise FormatError(message)
+
+
+def _decoded_blocks(t: QuantizedTensor) -> np.ndarray:
+    """The ``(rows, n_blocks * block_size)`` values of a blockwise tensor,
+    padded tail included, decoded in row-group tiles and multiplied by
+    their block scales.  An invalid code anywhere raises
+    :class:`FormatError`."""
     rows, _ = t.shape
     spec = t.spec
-    n_blocks = t.n_blocks
-    padded = n_blocks * spec.block_size
-    codec = spec.codec
-    width = codec.width
-    table, message = codec.decode_table()
-    checked = bool(np.isnan(table).any())
+    padded = t.n_blocks * spec.block_size
     values = np.empty((rows, padded))
-    count = _codes_per_lookup(width, padded)
-    lookup = _code_table(codec, count)
-    dest = values.view(lookup.dtype)
-    field = count * width
-    scales = t.scale_values() if scaled else None
+    scales = t.scale_values()
     for group in _row_groups(rows, padded):
         block = values[group]
-        indices = t.codes[group]
-        if field != 8:  # the fields are not the packed bytes themselves
-            indices = _unpack_codes(indices, field, len(block), padded // count)
-        # take copies a row group's indices to intp, never the matrix's
-        np.take(lookup, indices, out=dest[group], mode="clip")
-        if checked and np.isnan(block).any():
-            raise FormatError(message)
-        if scaled:
-            grid = block.reshape(len(block), n_blocks, spec.block_size)
-            grid *= scales[group][:, :, None]
+        _decode_tile(spec.codec, t.codes[group], block)
+        grid = block.reshape(len(block), t.n_blocks, spec.block_size)
+        grid *= scales[group][:, :, None]
     return values
 
 
@@ -794,7 +813,17 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
     """Decode a quantized tensor back to float64 values."""
     if t.spec.is_passthrough:
         return np.ascontiguousarray(t.codes).view("<f8").astype(np.float64)
-    return _decoded_blocks(t, scaled=True)[:, :t.shape[1]]
+    return _decoded_blocks(t)[:, :t.shape[1]]
+
+
+def _slab_blocks(spec: FormatSpec, rows: int) -> int:
+    """Block columns per slab of ``rows`` rows: about ``_GROUP_VALUES``
+    values, and a multiple of the blocks whose codes fill whole packed
+    words, so every slab but a row's last starts and ends on a word."""
+    per_word = _word_layout(spec.codec.width)[1]
+    unit = per_word // math.gcd(per_word, spec.block_size)
+    blocks = max(1, _GROUP_VALUES // max(rows * spec.block_size, 1))
+    return -(-blocks // unit) * unit
 
 
 def matmul_dequantized(x, t: QuantizedTensor) -> np.ndarray:
@@ -811,28 +840,50 @@ def matmul_dequantized(x, t: QuantizedTensor) -> np.ndarray:
     ``m * rows * n_blocks`` values where scaling ``T`` touches ``rows *
     n_blocks * block_size``, but the fold also trades one matmul for
     ``n_blocks`` narrow ones, which run several times slower per
-    multiply-add.  Measured on 1024 x 1024 tensors (2-vCPU Xeon, numpy
-    2.4.6 with OpenBLAS), the fold stopped paying at 8 to 12 rows for
-    blocks of 64 and 4 to 6 for blocks of 32, and at ``m = block_size - 1``
-    it took 4 to 5 times as long as decoding with the scales.  Either way
-    only the order of the sums may differ, except that a product with an
-    fp16 scale rounds once more when folded (e8m0 scales are powers of
-    two, so folding them is exact).  Invalid codes raise the
-    :class:`FormatError` that :func:`dequantize` raises.
+    multiply-add.  The fold decodes the codes a slab of block columns at a
+    time and never holds the decoded matrix, so it also spares the memory
+    traffic of writing and rereading it.  Measured on 1024 x 1024 tensors
+    (2-vCPU Xeon, numpy 2.4.6 with OpenBLAS, on a shared host), the fold
+    stopped paying at 12 to 14 rows for blocks of 64 and 8 to 12 for
+    blocks of 32, and at ``m = block_size - 1`` it took about twice as
+    long as decoding with the scales.  The rule stays at an eighth of a
+    block (8 and 4 rows), where the fold is 1.3 to 2 times as fast:
+    moving it would change the last bits of every product with fp16
+    scales whose row count crosses it.  Either way only the order of the
+    sums may differ, except that a product with an fp16 scale rounds once
+    more when folded (e8m0 scales are powers of two, so folding them is
+    exact).  Invalid codes raise the :class:`FormatError` that
+    :func:`dequantize` raises.
     """
-    x = as_matrix(x, "activations")
+    return dequantized_product(as_matrix(x, "activations"), t)
+
+
+def dequantized_product(x: np.ndarray, t: QuantizedTensor) -> np.ndarray:
+    """:func:`matmul_dequantized` of a 2-D float64 ``x`` that is not
+    checked for finiteness: a caller that checks its own result, as
+    ``forward`` does, passes on what an earlier product overflowed to."""
     rows, cols = t.shape
     if x.shape[1] != rows:
         raise ShapeError(f"activations have {x.shape[1]} columns, tensor has {rows} rows")
     spec = t.spec
     if spec.is_passthrough or 8 * len(x) > spec.block_size:
         return x @ dequantize(t)
-    codes = _decoded_blocks(t, scaled=False)
     n_blocks, size = t.n_blocks, spec.block_size
+    width = spec.codec.width
     # (n_blocks, rows, m): block b's scales times the activations, transposed
     scaled_x = np.multiply(t.scale_values().T[:, :, None], x.T, order="C")
-    blocks = codes.reshape(rows, n_blocks, size).transpose(1, 2, 0)
-    y = np.matmul(blocks, scaled_x)  # (n_blocks, size, m): y.T, block by block
+    y = np.empty((n_blocks, size, len(x)))  # y.T, block by block
+    step = _slab_blocks(spec, rows)
+    buffer = np.empty(rows * min(step, n_blocks) * size)
+    for first in range(0, n_blocks, step):
+        last = min(first + step, n_blocks)
+        n = (last - first) * size
+        slab = buffer[:rows * n].reshape(rows, n)
+        # the slab starts on a word, so its codes start on a byte
+        _decode_tile(spec.codec, t.codes[:, first * size * width // 8:
+                                          -(-last * size * width // 8)], slab)
+        blocks = slab.reshape(rows, last - first, size).transpose(1, 2, 0)
+        np.matmul(blocks, scaled_x[first:last], out=y[first:last])
     return y.transpose(2, 0, 1).reshape(len(x), n_blocks * size)[:, :cols]
 
 

@@ -33,8 +33,19 @@ __all__ = [
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert input to a finite 2-D float64 array."""
-    arr = np.asarray(a, dtype=np.float64)
+    """Validate and convert input to a finite 2-D float64 array.
+
+    Booleans, integers, floats and Python objects that convert to floats
+    are accepted; strings, complex numbers and anything else numpy cannot
+    turn into real floats raise :class:`ParameterError` (a complex value
+    would otherwise lose its imaginary part with only a warning)."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind not in "biufO":
+            raise TypeError(f"got dtype {arr.dtype}")
+        arr = arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must hold real numbers: {exc}") from None
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):

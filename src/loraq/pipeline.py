@@ -24,13 +24,13 @@ from .formats import (
     MinifloatCodec,
     QuantizedTensor,
     dequantize,
+    dequantized_product,
     fake_quant,
     json_bool,
     json_int,
     json_number,
     json_object,
     json_str,
-    matmul_dequantized,
     quantize_blockwise,
 )
 from .numerics import OptimizerConfig, as_matrix
@@ -457,10 +457,16 @@ def forward(
     at most an eighth as many rows as the tensor's blocks have values (8
     rows for blocks of 64, 4 for blocks of 32; a batch of 1 always does),
     the block scales multiply that operand, ``(x * s[:, b]) @ T[:, b]``
-    per block ``b`` of the unscaled code values ``T``; otherwise the
-    tensor is decoded with its scales and multiplied as a whole.  Only the
-    order of the sums and, with fp16 scales, of the products differs from
-    ``x @ reconstruct_weight(bundle)``.
+    per block ``b`` of the unscaled code values ``T``, which are decoded
+    one cache-sized slab of block columns at a time and never as a whole
+    matrix; otherwise the tensor is decoded with its scales and
+    multiplied as a whole.  Only the order of the sums and, with fp16
+    scales, of the products differs from ``x @ reconstruct_weight(bundle)``.
+
+    The activations must be finite (else :class:`NumericError` naming
+    them).  A product that overflows is not the caller's fault: the
+    intermediate ``x_lr @ L`` is passed on unchecked, and the output is
+    checked once, raising a :class:`NumericError` that names it.
     """
     x = as_matrix(x, "activations")
     d = bundle.meta.shape[0]
@@ -474,9 +480,12 @@ def forward(
         else activation_format
     )
     x_lr = x_res if lr_format == activation_format else fake_quant(x_s, lr_format)
-    y = matmul_dequantized(x_res, bundle.residual)
-    y += matmul_dequantized(matmul_dequantized(x_lr, bundle.lowrank_left),
-                            bundle.lowrank_right)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = dequantized_product(x_res, bundle.residual)
+        y += dequantized_product(dequantized_product(x_lr, bundle.lowrank_left),
+                                 bundle.lowrank_right)
+    if not np.isfinite(y).all():
+        raise NumericError("the forward output is not finite: a product overflowed")
     return y
 
 
@@ -523,7 +532,8 @@ def error_report(
 
     The bound states that the matmul error cannot exceed
     ``||X - Q(X)|| * ||W|| + ||Q(X)|| * ||W - What||``; a violation beyond
-    float roundoff raises :class:`NumericError`.
+    float roundoff raises :class:`NumericError`, and so does a figure that
+    overflows, since no bound can be checked on it.
     """
     w = _bundle_weight(w, bundle)
     x = as_matrix(x, "activations")
@@ -548,27 +558,20 @@ def error_report(
     del residual_hat
     x_q = fake_quant(x_s, activation_format) if activation_format is not None else x_s
 
-    exact = x_s @ w_s
-    approx = x_q @ w_hat_s
-    matmul_err = float(np.linalg.norm(exact - approx, "fro"))
-    diff = np.subtract(w_s, w_hat_s, out=scratch)
-    weight_err_smoothed = float(np.linalg.norm(diff, "fro"))
-    act_err = float(np.linalg.norm(x_s - x_q, "fro"))
-    w_norm = float(np.linalg.norm(w_s, "fro"))
-    x_norm = float(np.linalg.norm(x_s, "fro"))
-    bound_rhs = act_err * w_norm + float(np.linalg.norm(x_q, "fro")) * weight_err_smoothed
-
-    slack = 1e-12 * (1.0 + x_norm * w_norm)
-    if matmul_err > bound_rhs + slack:
-        raise NumericError(
-            f"matmul error {matmul_err:.6e} exceeds its upper bound "
-            f"{bound_rhs:.6e}"
-        )
-
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        exact = x_s @ w_s
+        approx = x_q @ w_hat_s
+        matmul_err = float(np.linalg.norm(exact - approx, "fro"))
+        diff = np.subtract(w_s, w_hat_s, out=scratch)
+        weight_err_smoothed = float(np.linalg.norm(diff, "fro"))
+        act_err = float(np.linalg.norm(x_s - x_q, "fro"))
+        w_norm = float(np.linalg.norm(w_s, "fro"))
+        x_norm = float(np.linalg.norm(x_s, "fro"))
+        bound_rhs = (act_err * w_norm
+                     + float(np.linalg.norm(x_q, "fro")) * weight_err_smoothed)
+        exact_norm = float(np.linalg.norm(exact, "fro"))
     weight_err, weight_err_rel = _weight_error(w, w_hat_s, gamma)
-
-    exact_norm = float(np.linalg.norm(exact, "fro"))
-    return ErrorReport(
+    report = ErrorReport(
         weight_err=weight_err,
         weight_err_rel=weight_err_rel,
         weight_err_smoothed=weight_err_smoothed,
@@ -578,3 +581,17 @@ def error_report(
         residual_mse=residual_mse,
         lowrank_q2_mse=bundle.meta.lowrank_q2_mse,
     )
+    # an overflowed figure would pass the bound check below (inf > inf is
+    # false) and print as a JSON Infinity or NaN
+    figures = {**report.to_dict(), "exact_norm": exact_norm}
+    overflowed = [key for key, value in figures.items() if not math.isfinite(value)]
+    if overflowed:
+        raise NumericError(f"error figures are not finite: {', '.join(overflowed)}")
+
+    slack = 1e-12 * (1.0 + x_norm * w_norm)
+    if matmul_err > bound_rhs + slack:
+        raise NumericError(
+            f"matmul error {matmul_err:.6e} exceeds its upper bound "
+            f"{bound_rhs:.6e}"
+        )
+    return report

@@ -11,8 +11,13 @@ optimizer loops can be checked against them bit for bit:
 * :func:`rotation_loss`, the score of one rotation iterate
   (``rotation.optimize_rotation``);
 * :func:`decode_codes`, the whole-array table decode of element codes
-  that ``formats.dequantize`` does by byte tables.
+  that ``formats.dequantize`` does by byte tables;
+* :func:`materialized_matmul`, ``formats.matmul_dequantized`` as it was
+  before the scale fold decoded one block-column slab at a time: the
+  whole unscaled code matrix decoded first, then one batched matmul.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -23,7 +28,10 @@ from loraq import (
     MinifloatCodec,
     ParameterError,
     PassthroughCodec,
+    QuantizedTensor,
+    ShapeError,
     as_matrix,
+    dequantize,
     fake_quant,
     fuse_rotation,
 )
@@ -134,3 +142,27 @@ def rotation_loss(left, right, omega, quantizer: FormatSpec) -> float:
     err_left = fake_quant(rotated_left, quantizer) - rotated_left
     err_right = fake_quant(rotated_right, quantizer) - rotated_right
     return float(np.mean(np.square(err_left)) + np.mean(np.square(err_right)))
+
+
+def materialized_matmul(x, t: QuantizedTensor) -> np.ndarray:
+    """``matmul_dequantized`` with the whole ``(rows, n_blocks * block_size)``
+    matrix of unscaled code values decoded before the batched matmul.
+
+    The unscaled values are ``dequantize`` of the padded tensor with every
+    scale set to one, which multiplies nothing away, and an invalid code
+    raises the :class:`FormatError` that ``dequantize`` raises."""
+    x = as_matrix(x, "activations")
+    rows, cols = t.shape
+    if x.shape[1] != rows:
+        raise ShapeError(f"activations have {x.shape[1]} columns, tensor has {rows} rows")
+    spec = t.spec
+    if spec.is_passthrough or 8 * len(x) > spec.block_size:
+        return x @ dequantize(t)
+    n_blocks, size = t.n_blocks, spec.block_size
+    one = np.float16(1.0).view(np.uint16) if spec.scale_kind == "fp16" else 127
+    unit = np.full(t.scales.shape, one, dtype=spec.scale_dtype)
+    codes = dequantize(dataclasses.replace(t, shape=(rows, n_blocks * size), scales=unit))
+    scaled_x = np.multiply(t.scale_values().T[:, :, None], x.T, order="C")
+    blocks = codes.reshape(rows, n_blocks, size).transpose(1, 2, 0)
+    y = np.matmul(blocks, scaled_x)  # (n_blocks, size, m): y.T, block by block
+    return y.transpose(2, 0, 1).reshape(len(x), n_blocks * size)[:, :cols]

@@ -280,6 +280,20 @@ def test_evaluate_non_finite_weight_exits_5(tmp_path, capsys):
     assert _last_error_line(err).startswith("error: [E_NUMERIC] ")
 
 
+def test_evaluate_overflowed_figures_exit_5(tmp_path, capsys):
+    # finite activations whose products overflow: no Infinity or NaN reaches
+    # the --machine JSON
+    [weight] = _weights(tmp_path, 1)
+    bundle = _bundle_file(tmp_path, capsys, weight)
+    activations = tmp_path / "huge.lqt"
+    save_tensor(activations, np.full((4, 24), 1e300))
+    code, out, err = _run(capsys, ["evaluate", bundle, weight, "--activations",
+                                   str(activations), "--machine"])
+    assert code == 5
+    assert out == ""
+    assert _last_error_line(err).startswith("error: [E_NUMERIC] ")
+
+
 def _patched_bundle(tmp_path, capsys, meta_patch, *extra) -> str:
     """A bundle file quantized from one weight, its manifest's ``meta`` then
     updated by ``meta_patch`` (which may reach into ``q1`` or ``q2``).

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     decode_element,
     encode_element,
     int_test_format,
+    materialized_matmul,
     minifloat_test_format,
 )
 
@@ -1091,6 +1093,81 @@ class TestMatmulDequantized:
         t = quantize_blockwise(np.ones((4, 8)), make_format("MXINT4"))
         with pytest.raises(ShapeError):
             formats.matmul_dequantized(np.ones((1, 5)), t)
+
+
+def _counting_tiles(monkeypatch) -> list:
+    """Record the ``(rows, n)`` shape of every tile ``formats`` decodes."""
+    tiles = []
+    decode_tile = formats._decode_tile
+
+    def counting(codec, packed, out):
+        tiles.append(out.shape)
+        return decode_tile(codec, packed, out)
+
+    monkeypatch.setattr(formats, "_decode_tile", counting)
+    return tiles
+
+
+class TestSlabFold:
+    """The scale fold decodes one slab of whole block columns at a time and
+    gives the bits of the fold that decoded the whole matrix first."""
+
+    @pytest.mark.parametrize("name", MATMUL_SPECS)
+    def test_many_slabs_match_the_materialized_fold(self, monkeypatch, name):
+        spec = MATMUL_SPECS[name]
+        rng = np.random.default_rng(58)
+        t = quantize_blockwise(rng.standard_t(df=3, size=(40, 300)), spec)
+        x = rng.standard_t(df=5, size=(8, 40))
+        tiles = _counting_tiles(monkeypatch)
+        # the fewest blocks per slab: one, or the blocks that fill a word
+        monkeypatch.setattr(formats, "_GROUP_VALUES", 1)
+        for m in range(1, 9):
+            want = materialized_matmul(x[:m], t)
+            tiles.clear()
+            got = formats.matmul_dequantized(x[:m], t)
+            assert _bits(got).tobytes() == _bits(want).tobytes(), m
+            if 8 * m <= spec.block_size:
+                assert len(tiles) >= 3, m
+                assert {rows for rows, _ in tiles} == {40}
+
+    @pytest.mark.parametrize("name", ["SINT4", "MXFP6e2", "int6-b11-fp16"])
+    def test_no_rows(self, name):
+        t = quantize_blockwise(np.ones((0, 50)), MATMUL_SPECS[name])
+        got = formats.matmul_dequantized(np.ones((1, 0)), t)
+        assert got.shape == (1, 50) and not got.any()
+
+    @pytest.mark.parametrize("name,pattern", [
+        ("SINT4", 0b1000), ("MXINT8", 0x80), ("MXFP8e4", 0x7F),
+        ("int6-b11-fp16", 0b100000),
+    ])
+    def test_invalid_code_in_the_last_slab(self, monkeypatch, name, pattern):
+        spec = MATMUL_SPECS[name]
+        valid = quantize_blockwise(np.random.default_rng(59).normal(size=(6, 300)), spec)
+        # the last code of the padded tail, in the last slab only
+        t = _with_code(valid, 4, valid.n_blocks * spec.block_size - 1, pattern)
+        with pytest.raises(FormatError) as want:
+            dequantize(t)
+        tiles = _counting_tiles(monkeypatch)
+        monkeypatch.setattr(formats, "_GROUP_VALUES", 1)
+        with pytest.raises(FormatError) as got:
+            formats.matmul_dequantized(np.ones((1, 6)), t)
+        assert str(got.value) == str(want.value)
+        assert len(tiles) == len(range(0, t.n_blocks,
+                                       formats._slab_blocks(spec, 6))) >= 3
+
+    def test_batch_one_never_holds_the_decoded_matrix(self):
+        # numpy reports its buffers to tracemalloc; the materialized fold
+        # peaked above rows * padded * 8 bytes
+        t = quantize_blockwise(np.random.default_rng(60).normal(size=(1024, 1024)),
+                               make_format("SINT4"))
+        x = np.random.default_rng(61).normal(size=(1, 1024))
+        tracemalloc.start()
+        try:
+            formats.matmul_dequantized(x, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * t.n_blocks * t.spec.block_size * 8 / 4
 
 
 def _dividing_fake_quant(m: np.ndarray, spec: FormatSpec) -> np.ndarray:

@@ -301,6 +301,44 @@ class TestForward:
         assert wins >= int(0.95 * trials)
 
 
+def _overflow_bundle():
+    """A 40 x 72 SINT4 bundle of rank 4 and its weight: activations near
+    the float64 limit overflow its products."""
+    w = np.random.default_rng(67).standard_t(df=5, size=(40, 72))
+    return w, assemble_layer(w, make_format("SINT4"), make_format("SINT4"), rank=4,
+                             optimized_lr=False, rotations=False)
+
+
+class TestNumericEdges:
+    def test_forward_overflow_names_the_output(self):
+        # the activations are finite; x @ L and the products after it are not
+        _, b = _overflow_bundle()
+        x = np.where(np.random.default_rng(68).random((1, 40)) < 0.5, -1e307, 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from numpy either
+            with pytest.raises(NumericError, match="forward output") as info:
+                forward(b, x)
+        assert "activations" not in str(info.value)
+
+    def test_error_report_refuses_overflowed_figures(self):
+        # inf > inf is false, so the bound check alone let these through
+        w, b = _overflow_bundle()
+        with pytest.raises(NumericError, match="not finite: matmul_err"):
+            error_report(w, np.full((3, 40), 1e300), b)
+
+    @pytest.mark.parametrize("x", [[["a"] * 40], np.full((1, 40), 1 + 2j),
+                                   np.array([[1.0] * 39 + [2j]], dtype=object)],
+                             ids=["strings", "complex", "complex-objects"])
+    def test_non_real_inputs_are_refused(self, x):
+        _, b = _overflow_bundle()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning would escape
+            with pytest.raises(ParameterError, match="activations must hold real"):
+                forward(b, x)
+            with pytest.raises(ParameterError, match="must hold real numbers"):
+                fake_quant(x, make_format("SINT4"))
+
+
 class TestErrorReport:
     def test_decodes_each_tensor_once(self, monkeypatch):
         rng = np.random.default_rng(12)

@@ -138,6 +138,8 @@ _UNCALLED_EXPORTS = {
     "bundle_io.save_tensor": "user API: writes the LQT1 inputs the CLI reads",
     "bundle_io.save_stats": "user API: writes the LQS1 statistics `--stats` reads",
     "formats.registry_names": "user API: lists the names make_format accepts",
+    "formats.matmul_dequantized": "user API: one product with finite activations; "
+                                  "forward runs its unchecked core and checks its output",
     "rotation.rotation_grad": "benchmark hook: the traced run wraps it per step",
 }
 
