@@ -264,9 +264,10 @@ class MinifloatCodec:
     bias: int
 
     def __post_init__(self):
-        if self.exp_bits < 1 or self.mantissa_bits < 0:
+        # float64 has 11 exponent bits; the bound comes before 1 << exp_bits
+        if not 1 <= self.exp_bits <= 11 or self.mantissa_bits < 0:
             raise ParameterError(
-                f"minifloat needs exp_bits >= 1 and mantissa_bits >= 0, got "
+                f"minifloat needs 1 <= exp_bits <= 11 and mantissa_bits >= 0, got "
                 f"e{self.exp_bits}m{self.mantissa_bits}"
             )
         # every value must be a finite, normal float64: the smallest nonzero

@@ -23,6 +23,7 @@ from .formats import (
     FormatSpec,
     MinifloatCodec,
     QuantizedTensor,
+    _row_groups,
     dequantize,
     dequantized_product,
     fake_quant,
@@ -162,9 +163,9 @@ class BundleMeta:
             optimized_lr=json_bool(d["optimized_lr"], "optimized_lr"),
             rotations=json_bool(d["rotations"], "rotations"),
             seed=json_int(d["seed"], "seed"),
-            absorb=json_object(d["absorb"], "absorb"),
-            rotation=_nullable(json_object, d["rotation"], "rotation"),
-            smoothing=_nullable(json_object, d["smoothing"], "smoothing"),
+            absorb=_summary(d["absorb"], "absorb", _TRACE_SUMMARY),
+            rotation=_nullable(_summary, d["rotation"], "rotation", _TRACE_SUMMARY),
+            smoothing=_nullable(_summary, d["smoothing"], "smoothing", _SMOOTHING_SUMMARY),
             lowrank_q2_mse=json_number(d["lowrank_q2_mse"], "lowrank_q2_mse"),
             act_format=_nullable(json_str, d.get("act_format"), "act_format"),
             lowrank_act_format=_nullable(
@@ -172,9 +173,29 @@ class BundleMeta:
         )
 
 
-def _nullable(read, value, label: str):
+def _nullable(read, value, label: str, *args):
     """None for a JSON null, else ``value`` through the JSON reader ``read``."""
-    return None if value is None else read(value, label)
+    return None if value is None else read(value, label, *args)
+
+
+# the JSON reader of each key of the stage summaries that _trace_summary and
+# _smooth write into the manifest
+_TRACE_SUMMARY = {"steps": json_int, "learning_rate": json_number, "init_loss": json_number,
+                  "best_loss": json_number, "final_loss": json_number}
+_SMOOTHING_SUMMARY = {"alpha_mig": json_number, "beta_mig": json_number,
+                      "search_score": lambda v, label: _nullable(json_number, v, label),
+                      "source": json_str}
+
+
+def _summary(value, label: str, schema: dict) -> dict:
+    """``value`` unchanged if it is an object with exactly the keys of
+    ``schema``, each of which passes its reader; else ``TypeError``."""
+    json_object(value, label)
+    if set(value) != set(schema):
+        raise TypeError(f"{label} must have the keys {sorted(schema)}, got {sorted(value)}")
+    for key, read in schema.items():
+        read(value[key], f"{label}.{key}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,23 +441,30 @@ def ablate_layer(w, q1: FormatSpec, q2: FormatSpec,
     return dict(zip(cells, _assemble(w, q1, q2, cells, **kwargs)))
 
 
-def _decoded(bundle: LayerBundle) -> tuple[np.ndarray, np.ndarray]:
-    """The decoded residual and the dense low-rank product ``L @ R``."""
-    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
-    return dequantize(bundle.residual), branch
-
-
 def reconstruct_weight(bundle: LayerBundle, *, desmoothed: bool = False) -> np.ndarray:
     """Effective weight of a bundle: residual plus the low-rank product.
 
     With ``desmoothed`` the result is mapped back to the original
     (pre-smoothing) coordinates for comparison against the source weight.
     """
-    residual_hat, branch = _decoded(bundle)
-    w_hat = np.add(residual_hat, branch, out=branch)
+    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
+    w_hat = np.add(dequantize(bundle.residual), branch, out=branch)
     if desmoothed and bundle.gamma is not None:
         w_hat /= bundle.gamma[:, None]
     return w_hat
+
+
+def _smoothed_activations(x: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
+    """``x`` divided by the smoothing vector, column by column.  A quotient
+    that overflows raises :class:`NumericError` naming the division."""
+    if gamma is None:
+        return x
+    with np.errstate(over="ignore"):
+        x_s = x / gamma[None, :]
+    if not np.isfinite(x_s).all():
+        raise NumericError(
+            "the activations overflow when divided by the smoothing vector")
+    return x_s
 
 
 def forward(
@@ -464,15 +492,17 @@ def forward(
     scales, of the products differs from ``x @ reconstruct_weight(bundle)``.
 
     The activations must be finite (else :class:`NumericError` naming
-    them).  A product that overflows is not the caller's fault: the
-    intermediate ``x_lr @ L`` is passed on unchecked, and the output is
-    checked once, raising a :class:`NumericError` that names it.
+    them), and so must their quotient by the smoothing vector (else
+    :class:`NumericError` naming that division).  A product that overflows
+    is not the caller's fault: the intermediate ``x_lr @ L`` is passed on
+    unchecked, and the output is checked once, raising a
+    :class:`NumericError` that names it.
     """
     x = as_matrix(x, "activations")
     d = bundle.meta.shape[0]
     if x.shape[1] != d:
         raise ShapeError(f"activations have {x.shape[1]} columns, layer expects {d}")
-    x_s = x / bundle.gamma[None, :] if bundle.gamma is not None else x
+    x_s = _smoothed_activations(x, bundle.gamma)
     x_res = fake_quant(x_s, activation_format) if activation_format is not None else x_s
     lr_format = (
         lowrank_activation_format
@@ -533,7 +563,12 @@ def error_report(
     The bound states that the matmul error cannot exceed
     ``||X - Q(X)|| * ||W|| + ||Q(X)|| * ||W - What||``; a violation beyond
     float roundoff raises :class:`NumericError`, and so does a figure that
-    overflows, since no bound can be checked on it.
+    overflows, since no bound can be checked on it, and so do activations
+    that overflow when divided by the smoothing vector.
+
+    Each packed tensor is decoded once, and besides ``w`` the call holds
+    two d x n float64 arrays at a time: the dense low-rank product ``L R``
+    is computed a second time rather than kept beside the decoded residual.
     """
     w = _bundle_weight(w, bundle)
     x = as_matrix(x, "activations")
@@ -542,30 +577,34 @@ def error_report(
         raise ShapeError(f"activations have {x.shape[1]} columns, layer expects {d}")
 
     gamma = bundle.gamma
-    x_s = x / gamma[None, :] if gamma is not None else x
-    residual_hat, branch = _decoded(bundle)
-    # three d x n buffers at most: the residual, the branch and one scratch
-    if gamma is not None:
-        scratch = np.multiply(gamma[:, None], w)
-        scratch -= branch
-    else:
-        scratch = np.subtract(w, branch)
-    np.subtract(residual_hat, scratch, out=scratch)
-    residual_mse = float(np.mean(np.square(scratch, out=scratch)))
-    w_hat_s = np.add(residual_hat, branch, out=branch)
+    x_s = _smoothed_activations(x, gamma)
+    left, right = dequantize(bundle.lowrank_left), dequantize(bundle.lowrank_right)
+    # two d x n work buffers besides w: the branch L R is formed twice in
+    # ``buf`` rather than held beside the decoded residual in ``res``
+    buf = left @ right
+    if gamma is None:
+        np.subtract(w, buf, out=buf)
+    else:  # gamma * w - branch one row group at a time: no whole gamma * w
+        for rows in _row_groups(w.shape[0], w.shape[1]):
+            np.subtract(gamma[rows, None] * w[rows], buf[rows], out=buf[rows])
+    res = dequantize(bundle.residual)
+    np.subtract(res, buf, out=buf)
+    residual_mse = float(np.mean(np.square(buf, out=buf)))
+    np.matmul(left, right, out=buf)  # the same product, bit for bit
+    w_hat_s = np.add(res, buf, out=buf)
     # the decoded residual is dead from here on and takes the smoothed weight
-    w_s = np.multiply(gamma[:, None], w, out=residual_hat) if gamma is not None else w
-    del residual_hat
+    w_s = np.multiply(gamma[:, None], w, out=res) if gamma is not None else w
     x_q = fake_quant(x_s, activation_format) if activation_format is not None else x_s
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         exact = x_s @ w_s
         approx = x_q @ w_hat_s
         matmul_err = float(np.linalg.norm(exact - approx, "fro"))
-        diff = np.subtract(w_s, w_hat_s, out=scratch)
-        weight_err_smoothed = float(np.linalg.norm(diff, "fro"))
-        act_err = float(np.linalg.norm(x_s - x_q, "fro"))
         w_norm = float(np.linalg.norm(w_s, "fro"))
+        # w_s, which may be res, is dead once its norm is taken
+        weight_err_smoothed = float(np.linalg.norm(
+            np.subtract(w_s, w_hat_s, out=res), "fro"))
+        act_err = float(np.linalg.norm(x_s - x_q, "fro"))
         x_norm = float(np.linalg.norm(x_s, "fro"))
         bound_rhs = (act_err * w_norm
                      + float(np.linalg.norm(x_q, "fro")) * weight_err_smoothed)

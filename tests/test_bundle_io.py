@@ -129,6 +129,8 @@ UNBUILDABLE = {
                           "bias": 1}, 4),
     "exp_bits 0": ({"kind": "minifloat", "exp_bits": 0, "mantissa_bits": 3,
                     "bias": 1}, 4),
+    "exp_bits 2^40": ({"kind": "minifloat", "exp_bits": 2**40, "mantissa_bits": 1,
+                       "bias": 1}, 4),
     "int bits 1": ({"kind": "int", "bits": 1}, 1),
 }
 
@@ -312,6 +314,17 @@ NOT_JSON_TYPED = {
     "lowrank_q2_mse Infinity": lambda m: m["meta"].update(lowrank_q2_mse=float("inf")),
     "absorb as pairs": lambda m: m["meta"].update(absorb=[["steps", 1]]),
     "rotation as pairs": lambda m: m["meta"].update(rotation=[["steps", 1]]),
+    "absorb best_loss NaN": lambda m: m["meta"]["absorb"].update(best_loss=float("nan")),
+    "absorb steps 1.5": lambda m: m["meta"]["absorb"].update(steps=1.5),
+    "absorb without final_loss": lambda m: m["meta"]["absorb"].pop("final_loss"),
+    "absorb with an extra key": lambda m: m["meta"]["absorb"].update(note=float("nan")),
+    "rotation init_loss Infinity": lambda m: m["meta"]["rotation"].update(
+        init_loss=float("inf")),
+    "smoothing alpha_mig NaN": lambda m: m["meta"]["smoothing"].update(
+        alpha_mig=float("nan")),
+    "smoothing search_score '1'": lambda m: m["meta"]["smoothing"].update(
+        search_score="1"),
+    "smoothing source null": lambda m: m["meta"]["smoothing"].update(source=None),
     "chunk tag 5": lambda m: _chunk_tag(m, "PCOD", 5),
 }
 
@@ -322,6 +335,21 @@ def test_names_numbers_and_objects_must_have_their_json_type(tmp_path, case):
     with pytest.raises(CorruptFileError) as info:
         _load_patched(tmp_path, data)
     assert info.value.offset == _HEADER
+
+
+def test_grid_searched_bundle_resaves_to_its_bytes(tmp_path):
+    # its smoothing summary holds a search score where a stats one holds null
+    rng = np.random.default_rng(3)
+    w = rng.standard_t(df=5, size=(12, 72))
+    original = assemble_layer(w, make_format("SINT4"), make_format("MXINT4"), rank=3,
+                              calibration=rng.normal(size=(16, 12)),
+                              absorb_steps=1, rotation_steps=1)
+    assert original.meta.smoothing["source"] == "grid-search"
+    path = tmp_path / "b.lrqb"
+    save_bundle(path, original)
+    again = tmp_path / "again.lrqb"
+    save_bundle(again, _load_patched(tmp_path, path.read_bytes()))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_manifest_integer_beyond_the_parser_limit_is_refused(tmp_path):

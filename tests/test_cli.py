@@ -520,6 +520,60 @@ def test_config_numbers_are_used(tmp_path, capsys):
     assert (meta.rotation["steps"], meta.rotation["learning_rate"]) == (1, 2.0)
 
 
+@pytest.mark.parametrize("which,flags", [("q1", ["--q1", "MXFP4e2"]),
+                                         ("q2", ["--q2", "MXFP6e2"])])
+@pytest.mark.parametrize("command", ["inspect", "evaluate"])
+def test_huge_minifloat_exp_bits_exits_3(tmp_path, capsys, which, flags, command):
+    # 1 << exp_bits ran before any range check and raised a raw MemoryError
+    bundle = _patched_bundle(
+        tmp_path, capsys, lambda meta: meta[which]["codec"].update(exp_bits=2**40),
+        *flags)
+    weight = _weights(tmp_path, 1) if command == "evaluate" else []
+    code, out, err = _run(capsys, [command, bundle, *weight, "--machine"])
+    assert code == 3
+    assert out == ""
+    assert _last_error_line(err).startswith(
+        "error: [E_FORMAT] manifest describes an unusable format: ")
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("entry,key,value", [
+    ("absorb", "best_loss", float("nan")), ("absorb", "init_loss", float("inf")),
+    ("rotation", "final_loss", float("nan")), ("smoothing", "beta_mig", float("-inf")),
+])
+def test_inspect_non_finite_summary_number_exits_3(tmp_path, capsys, entry, key, value):
+    # json_object took any object, and --machine printed NaN with exit 0
+    stats = tmp_path / "s.lqs"
+    save_stats(stats, compute_channel_stats(np.random.default_rng(31).normal(size=(8, 24))))
+    bundle = _patched_bundle(tmp_path, capsys,
+                             lambda meta: meta[entry].update({key: value}),
+                             "--stats", str(stats))
+    code, out, err = _run(capsys, ["inspect", bundle, "--machine"])
+    assert code == 3
+    assert out == ""
+    assert _last_error_line(err) == (
+        f"error: [E_FORMAT] manifest is missing or mistypes a field: "
+        f"{entry}.{key} must be a finite number, got {value!r}")
+
+
+def test_inspect_machine_output_is_strict_json(tmp_path, capsys):
+    # a stats-smoothed bundle, whose search_score is null, and a plain one
+    stats = tmp_path / "s.lqs"
+    save_stats(stats, compute_channel_stats(np.random.default_rng(31).normal(size=(8, 24))))
+    for extra in ([], ["--stats", str(stats)]):
+        bundle = _patched_bundle(tmp_path, capsys, lambda meta: None, *extra)
+        code, out, _ = _run(capsys, ["inspect", bundle, "--machine"])
+        assert code == 0
+        meta = _strict_json(out)["meta"]
+        assert (meta["smoothing"] is None) == (not extra)
+
+
 def test_evaluate_nan_lowrank_mse_exits_3(tmp_path, capsys):
     # float() took a manifest NaN, and --machine printed it with exit 0
     bundle = _patched_bundle(tmp_path, capsys,

@@ -332,6 +332,8 @@ UNBUILDABLE = {
     "mantissa_bits -2": {"kind": "minifloat", "exp_bits": 5, "mantissa_bits": -2,
                          "bias": 1},
     "exp_bits 0": {"kind": "minifloat", "exp_bits": 0, "mantissa_bits": 3, "bias": 1},
+    "exp_bits 2^40": {"kind": "minifloat", "exp_bits": 2**40, "mantissa_bits": 3,
+                      "bias": 1},
     "int bits 1": {"kind": "int", "bits": 1},
 }
 
@@ -347,7 +349,7 @@ class TestCodecParameters:
             FormatSpec.from_dict(described)
 
     @pytest.mark.parametrize("args", [(2, 1, -2000), (5, -2, 1), (0, 3, 1),
-                                      (2, 1, 1023), (2, 1, -1021)])
+                                      (2, 1, 1023), (2, 1, -1021), (2**40, 1, 1)])
     def test_unbuildable_minifloat_is_refused(self, args):
         with pytest.raises(ParameterError):
             MinifloatCodec(*args)

@@ -320,6 +320,21 @@ class TestNumericEdges:
                 forward(b, x)
         assert "activations" not in str(info.value)
 
+    @pytest.mark.parametrize("act", [None, "MXINT8"])
+    def test_smoothing_division_overflow_names_the_division(self, act):
+        # x / gamma ran outside the overflow handling: numpy warned, and with
+        # an activation format the NumericError blamed the activations
+        w, (_, b) = _small_bundles("SINT4", "SINT4")
+        assert b.gamma.min() < 1
+        x = np.full((2, 40), 1.79e308)
+        fmt = None if act is None else make_format(act)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="divided by the smoothing vector"):
+                forward(b, x, fmt)
+            with pytest.raises(NumericError, match="divided by the smoothing vector"):
+                error_report(w, x, b, fmt)
+
     def test_error_report_refuses_overflowed_figures(self):
         # inf > inf is false, so the bound check alone let these through
         w, b = _overflow_bundle()
@@ -694,14 +709,15 @@ class TestServePathMemory:
 
     @pytest.mark.parametrize("smoothed", [False, True])
     @pytest.mark.parametrize("pair", SERVE_PAIRS, ids=str)
-    def test_error_report_holds_three_matrices(self, served, pair, smoothed):
-        # the residual, the branch and one scratch buffer; the dense report
-        # peaked at about five
+    def test_error_report_holds_two_matrices(self, served, pair, smoothed):
+        # the decoded residual and one buffer that holds the branch and what
+        # is built from it; a third (a separate scratch) peaked at 3.0-3.3,
+        # and the dense report at about five
         w, bundles = served
         b = bundles[(*pair, smoothed)]
         x = np.random.default_rng(65).normal(size=(64, 1024))
         for act in (None, make_format("MXINT8")):
             reports = []
             peak = _traced_peak(lambda: reports.append(error_report(w, x, b, act)))
-            assert peak < 4 * w.nbytes
+            assert peak < 2.75 * w.nbytes
             assert reports[0] == _dense_error_report(w, x, b, act)
