@@ -112,15 +112,28 @@ def _layer_kwargs(args: argparse.Namespace) -> dict:
                 rotation_lr=args.rot_lr)
 
 
-def _out_path(inputs: list[str], out: str | None, index: int) -> Path:
-    src = Path(inputs[index])
-    if out is None:
-        return src.with_suffix(".lrqb")
-    out_path = Path(out)
-    if len(inputs) == 1 and not out_path.is_dir():
-        return out_path
-    out_path.mkdir(parents=True, exist_ok=True)
-    return out_path / src.with_suffix(".lrqb").name
+def _out_paths(inputs: list[str], out: str | None, stats: str | None) -> list[Path]:
+    """Each input's bundle path: ``<stem>.lrqb`` beside it, or in the
+    directory ``out`` (made if missing) unless ``out`` is a single input's
+    file.  An output that resolves to another output or to an input
+    (``stats`` too) raises :class:`ParameterError` before anything is made."""
+    paths = [Path(p).with_suffix(".lrqb") for p in inputs]
+    into_dir = out is not None and (len(inputs) > 1 or Path(out).is_dir())
+    if out is not None:
+        paths = [Path(out) / path.name for path in paths] if into_dir else [Path(out)]
+    sources = {Path(p).resolve() for p in [*inputs, stats] if p is not None}
+    written = {}
+    for src, path in zip(inputs, paths):
+        real = path.resolve()
+        if real in sources:
+            raise ParameterError(f"the bundle of {src} would overwrite the input {path}")
+        if real in written:
+            raise ParameterError(
+                f"the bundles of {written[real]} and {src} would both be {path}")
+        written[real] = src
+    if into_dir:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    return paths
 
 
 def _quantize_summary(name: str, bundle: LayerBundle,
@@ -170,18 +183,18 @@ def _trim_heap() -> None:
 def cmd_quantize(args: argparse.Namespace) -> int:
     layer = _layer_kwargs(args)
     inputs = list(args.weights)
+    paths = _out_paths(inputs, args.out, args.stats)
     weights = [bundle_io.load_tensor(p) for p in inputs]
     calibration = _load_calibration(args.stats)
 
     summaries = []
-    for i, w in enumerate(weights):
+    for i, (w, path) in enumerate(zip(weights, paths)):
         _trim_heap()
         bundle = assemble_layer(
             w, args.q1, args.q2, optimized_lr=args.optimized_lr,
             rotations=args.rotations, calibration=calibration, seed=args.seed + i,
             act_format=args.act_format, **layer,
         )
-        path = _out_path(inputs, args.out, i)
         bundle_io.save_bundle(path, bundle)
         summary = _quantize_summary(inputs[i], bundle, weight_error(w, bundle))
         summary["out"] = str(path)

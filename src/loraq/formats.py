@@ -125,7 +125,7 @@ codes start on a word and decode exactly like a row of their own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -336,6 +336,9 @@ class PassthroughCodec:
 
 
 Codec = IntCodec | MinifloatCodec | PassthroughCodec
+# a manifest's codec is its kind and the fields of that kind's dataclass
+_CODEC_KINDS = {"int": IntCodec, "minifloat": MinifloatCodec,
+                "passthrough": PassthroughCodec}
 
 
 @dataclass(frozen=True)
@@ -397,23 +400,12 @@ class FormatSpec:
         return (rows, row_bytes), (rows, n_blocks)
 
     def to_dict(self) -> dict:
-        codec = self.codec
-        if isinstance(codec, IntCodec):
-            c = {"kind": "int", "bits": codec.bits}
-        elif isinstance(codec, MinifloatCodec):
-            c = {
-                "kind": "minifloat",
-                "exp_bits": codec.exp_bits,
-                "mantissa_bits": codec.mantissa_bits,
-                "bias": codec.bias,
-            }
-        else:
-            c = {"kind": "passthrough"}
+        kind = next(k for k, codec in _CODEC_KINDS.items() if isinstance(self.codec, codec))
         return {
             "name": self.name,
             "block_size": self.block_size,
             "scale_kind": self.scale_kind,
-            "codec": c,
+            "codec": {"kind": kind, **asdict(self.codec)},
             "bits_per_value": self.bits_per_value,
         }
 
@@ -423,15 +415,11 @@ class FormatSpec:
         whose codec or format could not be built, raises :class:`FormatError`."""
         try:
             c = d["codec"]
-            if c["kind"] == "int":
-                codec: Codec = IntCodec(json_int(c["bits"], "bits"))
-            elif c["kind"] == "minifloat":
-                codec = MinifloatCodec(*(json_int(c[key], key) for key in
-                                         ("exp_bits", "mantissa_bits", "bias")))
-            elif c["kind"] == "passthrough":
-                codec = PassthroughCodec()
-            else:
+            codec_type = _CODEC_KINDS.get(c["kind"])
+            if codec_type is None:
                 raise FormatError(f"unknown codec kind {c['kind']!r}")
+            codec = codec_type(**{f.name: json_int(c[f.name], f.name)
+                                  for f in fields(codec_type)})
             spec = cls(
                 name=json_str(d["name"], "name"),
                 block_size=json_int(d["block_size"], "block_size"),
@@ -597,8 +585,6 @@ def _pack_codes(codes: np.ndarray, width: int) -> np.ndarray:
     the OR of its codes shifted into place, split back into bytes.
     """
     rows, n = codes.shape
-    if width == 8:
-        return np.ascontiguousarray(codes, dtype=np.uint8)
     group, per_word, dtype = _word_layout(width)
     words = -(-n // per_word)
     if words * per_word != n:
@@ -625,8 +611,6 @@ def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarr
             f"code stream holds {packed.size} bytes, expected {rows * row_bytes}"
         )
     packed = packed.reshape(rows, row_bytes)
-    if width == 8:
-        return packed.copy()
     group, per_word, dtype = _word_layout(width)
     words = -(-row_bytes // group)
     if group == 1:

@@ -202,7 +202,8 @@ def skew_project(a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"skew projection needs a square matrix, got {a.shape}")
-    return (a - a.T) / 2.0
+    # (A - A^T) / 2 bit for bit in the normal range; A - A^T could overflow
+    return a / 2.0 - a.T / 2.0
 
 
 def cayley_retract(a) -> np.ndarray:

@@ -23,7 +23,6 @@ from .formats import (
     FormatSpec,
     MinifloatCodec,
     QuantizedTensor,
-    _row_groups,
     dequantize,
     dequantized_product,
     fake_quant,
@@ -239,10 +238,25 @@ class LayerBundle:
 class ErrorReport:
     """Reconstruction and matmul error figures for one bundle.
 
-    ``weight_err`` is measured in the original coordinates (de-smoothed);
-    ``weight_err_smoothed``, ``matmul_err`` and ``bound_rhs`` live in the
-    coordinates the quantizers acted on, which is where the upper bound
-    ``matmul_err <= bound_rhs`` is guaranteed.
+    The quantizers act in smoothed coordinates: ``W_s = gamma * W`` row by
+    row and ``X_s = X / gamma`` column by column (``W`` and ``X`` without
+    smoothing).  ``What_s`` is :func:`reconstruct_weight` of the bundle,
+    ``X_q`` is ``X_s`` fake quantized in the activation format (``X_s``
+    without one), and every norm is a Frobenius norm.
+
+    * ``weight_err``: ``||W - What||``, with ``What = What_s / gamma`` row
+      by row; ``weight_err_rel`` divides it by ``||W||`` (0 if ``W = 0``).
+    * ``weight_err_smoothed``: ``||W_s - What_s||``.
+    * ``matmul_err``: ``||X_s W_s - X_q What_s||``; ``matmul_err_rel``
+      divides it by ``||X_s W_s||`` (0 if that is 0).
+    * ``bound_rhs``: ``||X_s - X_q|| ||W_s|| + ||X_q|| weight_err_smoothed``,
+      which ``matmul_err`` cannot exceed.
+    * ``residual_mse``: ``weight_err_smoothed^2 / (d n)``, the mean of
+      ``(W_s - What_s)^2``.  Up to roundoff that is the mean square error
+      of the residual branch, ``Q1(W_s - L R) - (W_s - L R)``, which is
+      ``What_s - W_s`` entry by entry.
+    * ``lowrank_q2_mse``: the manifest's value, the ``q2`` error
+      ``mean((Lhat - L)^2) + mean((Rhat - R)^2)`` of the factors at assembly.
     """
 
     weight_err: float
@@ -454,17 +468,26 @@ def reconstruct_weight(bundle: LayerBundle, *, desmoothed: bool = False) -> np.n
     return w_hat
 
 
-def _smoothed_activations(x: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
-    """``x`` divided by the smoothing vector, column by column.  A quotient
-    that overflows raises :class:`NumericError` naming the division."""
-    if gamma is None:
-        return x
-    with np.errstate(over="ignore"):
-        x_s = x / gamma[None, :]
-    if not np.isfinite(x_s).all():
-        raise NumericError(
-            "the activations overflow when divided by the smoothing vector")
-    return x_s
+def _activations(bundle: LayerBundle, x,
+                 activation_format: FormatSpec | None) -> tuple[np.ndarray, np.ndarray]:
+    """``(x_s, x_q)``: the activations ``x`` divided by the smoothing vector,
+    column by column, and ``x_s`` fake quantized in ``activation_format``
+    (``x_s`` itself without one).  ``x`` must be a finite matrix with one
+    column per weight row, and a quotient that overflows raises
+    :class:`NumericError` naming the division."""
+    x = as_matrix(x, "activations")
+    d = bundle.meta.shape[0]
+    if x.shape[1] != d:
+        raise ShapeError(f"activations have {x.shape[1]} columns, layer expects {d}")
+    x_s = x
+    if bundle.gamma is not None:
+        with np.errstate(over="ignore"):
+            x_s = x / bundle.gamma[None, :]
+        if not np.isfinite(x_s).all():
+            raise NumericError(
+                "the activations overflow when divided by the smoothing vector")
+    x_q = fake_quant(x_s, activation_format) if activation_format is not None else x_s
+    return x_s, x_q
 
 
 def forward(
@@ -498,12 +521,7 @@ def forward(
     unchecked, and the output is checked once, raising a
     :class:`NumericError` that names it.
     """
-    x = as_matrix(x, "activations")
-    d = bundle.meta.shape[0]
-    if x.shape[1] != d:
-        raise ShapeError(f"activations have {x.shape[1]} columns, layer expects {d}")
-    x_s = _smoothed_activations(x, bundle.gamma)
-    x_res = fake_quant(x_s, activation_format) if activation_format is not None else x_s
+    x_s, x_res = _activations(bundle, x, activation_format)
     lr_format = (
         lowrank_activation_format
         if lowrank_activation_format is not None
@@ -526,13 +544,10 @@ def _bundle_weight(w, bundle: LayerBundle) -> np.ndarray:
     return w
 
 
-def _weight_error(w: np.ndarray, w_hat_s: np.ndarray,
-                  gamma: np.ndarray | None) -> tuple[float, float]:
-    """Weight errors of the reconstruction ``w_hat_s``, which this
+def _weight_error(w: np.ndarray, w_hat: np.ndarray) -> tuple[float, float]:
+    """Weight errors of the de-smoothed reconstruction ``w_hat``, which this
     overwrites: the caller must not read it afterwards."""
-    if gamma is not None:
-        w_hat_s /= gamma[:, None]
-    diff = np.subtract(w, w_hat_s, out=w_hat_s)
+    diff = np.subtract(w, w_hat, out=w_hat)
     weight_err = float(np.linalg.norm(diff, "fro"))
     if not np.isfinite(weight_err):
         raise NumericError("the reconstructed weight is not finite")
@@ -549,15 +564,11 @@ def weight_error(w, bundle: LayerBundle) -> tuple[float, float]:
     :class:`NumericError`.
     """
     w = _bundle_weight(w, bundle)
-    return _weight_error(w, reconstruct_weight(bundle), bundle.gamma)
+    return _weight_error(w, reconstruct_weight(bundle, desmoothed=True))
 
 
-def error_report(
-    w,
-    x,
-    bundle: LayerBundle,
-    activation_format: FormatSpec | None = None,
-) -> ErrorReport:
+def error_report(w, x, bundle: LayerBundle,
+                 activation_format: FormatSpec | None = None) -> ErrorReport:
     """Measure reconstruction and matmul error and check the upper bound.
 
     The bound states that the matmul error cannot exceed
@@ -566,50 +577,33 @@ def error_report(
     overflows, since no bound can be checked on it, and so do activations
     that overflow when divided by the smoothing vector.
 
-    Each packed tensor is decoded once, and besides ``w`` the call holds
-    two d x n float64 arrays at a time: the dense low-rank product ``L R``
-    is computed a second time rather than kept beside the decoded residual.
+    The weight is checked against the bundle's shape before the
+    activations are read.  Besides ``w`` the call holds at most two d x n
+    float64 arrays at a time: the reconstruction ``What_s`` of
+    :func:`reconstruct_weight`, and ``W_s = gamma * W`` (with smoothing,
+    overwritten by ``W_s - What_s``) or ``W_s - What_s`` (without).
     """
     w = _bundle_weight(w, bundle)
-    x = as_matrix(x, "activations")
-    d = bundle.meta.shape[0]
-    if x.shape[1] != d:
-        raise ShapeError(f"activations have {x.shape[1]} columns, layer expects {d}")
-
+    x_s, x_q = _activations(bundle, x, activation_format)
     gamma = bundle.gamma
-    x_s = _smoothed_activations(x, gamma)
-    left, right = dequantize(bundle.lowrank_left), dequantize(bundle.lowrank_right)
-    # two d x n work buffers besides w: the branch L R is formed twice in
-    # ``buf`` rather than held beside the decoded residual in ``res``
-    buf = left @ right
-    if gamma is None:
-        np.subtract(w, buf, out=buf)
-    else:  # gamma * w - branch one row group at a time: no whole gamma * w
-        for rows in _row_groups(w.shape[0], w.shape[1]):
-            np.subtract(gamma[rows, None] * w[rows], buf[rows], out=buf[rows])
-    res = dequantize(bundle.residual)
-    np.subtract(res, buf, out=buf)
-    residual_mse = float(np.mean(np.square(buf, out=buf)))
-    np.matmul(left, right, out=buf)  # the same product, bit for bit
-    w_hat_s = np.add(res, buf, out=buf)
-    # the decoded residual is dead from here on and takes the smoothed weight
-    w_s = np.multiply(gamma[:, None], w, out=res) if gamma is not None else w
-    x_q = fake_quant(x_s, activation_format) if activation_format is not None else x_s
+    w_hat_s = reconstruct_weight(bundle)
+    w_s = w if gamma is None else gamma[:, None] * w
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         exact = x_s @ w_s
-        approx = x_q @ w_hat_s
-        matmul_err = float(np.linalg.norm(exact - approx, "fro"))
+        matmul_err = float(np.linalg.norm(exact - x_q @ w_hat_s, "fro"))
         w_norm = float(np.linalg.norm(w_s, "fro"))
-        # w_s, which may be res, is dead once its norm is taken
-        weight_err_smoothed = float(np.linalg.norm(
-            np.subtract(w_s, w_hat_s, out=res), "fro"))
+        diff = np.subtract(w_s, w_hat_s, out=None if gamma is None else w_s)
+        weight_err_smoothed = float(np.linalg.norm(diff, "fro"))
+        residual_mse = float(np.mean(np.square(diff, out=diff)))
         act_err = float(np.linalg.norm(x_s - x_q, "fro"))
         x_norm = float(np.linalg.norm(x_s, "fro"))
         bound_rhs = (act_err * w_norm
                      + float(np.linalg.norm(x_q, "fro")) * weight_err_smoothed)
         exact_norm = float(np.linalg.norm(exact, "fro"))
-    weight_err, weight_err_rel = _weight_error(w, w_hat_s, gamma)
+    if gamma is not None:
+        w_hat_s /= gamma[:, None]
+    weight_err, weight_err_rel = _weight_error(w, w_hat_s)
     report = ErrorReport(
         weight_err=weight_err,
         weight_err_rel=weight_err_rel,

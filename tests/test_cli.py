@@ -83,6 +83,65 @@ def test_batch_run_writes_the_bytes_of_single_runs(tmp_path, capsys):
         assert batch.read_bytes() == single.read_bytes()
 
 
+def _snapshot(root: Path) -> dict:
+    return {str(p): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_two_inputs_of_one_name_exit_2(tmp_path, capsys):
+    # both bundles went to out/w.lrqb with exit 0: the first one was lost
+    rng = np.random.default_rng(34)
+    inputs = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        inputs.append(str(tmp_path / sub / "w.lqt"))
+        save_tensor(inputs[-1], rng.normal(size=(24, 40)))
+    before = _snapshot(tmp_path)
+    code, out, err = _run(capsys, ["quantize", *inputs, *RUN, "--out",
+                                   str(tmp_path / "out"), "--machine"])
+    assert code == 2
+    assert out == ""
+    assert _last_error_line(err) == (
+        f"error: [E_CONFIG] the bundles of {inputs[0]} and {inputs[1]} would both be "
+        f"{tmp_path / 'out' / 'w.lrqb'}")
+    assert _snapshot(tmp_path) == before
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_named_like_its_bundle_exits_2(tmp_path, capsys):
+    # an LQT1 input x.lrqb, run without --out, was overwritten by its bundle
+    weight = tmp_path / "x.lrqb"
+    save_tensor(weight, np.random.default_rng(35).normal(size=(24, 40)))
+    before = _snapshot(tmp_path)
+    code, out, err = _run(capsys, ["quantize", str(weight), *RUN, "--machine"])
+    assert code == 2
+    assert out == ""
+    assert _last_error_line(err) == (
+        f"error: [E_CONFIG] the bundle of {weight} would overwrite the input {weight}")
+    assert _snapshot(tmp_path) == before
+
+
+def test_bundle_over_the_stats_file_exits_2(tmp_path, capsys):
+    [weight] = _weights(tmp_path, 1)
+    stats = tmp_path / "s.lqs"
+    save_stats(stats, compute_channel_stats(np.random.default_rng(36).normal(size=(8, 24))))
+    before = _snapshot(tmp_path)
+    code, _, err = _run(capsys, ["quantize", weight, *RUN, "--stats", str(stats),
+                                 "--out", str(stats)])
+    assert code == 2
+    assert _last_error_line(err).startswith("error: [E_CONFIG] the bundle of ")
+    assert _snapshot(tmp_path) == before
+
+
+def test_huge_rotation_learning_rate_runs_clean(tmp_path, capsys):
+    # the rotation's skew projection overflowed: numpy warned, and the run
+    # failed with exit 5 blaming "matrix contains non-finite entries"
+    code, out, err = _run(capsys, ["quantize", *_weights(tmp_path, 1), *RUN,
+                                   "--rot-lr", "1e308", "--machine"])
+    assert (code, err) == (0, "")
+    [summary] = json.loads(out)
+    assert summary["rotation"]["best_loss"] <= summary["rotation"]["init_loss"]
+
+
 @pytest.mark.parametrize("command", ["quantize", "ablate"])
 def test_heap_is_trimmed_before_each_layer(tmp_path, capsys, monkeypatch, command):
     cli._trim_heap()

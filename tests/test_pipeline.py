@@ -373,8 +373,7 @@ class TestErrorReport:
         branch = dequantize(b.lowrank_left) @ dequantize(b.lowrank_right)
         w_hat = dequantize(b.residual) + branch
         assert report.weight_err_smoothed == float(np.linalg.norm(w - w_hat, "fro"))
-        assert report.residual_mse == float(
-            np.mean(np.square(dequantize(b.residual) - (w - branch))))
+        assert report.residual_mse == float(np.mean(np.square(w - w_hat)))
 
     def test_passthrough_everything_is_zero(self):
         rng = np.random.default_rng(11)
@@ -590,7 +589,7 @@ def _dense_error_report(w, x, bundle, act=None) -> ErrorReport:
         matmul_err=matmul_err,
         matmul_err_rel=matmul_err / float(np.linalg.norm(exact, "fro")),
         bound_rhs=bound_rhs,
-        residual_mse=float(np.mean(np.square(residual_hat - (w_s - branch)))),
+        residual_mse=float(np.mean(np.square(w_s - w_hat_s))),
         lowrank_q2_mse=bundle.meta.lowrank_q2_mse,
     )
 
@@ -721,3 +720,19 @@ class TestServePathMemory:
             peak = _traced_peak(lambda: reports.append(error_report(w, x, b, act)))
             assert peak < 2.75 * w.nbytes
             assert reports[0] == _dense_error_report(w, x, b, act)
+
+
+@pytest.mark.parametrize("smoothed", [False, True])
+@pytest.mark.parametrize("pair", SERVE_PAIRS, ids=str)
+def test_residual_mse_is_the_residual_branch_error(served, pair, smoothed):
+    # the two-branch formula: the residual's quantization error against
+    # what it encodes, Q1(W_s - L R) - (W_s - L R); it equals W_s - What_s
+    # entry by entry, so the two figures differ only in their last bits
+    w, bundles = served
+    b = bundles[(*pair, smoothed)]
+    w_s = b.gamma[:, None] * w if smoothed else w
+    branch = dequantize(b.lowrank_left) @ dequantize(b.lowrank_right)
+    two_branch = float(np.mean(np.square(dequantize(b.residual) - (w_s - branch))))
+    x = np.random.default_rng(65).normal(size=(4, 1024))
+    got = error_report(w, x, b).residual_mse
+    assert abs(got - two_branch) <= 1e-14 * two_branch

@@ -265,3 +265,17 @@ class TestFuseRotation:
         g = rng.normal(size=(5, 5))
         once = skew_project(g)
         assert np.array_equal(skew_project(once), once)
+
+
+class TestSkewProject:
+    def test_bits_of_the_difference_formula(self):
+        rng = np.random.default_rng(40)
+        for size in (1, 4, 17):
+            a = rng.normal(size=(size, size)) * rng.uniform(1e-6, 1e6)
+            assert np.array_equal(skew_project(a), (a - a.T) / 2.0)
+
+    def test_huge_entries_stay_finite(self):
+        # A - A^T overflowed (with a RuntimeWarning) beyond half the range
+        a = np.array([[0.0, 1.5e308], [-1.5e308, 0.0]])
+        assert np.array_equal(skew_project(a), a)
+        assert np.array_equal(skew_project(a.T - 1.0), a.T)

@@ -131,6 +131,29 @@ def test_only_pipeline_reads_the_branch_factors():
     assert readers == {"pipeline.py"}
 
 
+def _readers_of(path: Path, attrs: set[str]) -> set[str]:
+    """Qualified names of the functions in ``path`` that read one of ``attrs``."""
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
+            readers.add(".".join(scope))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return readers
+
+
+def test_one_reconstruction_of_the_branch():
+    # error_report measures the weight reconstruct_weight builds; a second
+    # inline L @ R would be a second copy of the reconstruction
+    readers = _readers_of(SRC / "pipeline.py", {"lowrank_left", "lowrank_right"})
+    assert readers == {"LayerBundle.tensors", "reconstruct_weight", "forward"}
+
+
 # Exported functions that no package module calls, each with why it stays.
 # Anything exported only for tests belongs in tests/oracles.py instead.
 _UNCALLED_EXPORTS = {
