@@ -25,20 +25,21 @@ All integers are little-endian.  Three containers exist:
     manifest      UTF-8 JSON (formats, shapes, rank, seeds, toggles,
                   losses, gamma presence, and the chunk table)
     chunks        tag (4 ASCII bytes) + length u64 + payload, in the
-                  order declared by the manifest chunk table
+                  fixed order of the chunk plan
 
-Known chunk tags: ``PCOD``/``PSCL`` residual codes and scales,
-``LCOD``/``LSCL`` and ``RCOD``/``RSCL`` for the two low-rank factors,
-``GAMA`` for the optional smoothing vector (float64).
-:meth:`~loraq.pipeline.BundleMeta.tensor_layout` owns the tensor-to-chunk
-mapping: it names the packed tensors with their formats and shapes, in
-file order, and this module only maps each name to its tag prefix.
-Unknown tags listed in the manifest are skipped, which keeps old readers
-compatible with future chunk additions.  Packed codes are the row-major
-concatenation of per-row byte runs (LSB-first bit packing); scales are
-one byte per block for e8m0 and two bytes (float16 bit pattern) for fp16.
-Loaders validate magic, version and every declared length before
-allocating, and round-trips are bit-exact.
+The chunks are ``PCOD``/``PSCL`` (residual codes and scales), ``LCOD``/
+``LSCL`` and ``RCOD``/``RSCL`` (the two low-rank factors), then ``GAMA``
+(the float64 smoothing vector) when the bundle is smoothed.
+:meth:`~loraq.pipeline.BundleMeta.tensor_layout` names the packed tensors
+in file order; ``_chunk_plan`` maps them to chunks, and both
+:func:`save_bundle` and :func:`load_bundle` walk that one plan.  A chunk
+table that differs from the plan (reordered, a tag missing, unknown or
+repeated) is refused: the version number is the only compatibility gate,
+and a later layout comes with a new version.  Packed codes are the
+row-major concatenation of per-row byte runs (LSB-first bit packing);
+scales are one byte per block for e8m0 and two bytes (float16 bit
+pattern) for fp16.  Loaders validate magic, version and every declared
+length before allocating, and round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ from .errors import (
     FileFormatError,
     FormatError,
     ParameterError,
+    UnknownFormatError,
     VersionError,
 )
-from .formats import QuantizedTensor, json_bool, json_int, json_str
+from .formats import QuantizedTensor, json_bool, json_int
 from .numerics import as_matrix
 from .pipeline import BundleMeta, LayerBundle
 from .smoothing import ChannelStats
@@ -78,13 +80,12 @@ _STATS_MAGIC = b"LQS1"
 _BUNDLE_MAGIC = b"LRQB"
 
 _ELEMENT_KINDS = {4: "<f4", 8: "<f8"}
+_U8 = np.dtype(np.uint8)
 
 # The tag prefix of each packed tensor that BundleMeta.tensor_layout names:
 # its codes are chunk prefix + "COD" and its scales chunk prefix + "SCL".
 _TAG_PREFIX = {"residual": "P", "left": "L", "right": "R"}
 _GAMMA_TAG = "GAMA"
-# A chunk's payload and the offset of its tag in the file.
-_Chunk = tuple[memoryview, int]
 
 
 class _Reader:
@@ -107,17 +108,10 @@ class _Reader:
         self.offset += count
         return out
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def unpack(self, fmt: str, what: str) -> int:
+        """The one integer of the ``struct`` format ``fmt``."""
+        (value,) = struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        return value
 
     def expect_end(self, what: str) -> None:
         if self.offset != len(self.data):
@@ -152,11 +146,11 @@ def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     _check_magic(reader, _TENSOR_MAGIC, "tensor")
-    width = reader.u8("element kind")
+    width = reader.unpack("<B", "element kind")
     if width not in _ELEMENT_KINDS:
         raise FileFormatError(f"unknown element kind byte {width}")
-    rows = reader.u64("row count")
-    cols = reader.u64("column count")
+    rows = reader.unpack("<Q", "row count")
+    cols = reader.unpack("<Q", "column count")
     payload = reader.take(rows * cols * width, "tensor payload")
     reader.expect_end("tensor payload")
     data = np.frombuffer(payload, dtype=_ELEMENT_KINDS[width])
@@ -176,8 +170,8 @@ def load_stats(path) -> ChannelStats:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     _check_magic(reader, _STATS_MAGIC, "statistics")
-    sample_count = reader.u64("sample count")
-    length = reader.u64("channel count")
+    sample_count = reader.unpack("<Q", "sample count")
+    length = reader.unpack("<Q", "channel count")
     payload_offset = reader.offset
     payload = reader.take(length * 8, "statistics payload")
     reader.expect_end("statistics payload")
@@ -188,29 +182,43 @@ def load_stats(path) -> ChannelStats:
         raise CorruptFileError(f"statistics payload: {exc}", offset=payload_offset) from exc
 
 
-def _tensor_tags(name: str) -> tuple[str, str]:
-    """The code and scale chunk tags of the packed tensor ``name``."""
-    return _TAG_PREFIX[name] + "COD", _TAG_PREFIX[name] + "SCL"
+def _chunk_plan(meta: BundleMeta, has_gamma: bool) -> list[tuple]:
+    """``(tag, what, shape, dtype)`` of every LRQB chunk, in file order.
+
+    Each tensor of :meth:`BundleMeta.tensor_layout` stores its codes, then
+    its scales; ``GAMA`` follows when there is a smoothing vector.  The
+    dtype is what the chunk's bytes hold.  The float chunks (passthrough
+    codes, fp16 scales, gamma) must hold finite values, the scales and
+    gamma positive ones; a tensor views the bytes as its stored dtypes.
+    """
+    plan = []
+    for name, spec, shape in meta.tensor_layout():
+        codes_shape, scales_shape = spec.stored_shapes(shape)
+        codes = (shape, np.dtype("<f8")) if spec.is_passthrough else (codes_shape, _U8)
+        scales_dtype = np.dtype("<f2") if spec.scale_kind == "fp16" else spec.scale_dtype
+        prefix = _TAG_PREFIX[name]
+        plan += [(prefix + "COD", "code", *codes),
+                 (prefix + "SCL", "scale", scales_shape, scales_dtype)]
+    if has_gamma:
+        plan.append((_GAMMA_TAG, "gamma", meta.shape[:1], np.dtype("<f8")))
+    return plan
 
 
 def save_bundle(path, bundle: LayerBundle) -> None:
     """Write a layer bundle as an LRQB file; round-trips bit-exactly."""
-    names = [name for name, _, _ in bundle.meta.tensor_layout()]
-    chunks: list[tuple[str, bytes]] = []
-    for name, t in zip(names, bundle.tensors()):
-        chunks += zip(_tensor_tags(name), (t.codes.tobytes(), t.scales.tobytes()))
-    if bundle.gamma is not None:
-        chunks.append((_GAMMA_TAG,
-                       np.ascontiguousarray(bundle.gamma, dtype="<f8").tobytes()))
+    layout, has_gamma = bundle.meta.tensor_layout(), bundle.gamma is not None
+    arrays = [array for t in bundle.tensors() for array in (t.codes, t.scales)]
+    if has_gamma:
+        arrays.append(np.asarray(bundle.gamma, dtype="<f8"))
+    chunks = [(tag, array.tobytes()) for (tag, *_), array
+              in zip(_chunk_plan(bundle.meta, has_gamma), arrays, strict=True)]
     manifest = {
         "meta": bundle.meta.to_dict(),
-        "pad": {name: t.pad_count for name, t in zip(names, bundle.tensors())},
-        "gamma": bundle.gamma is not None,
+        "pad": {name: t.pad_count for (name, _, _), t in zip(layout, bundle.tensors())},
+        "gamma": has_gamma,
         "chunks": [{"tag": tag, "length": len(data)} for tag, data in chunks],
     }
-    manifest_bytes = json.dumps(
-        manifest, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_BUNDLE_MAGIC)
         fh.write(struct.pack("<H", BUNDLE_VERSION))
@@ -222,44 +230,12 @@ def save_bundle(path, bundle: LayerBundle) -> None:
             fh.write(data)
 
 
-def _chunk_array(chunk: _Chunk, shape: tuple[int, ...], dtype: np.dtype,
-                 what: str) -> np.ndarray:
-    """A copy of ``chunk`` as a ``shape`` array of ``dtype``; a chunk of
-    another length raises :class:`CorruptFileError` at the chunk."""
-    payload, offset = chunk
-    expected = math.prod(shape) * dtype.itemsize
-    if len(payload) != expected:
-        raise CorruptFileError(
-            f"{what} chunk holds {len(payload)} bytes, expected {expected}",
-            offset=offset,
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-
-
-def _decode_tensor(spec, shape, pad_count: int, codes_chunk: _Chunk,
-                   scales_chunk: _Chunk) -> QuantizedTensor:
-    codes_shape, scales_shape = spec.stored_shapes(shape)
-    codes = _chunk_array(codes_chunk, codes_shape, np.dtype(np.uint8), "code")
-    scales = _chunk_array(scales_chunk, scales_shape, spec.scale_dtype, "scale")
-    offset, scale_offset = codes_chunk[1], scales_chunk[1]
-    if spec.is_passthrough and not np.all(np.isfinite(codes.view("<f8"))):
-        raise CorruptFileError(
-            "passthrough payload holds an entry that is not finite", offset=offset
-        )
-    if spec.scale_kind == "fp16":
-        values = scales.view(np.float16)
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise CorruptFileError(
-                "scale chunk holds a float16 scale that is not finite and positive",
-                offset=scale_offset,
-            )
-    t = QuantizedTensor(shape, spec, codes, scales)
-    if pad_count != t.pad_count:
-        raise CorruptFileError(
-            f"pad count {pad_count} does not match the shape, expected {t.pad_count}",
-            offset=offset,
-        )
-    return t
+# the refusal of a float chunk whose values are out of their domain
+_BAD_VALUES = {
+    "code": "passthrough payload holds an entry that is not finite",
+    "scale": "scale chunk holds a float16 scale that is not finite and positive",
+    "gamma": "gamma chunk holds an entry that is not finite and positive",
+}
 
 
 def load_bundle(path) -> LayerBundle:
@@ -268,14 +244,14 @@ def load_bundle(path) -> LayerBundle:
         reader = _Reader(fh.read())
     _check_magic(reader, _BUNDLE_MAGIC, "bundle")
     version_offset = reader.offset
-    version = reader.u16("version")
+    version = reader.unpack("<H", "version")
     if version == 0:
         raise CorruptFileError("bundle version 0 does not exist", offset=version_offset)
     if version > BUNDLE_VERSION:
         raise VersionError(
             f"bundle version {version} is newer than supported {BUNDLE_VERSION}"
         )
-    manifest_len = reader.u32("manifest length")
+    manifest_len = reader.unpack("<I", "manifest length")
     manifest_start = reader.offset
     manifest_bytes = reader.take(manifest_len, "manifest")
     try:
@@ -289,15 +265,15 @@ def load_bundle(path) -> LayerBundle:
         meta = BundleMeta.from_dict(manifest["meta"])
         pad = manifest["pad"]
         has_gamma = json_bool(manifest["gamma"], "gamma")
-        declared = [(json_str(c["tag"], "chunk tag"),
-                     json_int(c["length"], "chunk length")) for c in manifest["chunks"]]
+        declared = [(c["tag"], json_int(c["length"], "chunk length"))
+                    for c in manifest["chunks"]]
         layout = meta.tensor_layout()
         pads = {name: json_int(pad[name], f"{name} pad") for name, _, _ in layout}
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CorruptFileError(
             f"manifest is missing or mistypes a field: {exc}", offset=manifest_start
         ) from exc
-    except FormatError as exc:
+    except (FormatError, UnknownFormatError) as exc:
         raise CorruptFileError(
             f"manifest describes an unusable format: {exc}", offset=manifest_start
         ) from exc
@@ -306,42 +282,52 @@ def load_bundle(path) -> LayerBundle:
             f"manifest rank {meta.rank} and shape {list(meta.shape)} must be positive",
             offset=manifest_start,
         )
+    plan = _chunk_plan(meta, has_gamma)
+    tags, planned = [tag for tag, _ in declared], [tag for tag, *_ in plan]
+    if tags != planned:
+        raise CorruptFileError(f"manifest lists chunks {tags}, expected {planned}",
+                               offset=manifest_start)
 
-    chunks: dict[str, _Chunk] = {}
-    for tag, length in declared:
-        chunk_offset = reader.offset
+    arrays = []  # (values, offset of the chunk's tag), in plan order
+    for (tag, what, shape, dtype), (_, length) in zip(plan, declared):
+        offset = reader.offset
         got_tag = bytes(reader.take(4, "chunk tag"))
-        if got_tag != tag.encode("ascii", errors="replace"):
+        if got_tag != tag.encode("ascii"):
             raise CorruptFileError(
                 f"chunk tag {got_tag!r} does not match manifest entry {tag!r}",
-                offset=chunk_offset,
+                offset=offset,
             )
-        got_length = reader.u64(f"chunk {tag} length")
+        got_length = reader.unpack("<Q", f"chunk {tag} length")
         if got_length != length:
             raise CorruptFileError(
                 f"chunk {tag} declares {got_length} bytes, manifest says {length}",
-                offset=chunk_offset,
+                offset=offset,
             )
-        chunks[tag] = (reader.take(length, f"chunk {tag} payload"), chunk_offset)
+        payload = reader.take(length, f"chunk {tag} payload")
+        expected = math.prod(shape) * dtype.itemsize
+        if length != expected:
+            raise CorruptFileError(
+                f"{what} chunk holds {length} bytes, expected {expected}", offset=offset
+            )
+        values = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        if dtype.kind == "f":
+            valid = np.isfinite(values)
+            if what != "code":  # scales and gamma must also be positive
+                valid = valid & (values > 0)
+            if not np.all(valid):
+                raise CorruptFileError(_BAD_VALUES[what], offset=offset)
+        arrays.append((values, offset))
     reader.expect_end("bundle chunks")
 
-    missing = [tag for name, _, _ in layout for tag in _tensor_tags(name)
-               if tag not in chunks]
-    if missing:
-        raise CorruptFileError(f"bundle is missing chunks: {missing}")
-    if has_gamma and _GAMMA_TAG not in chunks:
-        raise CorruptFileError("manifest promises a gamma chunk but none is present")
-
-    tensors = [_decode_tensor(spec, shape, pads[name],
-                              *(chunks[tag] for tag in _tensor_tags(name)))
-               for name, spec, shape in layout]
-    gamma = None
-    if has_gamma:
-        gamma_chunk = chunks[_GAMMA_TAG]
-        gamma = _chunk_array(gamma_chunk, meta.shape[:1], np.dtype("<f8"), "gamma")
-        if not np.all(np.isfinite(gamma) & (gamma > 0)):
+    tensors = []
+    for (name, spec, shape), (codes, offset), (scales, _) in zip(
+            layout, arrays[0::2], arrays[1::2]):
+        t = QuantizedTensor(shape, spec, codes.view(_U8), scales.view(spec.scale_dtype))
+        if pads[name] != t.pad_count:
             raise CorruptFileError(
-                "gamma chunk holds an entry that is not finite and positive",
-                offset=gamma_chunk[1],
+                f"pad count {pads[name]} does not match the shape, expected {t.pad_count}",
+                offset=offset,
             )
+        tensors.append(t)
+    gamma = arrays[-1][0] if has_gamma else None
     return LayerBundle(*tensors, gamma, meta)

@@ -34,7 +34,6 @@ from .errors import (
     NumericError,
     ParameterError,
     ShapeError,
-    UnknownFormatError,
 )
 from .formats import json_bool, json_int, json_number, json_str, make_format
 from .pipeline import (
@@ -217,12 +216,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         x = np.eye(w.shape[0])
     act = args.act_format
     if act is None and bundle.meta.act_format is not None:
-        try:
-            act = make_format(bundle.meta.act_format)
-        except UnknownFormatError:
-            raise FormatError(
-                f"bundle records activation format {bundle.meta.act_format!r}, "
-                "which names no format") from None
+        act = make_format(bundle.meta.act_format)
     report = error_report(w, x, bundle, act)
     if args.machine:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

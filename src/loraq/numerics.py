@@ -150,7 +150,7 @@ class OptimizerConfig:
             )
 
 
-def adam_descent(score, params, cfg: OptimizerConfig, *, best, project=None):
+def adam_descent(score, params, cfg: OptimizerConfig, *, best):
     """Adam from ``params`` for ``cfg.steps`` steps; returns (best, trace).
 
     ``params`` is a sequence of parameter matrices.  ``score(params)``
@@ -158,10 +158,11 @@ def adam_descent(score, params, cfg: OptimizerConfig, *, best, project=None):
     the loss gradient for each matrix, and the value reported for the
     iterate when it is the best.  ``grad`` is called only when another
     step follows, so a run of ``k`` steps scores ``k + 1`` iterates and
-    computes ``k`` gradients.  ``project``, when given, maps every updated
-    matrix before it is scored; ``skew_project`` keeps a rotation's
-    parameter exactly skew-symmetric.  Iterates are never written in
-    place, so ``keep`` may hold on to the matrices it is given.
+    computes ``k`` gradients.  Adam's update is elementwise and odd in the
+    gradient, so an exactly skew-symmetric gradient (as rotation's) keeps
+    an exactly skew-symmetric start exactly skew-symmetric.  Iterates are
+    never written in place, so ``keep`` may hold on to the matrices it is
+    given.
 
     The trace holds one loss per scored iterate, the start first.  The
     returned best is the ``keep`` of the lowest loss, earliest on ties;
@@ -189,8 +190,6 @@ def adam_descent(score, params, cfg: OptimizerConfig, *, best, project=None):
                       for state, p, g in zip(states, params, grad())]
             if not all(np.all(np.isfinite(p)) for p in params):
                 raise NumericError("parameters became non-finite")
-            if project is not None:
-                params = [project(p) for p in params]
         except NumericError as exc:
             raise NumericError(f"{exc} at step {len(trace)}", trace=trace,
                                last_iterate=best) from None

@@ -31,6 +31,7 @@ from .formats import (
     json_number,
     json_object,
     json_str,
+    make_format,
     quantize_blockwise,
 )
 from .numerics import OptimizerConfig, as_matrix
@@ -149,7 +150,9 @@ class BundleMeta:
     @classmethod
     def from_dict(cls, d: dict) -> "BundleMeta":
         """Inverse of :meth:`to_dict`.  A value without its JSON type raises
-        ``TypeError``, which :func:`bundle_io.load_bundle` reports as corrupt."""
+        ``TypeError`` and an activation format that names no format
+        :class:`UnknownFormatError`; :func:`bundle_io.load_bundle` reports
+        both as corrupt."""
         rows, cols = d["shape"]
         return cls(
             q1=FormatSpec.from_dict(d["q1"]),
@@ -166,10 +169,17 @@ class BundleMeta:
             rotation=_nullable(_summary, d["rotation"], "rotation", _TRACE_SUMMARY),
             smoothing=_nullable(_summary, d["smoothing"], "smoothing", _SMOOTHING_SUMMARY),
             lowrank_q2_mse=json_number(d["lowrank_q2_mse"], "lowrank_q2_mse"),
-            act_format=_nullable(json_str, d.get("act_format"), "act_format"),
+            act_format=_nullable(_format_name, d.get("act_format"), "act_format"),
             lowrank_act_format=_nullable(
-                json_str, d.get("lowrank_act_format"), "lowrank_act_format"),
+                _format_name, d.get("lowrank_act_format"), "lowrank_act_format"),
         )
+
+
+def _format_name(value, label: str) -> str:
+    """``value`` if it is the name of a :func:`make_format` format; any
+    other name raises :class:`UnknownFormatError`."""
+    make_format(json_str(value, label))
+    return value
 
 
 def _nullable(read, value, label: str, *args):

@@ -5,8 +5,10 @@ unchanged but redistributes the entries that each factor exposes to the
 quantizer.  The rotation is parameterized by a skew-symmetric matrix via
 the Cayley map, optimized with Adam, and fused into the factors so it
 costs nothing at inference.  The step loop is
-:func:`numerics.adam_descent`, which projects every update back onto the
-skew-symmetric matrices; this module supplies the score of one iterate.
+:func:`numerics.adam_descent`; this module supplies the score of one
+iterate.  Each gradient is exactly skew-symmetric, and Adam's update
+is elementwise and odd in the gradient, so every iterate from the zero
+start is exactly skew-symmetric without a projection.
 """
 
 from __future__ import annotations
@@ -124,8 +126,7 @@ def optimize_rotation(left, right,
             return (_grad_from_errors(left, right, a, omega, err_left, err_right),)
         return loss, grad, omega
 
-    return adam_descent(score, (np.zeros((rank, rank)),), cfg, best=np.eye(rank),
-                        project=skew_project)
+    return adam_descent(score, (np.zeros((rank, rank)),), cfg, best=np.eye(rank))
 
 
 def fuse_rotation(left, right, omega) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 from .formats import FormatSpec, fake_quant
 from .numerics import as_matrix, truncated_svd
 
@@ -72,7 +72,8 @@ def smoothing_vector(stats: ChannelStats, w, alpha_mig: float,
     """Per-channel scales ``act_max^alpha / weight_row_max^beta``.
 
     Channels with a zero activation max or a zero weight row fall back to
-    1, the only scale that is safe for a dead channel.
+    1, the only scale that is safe for a dead channel.  A scale that
+    overflows or underflows to 0 raises :class:`NumericError`.
     """
     if not (0.0 <= alpha_mig <= 1.0 and 0.0 <= beta_mig <= 1.0):
         raise ParameterError(
@@ -89,8 +90,13 @@ def smoothing_vector(stats: ChannelStats, w, alpha_mig: float,
     degenerate = (act_max == 0.0) | (row_max == 0.0)
     safe_act = np.where(degenerate, 1.0, act_max)
     safe_row = np.where(degenerate, 1.0, row_max)
-    gamma = safe_act ** alpha_mig / safe_row ** beta_mig
-    return np.where(degenerate, 1.0, gamma)
+    with np.errstate(over="ignore"):
+        gamma = np.where(degenerate, 1.0, safe_act ** alpha_mig / safe_row ** beta_mig)
+    if not np.all(np.isfinite(gamma) & (gamma > 0)):
+        raise NumericError(
+            f"the smoothing vector at migration strengths ({alpha_mig}, {beta_mig}) "
+            "overflows or underflows to 0")
+    return gamma
 
 
 def apply_smoothing(w, gamma) -> np.ndarray:

@@ -76,23 +76,29 @@ def _with_manifest(data: bytes, edit) -> bytes:
             + data[_HEADER + manifest_len:])
 
 
-def _with_chunk(data: bytes, tag: str, payload: bytes | None) -> bytes:
-    """``data`` with chunk ``tag`` holding ``payload``, or dropped for None,
+def _rechunked(data: bytes, edit) -> bytes:
+    """``data`` with its ``(tag, payload)`` chunk list passed through ``edit``
     and the manifest's chunk table to match."""
     (manifest_len,) = struct.unpack_from("<I", data, 6)
     manifest = json.loads(data[_HEADER:_HEADER + manifest_len])
-    body, table, at = b"", [], _HEADER + manifest_len
+    chunks, at = [], _HEADER + manifest_len
     for chunk in manifest["chunks"]:
-        kept = data[at + 12:at + 12 + chunk["length"]]
+        chunks.append((chunk["tag"], data[at + 12:at + 12 + chunk["length"]]))
         at += 12 + chunk["length"]
-        if chunk["tag"] == tag:
-            if payload is None:
-                continue
-            kept = payload
-        table.append({"tag": chunk["tag"], "length": len(kept)})
-        body += chunk["tag"].encode() + struct.pack("<Q", len(kept)) + kept
+    chunks = edit(chunks)
+    table = [{"tag": tag, "length": len(payload)} for tag, payload in chunks]
+    body = b"".join(tag.encode() + struct.pack("<Q", len(payload)) + payload
+                    for tag, payload in chunks)
     return _with_manifest(data[:_HEADER + manifest_len],
                           lambda m: m.update(chunks=table)) + body
+
+
+def _with_chunk(data: bytes, tag: str, payload: bytes | None) -> bytes:
+    """``data`` with chunk ``tag`` holding ``payload``, or dropped for None,
+    and the manifest's chunk table to match."""
+    return _rechunked(data, lambda chunks: [
+        (t, payload if t == tag else kept) for t, kept in chunks
+        if t != tag or payload is not None])
 
 
 def _load_patched(tmp_path, data: bytes):
@@ -170,7 +176,7 @@ def test_misdescribed_format_is_refused(tmp_path, case):
 
 
 @pytest.mark.parametrize("key", ["act_format", "lowrank_act_format"])
-@pytest.mark.parametrize("value", [[1], 7, {"name": "MXINT8"}, True])
+@pytest.mark.parametrize("value", [[1], 7, {"name": "MXINT8"}, True, "BOGUS"])
 def test_activation_format_must_be_a_name_or_null(tmp_path, key, value):
     data = _with_manifest(_saved(tmp_path), lambda m: m["meta"].update({key: value}))
     with pytest.raises(CorruptFileError) as info:
@@ -237,18 +243,40 @@ def test_rank_and_shape_below_one_are_refused(tmp_path, key, value):
     assert info.value.offset == _HEADER
 
 
+_PLAN = ["PCOD", "PSCL", "LCOD", "LSCL", "RCOD", "RSCL"]
+
+
 def test_missing_chunk_is_refused(tmp_path):
     data = _with_chunk(_saved(tmp_path, gamma=False), "RSCL", None)
-    with pytest.raises(CorruptFileError,
-                       match=re.escape("bundle is missing chunks: ['RSCL']")):
+    with pytest.raises(CorruptFileError, match=re.escape(
+            f"manifest lists chunks {_PLAN[:-1]}, expected {_PLAN}")) as info:
         _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
 
 
 def test_promised_gamma_chunk_must_be_present(tmp_path):
     data = _with_manifest(_saved(tmp_path, gamma=False), lambda m: m.update(gamma=True))
-    with pytest.raises(CorruptFileError,
-                       match="manifest promises a gamma chunk but none is present"):
+    with pytest.raises(CorruptFileError, match=re.escape(
+            f"manifest lists chunks {_PLAN}, expected {[*_PLAN, 'GAMA']}")) as info:
         _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
+
+
+# chunk lists that a reader taking chunks by tag in any order loads; the
+# repeated PCOD holds other codes, so the loaded bundle would differ
+NOT_THE_PLAN = {
+    "reordered": lambda chunks: [chunks[1], chunks[0], *chunks[2:]],
+    "unknown tag": lambda chunks: [*chunks[:2], ("XTRA", b"\0" * 8), *chunks[2:]],
+    "PCOD twice": lambda chunks: [*chunks, ("PCOD", bytes(len(chunks[0][1])))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_THE_PLAN))
+def test_chunk_table_must_follow_the_plan(tmp_path, case):
+    data = _rechunked(_saved(tmp_path), NOT_THE_PLAN[case])
+    with pytest.raises(CorruptFileError, match="manifest lists chunks") as info:
+        _load_patched(tmp_path, data)
+    assert info.value.offset == _HEADER
 
 
 def test_gamma_chunk_must_hold_one_value_per_row(tmp_path):

@@ -353,6 +353,21 @@ def test_evaluate_overflowed_figures_exit_5(tmp_path, capsys):
     assert _last_error_line(err).startswith("error: [E_NUMERIC] ")
 
 
+def test_smoothing_overflow_exits_5(tmp_path, capsys):
+    # the grid's gamma = act_max^alpha / row_max^beta overflows for these
+    # finite inputs; no setting is at fault
+    rng = np.random.default_rng(31)
+    weight, activations = tmp_path / "tiny.lqt", tmp_path / "huge.lqt"
+    save_tensor(weight, rng.normal(size=(64, 64)) * 1e-300)
+    save_tensor(activations, rng.normal(size=(16, 64)) * 1e300)
+    code, out, err = _run(capsys, ["quantize", str(weight), *RUN, "--stats",
+                                   str(activations), "--out", str(tmp_path / "b.lrqb")])
+    assert code == 5
+    assert out == ""
+    assert _last_error_line(err).startswith(
+        "error: [E_NUMERIC] the smoothing vector at migration strengths (")
+
+
 def _patched_bundle(tmp_path, capsys, meta_patch, *extra) -> str:
     """A bundle file quantized from one weight, its manifest's ``meta`` then
     updated by ``meta_patch`` (which may reach into ``q1`` or ``q2``).
@@ -466,12 +481,12 @@ def test_evaluate_unknown_recorded_act_format_exits_3(tmp_path, capsys):
     bundle = _patched_bundle(tmp_path, capsys,
                              lambda meta: meta.update({"act_format": "BOGUS"}))
     [weight] = _weights(tmp_path, 1)
-    assert _run(capsys, ["inspect", bundle])[0] == 0  # the bundle itself loads
-    code, _, err = _run(capsys, ["evaluate", bundle, weight, "--machine"])
-    assert code == 3
-    assert _last_error_line(err) == (
-        "error: [E_FORMAT] bundle records activation format 'BOGUS', "
-        "which names no format")
+    for argv in (["inspect", bundle], ["evaluate", bundle, weight, "--machine"]):
+        code, _, err = _run(capsys, argv)
+        assert code == 3
+        assert _last_error_line(err).startswith(
+            "error: [E_FORMAT] manifest describes an unusable format: "
+            "unknown format 'BOGUS'; known: ")
 
 
 @pytest.mark.parametrize("value, why", [

@@ -17,7 +17,6 @@ from loraq import (
     optimize_factors,
     optimize_rotation,
     rotation,
-    skew_project,
 )
 
 SINT4 = make_format("SINT4")
@@ -58,24 +57,6 @@ class TestToyScore:
                                    OptimizerConfig(0.1, 3, SINT4), best=None)
         assert trace == [1.0] * 4
         assert best is kept[0]
-
-    def test_projection_keeps_every_iterate_exactly_skew(self):
-        # the target's symmetric part pulls every raw update off the subspace
-        target = np.random.default_rng(0).normal(size=(5, 5))
-        seen = []
-        score = _quadratic(target, [])
-
-        def recording(params):
-            seen.append(params[0])
-            return score(params)
-
-        _, trace = adam_descent(recording, (np.zeros((5, 5)),),
-                                OptimizerConfig(0.05, 200, SINT4), best=None,
-                                project=skew_project)
-        assert len(seen) == 201
-        for a in seen:
-            assert np.array_equal(a + a.T, np.zeros((5, 5)))
-        assert min(trace) < trace[0]
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])

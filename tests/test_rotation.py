@@ -219,6 +219,25 @@ class TestRotationLoop:
                           OptimizerConfig(1e-1, steps, make_format("MXFP4e2")))
         assert calls == {"fake_quant": 2 * (steps + 1), "cayley_retract": steps + 1}
 
+    @pytest.mark.parametrize("name", ["SINT4", "MXINT4", "MXFP4e2", "MXFP6e2", "MXFP8e4"])
+    @pytest.mark.parametrize("rank, lr", [(4, 3.0), (17, 0.5), (6, 0.1)])
+    def test_every_iterate_is_exactly_skew(self, monkeypatch, name, rank, lr):
+        # nothing projects the iterates: an exactly skew gradient and Adam's
+        # elementwise update, odd in the gradient, keep them exactly skew
+        seen = []
+
+        def recording(a):
+            seen.append(a)
+            return cayley_retract(a)
+
+        monkeypatch.setattr(rotation, "cayley_retract", recording)
+        rng = np.random.default_rng(14)
+        optimize_rotation(rng.normal(size=(40, rank)), rng.normal(size=(rank, 36)),
+                          OptimizerConfig(lr, 20, make_format(name)))
+        assert len(seen) == 21
+        for a in seen:
+            assert np.array_equal(a + a.T, np.zeros((rank, rank)))
+
     @pytest.mark.parametrize("name", ["SINT4", "MXINT4", "MXFP4e2", "MXFP8e4"])
     def test_bit_identical_to_reference_loop(self, name):
         rng = np.random.default_rng(13)

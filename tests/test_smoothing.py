@@ -3,6 +3,7 @@ import pytest
 
 from loraq import (
     ChannelStats,
+    NumericError,
     ParameterError,
     ShapeError,
     apply_smoothing,
@@ -69,6 +70,15 @@ class TestSmoothingVector:
         w = np.array([[0.0, 0.0], [1.0, 2.0]])
         gamma = smoothing_vector(stats, w, 0.5, 0.5)
         assert gamma[0] == 1.0
+
+    @pytest.mark.parametrize("act_max, row_max", [(1e300, 1e-300), (1e-300, 1e300)],
+                             ids=["overflow", "underflow"])
+    def test_scale_outside_the_float_range_is_a_numeric_error(self, act_max, row_max):
+        # inputs in range, but act_max / row_max is not a positive float64
+        stats = ChannelStats(np.array([2.0, act_max]), sample_count=1)
+        w = np.array([[1.0, -1.0], [row_max, 0.0]])
+        with pytest.raises(NumericError, match=r"strengths \(1\.0, 1\.0\)"):
+            smoothing_vector(stats, w, 1.0, 1.0)
 
     def test_strength_bounds(self):
         stats = ChannelStats(np.array([1.0]), sample_count=1)

@@ -132,11 +132,14 @@ def test_only_pipeline_reads_the_branch_factors():
 
 
 def _readers_of(path: Path, attrs: set[str]) -> set[str]:
-    """Qualified names of the functions in ``path`` that read one of ``attrs``."""
+    """Qualified names of the functions in ``path`` that read one of
+    ``attrs``, as an attribute or as a global."""
     readers = set()
 
     def visit(node, scope):
-        if isinstance(node, ast.Attribute) and node.attr in attrs:
+        if (isinstance(node, ast.Attribute) and node.attr in attrs
+                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id in attrs):
             readers.add(".".join(scope))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = [*scope, node.name]
@@ -152,6 +155,14 @@ def test_one_reconstruction_of_the_branch():
     # inline L @ R would be a second copy of the reconstruction
     readers = _readers_of(SRC / "pipeline.py", {"lowrank_left", "lowrank_right"})
     assert readers == {"LayerBundle.tensors", "reconstruct_weight", "forward"}
+
+
+def test_only_the_chunk_plan_reads_the_chunk_tags():
+    # save_bundle and load_bundle walk bundle_io._chunk_plan; a chunk tag
+    # read anywhere else would be a second copy of the LRQB layout
+    readers = {f"{path.stem}.{reader}" for path in sorted(SRC.glob("*.py"))
+               for reader in _readers_of(path, {"_TAG_PREFIX", "_GAMMA_TAG"})}
+    assert readers == {"bundle_io._chunk_plan"}
 
 
 # Exported functions that no package module calls, each with why it stays.
