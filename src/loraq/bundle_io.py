@@ -37,9 +37,10 @@ table that differs from the plan (reordered, a tag missing, unknown or
 repeated) is refused: the version number is the only compatibility gate,
 and a later layout comes with a new version.  Packed codes are the
 row-major concatenation of per-row byte runs (LSB-first bit packing);
-scales are one byte per block for e8m0 and two bytes (float16 bit
-pattern) for fp16.  Loaders validate magic, version and every declared
-length before allocating, and round-trips are bit-exact.
+scales are one exponent byte per block for e8m0 and one float16 for
+fp16; a passthrough tensor stores its float64 values and no scales.
+Loaders validate magic, version and every declared length before
+allocating, and round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ _STATS_MAGIC = b"LQS1"
 _BUNDLE_MAGIC = b"LRQB"
 
 _ELEMENT_KINDS = {4: "<f4", 8: "<f8"}
-_U8 = np.dtype(np.uint8)
 
 # The tag prefix of each packed tensor that BundleMeta.tensor_layout names:
 # its codes are chunk prefix + "COD" and its scales chunk prefix + "SCL".
@@ -186,19 +186,17 @@ def _chunk_plan(meta: BundleMeta, has_gamma: bool) -> list[tuple]:
     """``(tag, what, shape, dtype)`` of every LRQB chunk, in file order.
 
     Each tensor of :meth:`BundleMeta.tensor_layout` stores its codes, then
-    its scales; ``GAMA`` follows when there is a smoothing vector.  The
-    dtype is what the chunk's bytes hold.  The float chunks (passthrough
-    codes, fp16 scales, gamma) must hold finite values, the scales and
-    gamma positive ones; a tensor views the bytes as its stored dtypes.
+    its scales; ``GAMA`` follows when there is a smoothing vector.  A
+    tensor's chunks hold the arrays :meth:`FormatSpec.stored_arrays` names,
+    at their shapes and dtypes.  The float chunks (passthrough codes, fp16
+    scales, gamma) must hold finite values, the scales and gamma positive
+    ones.
     """
     plan = []
     for name, spec, shape in meta.tensor_layout():
-        codes_shape, scales_shape = spec.stored_shapes(shape)
-        codes = (shape, np.dtype("<f8")) if spec.is_passthrough else (codes_shape, _U8)
-        scales_dtype = np.dtype("<f2") if spec.scale_kind == "fp16" else spec.scale_dtype
+        codes, scales = spec.stored_arrays(shape)
         prefix = _TAG_PREFIX[name]
-        plan += [(prefix + "COD", "code", *codes),
-                 (prefix + "SCL", "scale", scales_shape, scales_dtype)]
+        plan += [(prefix + "COD", "code", *codes), (prefix + "SCL", "scale", *scales)]
     if has_gamma:
         plan.append((_GAMMA_TAG, "gamma", meta.shape[:1], np.dtype("<f8")))
     return plan
@@ -322,7 +320,7 @@ def load_bundle(path) -> LayerBundle:
     tensors = []
     for (name, spec, shape), (codes, offset), (scales, _) in zip(
             layout, arrays[0::2], arrays[1::2]):
-        t = QuantizedTensor(shape, spec, codes.view(_U8), scales.view(spec.scale_dtype))
+        t = QuantizedTensor(shape, spec, codes, scales)
         if pads[name] != t.pad_count:
             raise CorruptFileError(
                 f"pad count {pads[name]} does not match the shape, expected {t.pad_count}",

@@ -266,7 +266,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     bundle = bundle_io.load_bundle(args.bundle)
     meta = bundle.meta
     accounting = meta.budget_accounting()
-    chunks = {f"{name}_code_bytes": int(t.codes.size)
+    chunks = {f"{name}_code_bytes": t.codes.nbytes
               for (name, _, _), t in zip(meta.tensor_layout(), bundle.tensors())}
     chunks["residual_scale_count"] = int(bundle.residual.scales.size)
     info = {

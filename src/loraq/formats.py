@@ -76,12 +76,13 @@ if zero bytes followed, and bits past a row's last code are ignored.
 Packing is the mirror: OR each code into its word at ``j * width``, then
 split the words into bytes.  8-bit codes are the bytes themselves.
 
-That layout is decided in this module alone.  :meth:`FormatSpec.stored_shapes`
-gives the shapes of a matrix's codes and scales (block count, bytes per
-code row) and :attr:`FormatSpec.scale_dtype` the stored scale dtype;
-:class:`QuantizedTensor` refuses arrays that do not match them when it is
-built and derives its pad count.  The bundle reader and the budget
-accounting take their shapes and block counts from there.
+That layout is decided in this module alone.  :meth:`FormatSpec.stored_arrays`
+gives the shape and dtype of a matrix's codes and scales (block count,
+bytes per code row; ``u1`` codes or a passthrough's ``<f8`` values,
+``<f2`` or ``u1`` scales), and is the only place that picks a stored
+dtype.  :class:`QuantizedTensor` refuses arrays that do not match it when
+it is built and derives its pad count; the bundle's chunk plan and the
+budget accounting read it verbatim.
 
 Decoding looks values up in a per-codec table of ``2^width`` float64s,
 indexed by code: the two's-complement value for integers, the sign,
@@ -377,27 +378,21 @@ class FormatSpec:
         """Bits per stored element: the codec width (16 for passthrough)."""
         return self.codec.width
 
-    @property
-    def scale_bits(self) -> int:
-        return {"fp16": 16, "e8m0": 8, "none": 0}[self.scale_kind]
-
-    @property
-    def scale_dtype(self) -> np.dtype:
-        """Dtype of the stored scales: float16 bit patterns (``<u2``) for
-        fp16, exponent bytes (``u1``) for e8m0; a passthrough's are empty."""
-        return np.dtype("<u2" if self.scale_kind == "fp16" else "u1")
-
-    def stored_shapes(self, shape: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        """``(codes shape, scales shape)`` of a ``shape`` matrix in this
-        format: ``(rows, row_bytes)`` and ``(rows, n_blocks)``, where a row
-        of ``n_blocks`` whole blocks packs into ``row_bytes`` bytes, or
-        ``(rows, cols * 8)`` and ``(rows, 0)`` for passthrough."""
+    def stored_arrays(self, shape: tuple[int, int]) -> tuple[tuple[tuple, np.dtype], ...]:
+        """``((codes shape, codes dtype), (scales shape, scales dtype))`` of a
+        ``shape`` matrix in this format.  Codes are ``u1`` bytes ``(rows,
+        row_bytes)``, where a row of ``n_blocks`` whole blocks packs into
+        ``row_bytes`` bytes, and scales are ``(rows, n_blocks)``: ``<f2``
+        for fp16, ``u1`` exponent bytes for e8m0.  A passthrough stores its
+        ``<f8`` values at the matrix's own shape and an empty ``u1`` scale
+        array ``(rows, 0)``."""
         rows, cols = shape
         if self.is_passthrough:
-            return (rows, cols * 8), (rows, 0)
+            return ((rows, cols), np.dtype("<f8")), ((rows, 0), np.dtype("u1"))
         n_blocks = -(-cols // self.block_size)
         row_bytes = -(-(n_blocks * self.block_size * self.codec.width) // 8)
-        return (rows, row_bytes), (rows, n_blocks)
+        scales = np.dtype("<f2" if self.scale_kind == "fp16" else "u1")
+        return ((rows, row_bytes), np.dtype("u1")), ((rows, n_blocks), scales)
 
     def to_dict(self) -> dict:
         kind = next(k for k, codec in _CODEC_KINDS.items() if isinstance(self.codec, codec))
@@ -511,16 +506,16 @@ def make_format(name: str) -> FormatSpec:
 class QuantizedTensor:
     """Packed element codes plus per-block scales for one matrix.
 
-    ``codes`` is a ``(rows, row_bytes)`` uint8 array, each row its
+    ``codes`` is a ``(rows, row_bytes)`` byte array, each row its
     ``n_blocks`` whole blocks of codes packed LSB-first; ``scales`` is a
-    ``(rows, n_blocks)`` array of ``spec.scale_dtype``: uint8 exponent
-    bytes for e8m0, float16 bit patterns for fp16.  A passthrough tensor's
-    codes are the raw little-endian float64 payload, ``(rows, cols * 8)``,
-    and its scales are empty.  Construction refuses any other dtype or
-    shape (:meth:`FormatSpec.stored_shapes`) with :class:`FormatError`;
-    only invalid code patterns, which depend on the data, are found when
-    decoding.  ``pad_count``, the codes past the last column, is derived
-    from the shape.
+    ``(rows, n_blocks)`` array: exponent bytes for e8m0, float16 values
+    for fp16.  A passthrough tensor's codes are its float64 values at the
+    matrix's own shape, and its scales are empty.  Construction refuses any
+    other dtype or shape (:meth:`FormatSpec.stored_arrays`) with
+    :class:`FormatError`; only invalid code patterns, which depend on the
+    data, are found when decoding.  ``pad_count``, the codes past the last
+    column, is derived from the shape.  Two tensors are equal when their
+    arrays hold the same bytes, so ``-0.0`` and ``0.0`` differ.
     """
 
     shape: tuple[int, int]
@@ -529,9 +524,8 @@ class QuantizedTensor:
     scales: np.ndarray
 
     def __post_init__(self):
-        codes_shape, scales_shape = self.spec.stored_shapes(self.shape)
-        for name, dtype, shape in (("codes", np.dtype(np.uint8), codes_shape),
-                                   ("scales", self.spec.scale_dtype, scales_shape)):
+        for name, (shape, dtype) in zip(("codes", "scales"),
+                                        self.spec.stored_arrays(self.shape)):
             array = getattr(self, name)
             if not isinstance(array, np.ndarray):
                 raise FormatError(f"{name} must be a numpy array, got {type(array)}")
@@ -545,8 +539,9 @@ class QuantizedTensor:
         return (
             self.shape == other.shape
             and self.spec == other.spec
-            and np.array_equal(self.codes, other.codes)
-            and np.array_equal(self.scales, other.scales)
+            # compared as unsigned integers of their width: equal means equal bits
+            and all(np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+                    for a, b in ((self.codes, other.codes), (self.scales, other.scales)))
         )
 
     @property
@@ -562,11 +557,9 @@ class QuantizedTensor:
 
     def scale_values(self) -> np.ndarray:
         """Per-block scales as float64, shape (rows, n_blocks)."""
-        if self.spec.is_passthrough:
-            return np.ones((self.shape[0], 0), dtype=np.float64)
         if self.spec.scale_kind == "e8m0":
             return np.ldexp(1.0, self.scales.astype(np.int32) - _E8M0_BIAS)
-        return self.scales.view(np.float16).astype(np.float64)
+        return self.scales.astype(np.float64)
 
 
 def _word_layout(width: int) -> tuple[int, int, np.dtype]:
@@ -692,8 +685,8 @@ def _fp16_scales(block_max: np.ndarray, cmax: float) -> tuple[np.ndarray, np.nda
     bits = nearest.view(np.uint16)
     bits = np.where(nearest.astype(np.float64) < exact, bits + np.uint16(1), bits)
     bits = np.minimum(bits, _FP16_MAX_BITS)
-    bits = np.where(block_max == 0.0, np.uint16(1), bits)
-    return bits, bits.view(np.float16).astype(np.float64)
+    halves = np.where(block_max == 0.0, np.uint16(1), bits).view(np.float16)
+    return halves, halves.astype(np.float64)
 
 
 def _block_scales(spec: FormatSpec, block_max: np.ndarray):
@@ -723,14 +716,12 @@ def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
     """Encode a matrix into packed codes and per-block scales."""
     m = as_matrix(m)
     rows, cols = m.shape
-    _, scales_shape = spec.stored_shapes((rows, cols))
-    if spec.is_passthrough:
-        payload = np.ascontiguousarray(m, dtype="<f8").view(np.uint8)
-        return QuantizedTensor((rows, cols), spec, payload.reshape(rows, cols * 8),
-                               np.empty(scales_shape, dtype=spec.scale_dtype))
+    (_, codes_dtype), (scales_shape, scales_dtype) = spec.stored_arrays((rows, cols))
+    stored = np.empty(scales_shape, dtype=scales_dtype)
+    if spec.is_passthrough:  # astype copies, so the tensor owns its values
+        return QuantizedTensor((rows, cols), spec, m.astype(codes_dtype), stored)
     padded = scales_shape[1] * spec.block_size
     codes = np.empty((rows, padded), dtype=np.uint8)
-    stored = np.empty(scales_shape, dtype=spec.scale_dtype)
     for group in _row_groups(rows, padded):
         grid, _, stored[group] = _round_blocks(m[group], spec)
         codes[group] = spec.codec.encode_values(grid).reshape(len(grid), -1)
@@ -797,7 +788,7 @@ def _decoded_blocks(t: QuantizedTensor) -> np.ndarray:
 def dequantize(t: QuantizedTensor) -> np.ndarray:
     """Decode a quantized tensor back to float64 values."""
     if t.spec.is_passthrough:
-        return np.ascontiguousarray(t.codes).view("<f8").astype(np.float64)
+        return t.codes.astype(np.float64)
     return _decoded_blocks(t)[:, :t.shape[1]]
 
 

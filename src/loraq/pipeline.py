@@ -130,15 +130,15 @@ class BundleMeta:
 
     def budget_accounting(self) -> dict:
         """Payload and scale-overhead bits of the low-rank branch."""
-        # (scale array shape, bits per scale) of the left and right factors
-        left, right = [(spec.stored_shapes(shape)[1], spec.scale_bits)
+        # (scale array shape, dtype) of the left and right factors
+        left, right = [spec.stored_arrays(shape)[1]
                        for _, spec, shape in self.tensor_layout()[1:]]
         return {
             "payload_bits_per_channel": self.rank * self.q2.bits_per_value,
             "budget_bits_per_channel": self.budget_bits_per_channel,
-            "scale_bits_per_channel_left": left[0][1] * left[1],
-            "total_scale_bits": sum(math.prod(scales) * bits
-                                    for scales, bits in (left, right)),
+            "scale_bits_per_channel_left": left[0][1] * 8 * left[1].itemsize,
+            "total_scale_bits": sum(math.prod(shape) * 8 * dtype.itemsize
+                                    for shape, dtype in (left, right)),
         }
 
     def to_dict(self) -> dict:

@@ -135,6 +135,8 @@ def grid_search_migration(x_cal, w, grid, rank: int,
     Each candidate smooths the weight, splits it into a full-precision
     rank-``rank`` branch plus a ``q1``-quantized residual, and scores the
     output against the exact product.  Ties keep the earliest grid entry.
+    A candidate whose smoothing vector or score is not finite is skipped;
+    :class:`NumericError` is raised only when no candidate scores.
     """
     x_cal = as_matrix(x_cal, "calibration activations")
     w = as_matrix(w)
@@ -147,12 +149,19 @@ def grid_search_migration(x_cal, w, grid, rank: int,
             f"{w.shape[0]}"
         )
     stats = compute_channel_stats(x_cal)
-    reference = x_cal @ w
     best: SmoothingResult | None = None
-    for alpha_mig, beta_mig in grid:
-        gamma = smoothing_vector(stats, w, alpha_mig, beta_mig)
-        score = _smoothed_output_score(x_cal, w, gamma, rank, q1, reference)
-        if best is None or score < best.search_score:
-            best = SmoothingResult(gamma, alpha_mig, beta_mig, score)
-    assert best is not None
+    # an overflow makes a score non-finite, and such a score is skipped
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = x_cal @ w
+        for alpha_mig, beta_mig in grid:
+            try:
+                gamma = smoothing_vector(stats, w, alpha_mig, beta_mig)
+                score = _smoothed_output_score(x_cal, w, gamma, rank, q1, reference)
+            except NumericError:
+                continue
+            if np.isfinite(score) and (best is None or score < best.search_score):
+                best = SmoothingResult(gamma, alpha_mig, beta_mig, score)
+    if best is None:
+        raise NumericError(
+            f"no migration strengths of the {len(grid)}-point grid give a finite score")
     return best

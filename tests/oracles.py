@@ -159,8 +159,8 @@ def materialized_matmul(x, t: QuantizedTensor) -> np.ndarray:
     if spec.is_passthrough or 8 * len(x) > spec.block_size:
         return x @ dequantize(t)
     n_blocks, size = t.n_blocks, spec.block_size
-    one = np.float16(1.0).view(np.uint16) if spec.scale_kind == "fp16" else 127
-    unit = np.full(t.scales.shape, one, dtype=spec.scale_dtype)
+    one = 1.0 if spec.scale_kind == "fp16" else 127
+    unit = np.full(t.scales.shape, one, dtype=t.scales.dtype)
     codes = dequantize(dataclasses.replace(t, shape=(rows, n_blocks * size), scales=unit))
     scaled_x = np.multiply(t.scale_values().T[:, :, None], x.T, order="C")
     blocks = codes.reshape(rows, n_blocks, size).transpose(1, 2, 0)

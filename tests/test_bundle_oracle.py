@@ -13,7 +13,9 @@ activations (``formats.matmul_dequantized``): their fp16 scales are not
 powers of two, so ``(x * s) @ T`` rounds differently from ``x @ (s * T)``,
 by at most 1.7e-16 relative on their batch-1 outputs without activation
 quantization.  The e8m0 scales of the other five are powers of two, which
-makes the fold exact, and their hashes held.  A refactor that
+makes the fold exact, and their hashes held.  The two cases with a
+full-precision low-rank branch were recorded while a passthrough tensor
+still held its float64 values as a byte matrix.  A refactor that
 keeps these hashes keeps every byte of every bundle and of every layer
 output.  Floating-point results depend on the numpy build and on the BLAS
 kernels, so the test skips on any other numpy or BLAS version.
@@ -57,6 +59,11 @@ ASSEMBLED = {
         "ffd625ab4d78b3d53b76dfc9d88a898dd8a1dc4352dec7b39e4261ef505204e5",
     ("MXFP4e2", "MXFP8e4", True, True):
         "a463cdd29522606b9f54490cc423269e7acdfb80be877153d2d106671ee8170a",
+    # full-precision low-rank branches, stored as float64 values
+    ("MXINT4", "fp16-passthrough", True, True):
+        "c2cb6ae72160fe373e1c65c0df954125b4236cf4d3ef55ef30cfe918304f3637",
+    ("SINT4", "fp16-passthrough", False, False):
+        "bac1a6eb1461884104a75f1dc8ef90a1c1b0a2c191fcb3e68058c6bdca7c8800",
 }
 
 # (q1, q2, optimized_lr, rotations) -> sha256 of the ``forward`` outputs of the
@@ -78,6 +85,10 @@ FORWARD = {
         "588d2d75d1372dfde3f7e3fe75bf681fafd3160c2fb7c4e9bd812dc6e4a8ca7c",
     ("MXFP4e2", "MXFP8e4", True, True):
         "9e4d63d9627033410347bfc19875b92bc6f76e0c8060e895a9ab8b37dff226db",
+    ("MXINT4", "fp16-passthrough", True, True):
+        "9f133842adba1fa8f9ed28a67a9fe021a7a53e28e178b049e4c1d4ba8b5e0412",
+    ("SINT4", "fp16-passthrough", False, False):
+        "35eca32ccc300679f1984d51eb23bb2aa7722cb6ecd4a2d6955ebb56b1f93c06",
 }
 
 # calibration file kind -> sha256 of the bundle ``loraq quantize --stats`` wrote

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from loraq import (
+    ChannelStats,
     RankCapWarning,
     absorber,
     assemble_layer,
@@ -324,6 +325,20 @@ def test_inspect_machine_output(tmp_path, capsys):
                                    "scale_bits_per_channel_left", "total_scale_bits"}
 
 
+def test_inspect_counts_the_bytes_of_a_passthrough_payload(tmp_path, capsys):
+    [weight] = _weights(tmp_path, 1)
+    bundle = tmp_path / "w.lrqb"
+    assert _run(capsys, ["quantize", weight, *RUN, "--q2", "fp16-passthrough",
+                         "--out", str(bundle)])[0] == 0
+    code, out, _ = _run(capsys, ["inspect", str(bundle), "--machine"])
+    assert code == 0
+    (d, n), rank = load_tensor(weight).shape, 4
+    chunks = json.loads(out)["chunks"]
+    # float64 values: eight bytes each
+    assert chunks["left_code_bytes"] == d * rank * 8
+    assert chunks["right_code_bytes"] == rank * n * 8
+
+
 def test_evaluate_non_finite_weight_exits_5(tmp_path, capsys):
     [weight] = _weights(tmp_path, 1)
     bundle = _bundle_file(tmp_path, capsys, weight)
@@ -353,19 +368,60 @@ def test_evaluate_overflowed_figures_exit_5(tmp_path, capsys):
     assert _last_error_line(err).startswith("error: [E_NUMERIC] ")
 
 
+def _quantize_smoothed(tmp_path, capsys, kind: str):
+    """``quantize --stats`` of finite inputs whose smoothing overflows, so
+    that no setting is at fault: statistics (``kind`` LQS1) whose fixed
+    (0.5, 0.5) gamma = act_max^0.5 / row_max^0.5 overflows on a row whose
+    largest entry is the smallest subnormal, or activations (LQT1) and
+    weights near 1e200, whose products overflow at every grid point."""
+    rng = np.random.default_rng(31)
+    weight, calibration = tmp_path / "w.lqt", tmp_path / "cal"
+    if kind == "LQS1":
+        w = rng.normal(size=(64, 64))
+        w[5] = 0.0
+        w[5, 3] = 5e-324
+        maxima = np.abs(rng.normal(size=64))
+        maxima[5] = 1.7e308
+        save_stats(calibration, ChannelStats(maxima, sample_count=16))
+    else:
+        w = rng.normal(size=(64, 64)) * 1e200
+        save_tensor(calibration, rng.normal(size=(16, 64)) * 1e200)
+    save_tensor(weight, w)
+    return _run(capsys, ["quantize", str(weight), *RUN, "--stats", str(calibration),
+                         "--out", str(tmp_path / "b.lrqb")])
+
+
 def test_smoothing_overflow_exits_5(tmp_path, capsys):
-    # the grid's gamma = act_max^alpha / row_max^beta overflows for these
-    # finite inputs; no setting is at fault
+    code, out, err = _quantize_smoothed(tmp_path, capsys, "LQS1")
+    assert code == 5
+    assert out == ""
+    assert _last_error_line(err).startswith(
+        "error: [E_NUMERIC] the smoothing vector at migration strengths (0.5, 0.5) ")
+
+
+def test_smoothing_with_no_finite_score_exits_5(tmp_path, capsys):
+    code, out, err = _quantize_smoothed(tmp_path, capsys, "LQT1")
+    assert code == 5
+    assert out == ""
+    assert _last_error_line(err).startswith(
+        "error: [E_NUMERIC] no migration strengths of the 121-point grid ")
+
+
+def test_smoothing_skips_grid_points_that_overflow(tmp_path, capsys):
+    # gamma overflows or underflows at some grid points, (0.1, 1.0) among
+    # them, and (0, 0) always gives gamma = 1: the search picks among the
+    # points that score
     rng = np.random.default_rng(31)
     weight, activations = tmp_path / "tiny.lqt", tmp_path / "huge.lqt"
     save_tensor(weight, rng.normal(size=(64, 64)) * 1e-300)
     save_tensor(activations, rng.normal(size=(16, 64)) * 1e300)
-    code, out, err = _run(capsys, ["quantize", str(weight), *RUN, "--stats",
-                                   str(activations), "--out", str(tmp_path / "b.lrqb")])
-    assert code == 5
-    assert out == ""
-    assert _last_error_line(err).startswith(
-        "error: [E_NUMERIC] the smoothing vector at migration strengths (")
+    out_path = tmp_path / "b.lrqb"
+    code, _, _ = _run(capsys, ["quantize", str(weight), *RUN, "--stats",
+                               str(activations), "--out", str(out_path)])
+    assert code == 0
+    smoothing = load_bundle(out_path).meta.smoothing
+    assert smoothing["source"] == "grid-search"
+    assert np.isfinite(smoothing["search_score"])
 
 
 def _patched_bundle(tmp_path, capsys, meta_patch, *extra) -> str:

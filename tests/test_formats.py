@@ -137,7 +137,7 @@ def _reference_dequantize(t) -> np.ndarray:
     rows, cols = t.shape
     spec = t.spec
     if spec.is_passthrough:
-        return t.codes.reshape(rows, cols * 8).view("<f8").astype(np.float64)
+        return t.codes.astype(np.float64)
     padded = t.n_blocks * spec.block_size
     codes = _bitwise_unpack(t.codes, spec.codec.width, rows, padded)
     values = _reference_decode(spec.codec, codes)
@@ -449,7 +449,7 @@ class TestHandExamples:
         t = quantize_blockwise(np.zeros((2, 64)), spec)
         assert np.all(t.codes == 0)
         # smallest positive fp16 scale, bit pattern 0x0001
-        assert np.all(t.scales == 1)
+        assert np.all(t.scales.view(np.uint16) == 1)
         assert np.all(dequantize(t) == 0.0)
 
     def test_zero_matrix_round_trips(self):
@@ -696,7 +696,7 @@ class TestConstruction:
     @pytest.mark.parametrize("name,change", [
         ("MXINT4", lambda t: {"scales": t.scales.astype(np.int64)}),
         ("SINT4", lambda t: {"scales": t.scales.astype(np.uint8)}),
-        ("SINT4", lambda t: {"scales": t.scales.view(np.float16)}),
+        ("SINT4", lambda t: {"scales": t.scales.view(np.uint16)}),
         ("SINT4", lambda t: {"scales": t.scales[:, :1]}),
         ("MXINT4", lambda t: {"scales": t.scales.reshape(-1)}),
         ("SINT4", lambda t: {"codes": t.codes[:, :-1]}),
@@ -704,9 +704,9 @@ class TestConstruction:
         ("MXINT4", lambda t: {"codes": np.vstack([t.codes, t.codes[:1]])}),
         ("MXINT8", lambda t: {"codes": t.codes.astype(np.int16)}),
         ("MXINT8", lambda t: {"codes": t.codes.tolist()}),
-        ("fp16-passthrough", lambda t: {"codes": t.codes[:, :-8]}),
+        ("fp16-passthrough", lambda t: {"codes": t.codes[:, :-1]}),
         ("fp16-passthrough", lambda t: {"scales": np.zeros((3, 1), np.uint16)}),
-    ], ids=["int64-scales", "fp16-as-uint8", "fp16-as-float16", "too-few-blocks",
+    ], ids=["int64-scales", "fp16-as-uint8", "fp16-as-uint16", "too-few-blocks",
             "flat-scales", "short-code-row", "missing-code-row", "extra-code-row",
             "int16-codes", "list-codes", "short-payload", "passthrough-scales"])
     def test_arrays_that_do_not_match_the_layout_are_refused(self, name, change):
@@ -722,6 +722,19 @@ class TestConstruction:
         assert quantize_blockwise(np.ones((2, 72)), PASSTHROUGH).pad_count == 0
         with pytest.raises(TypeError):
             QuantizedTensor(t.shape, t.spec, t.codes, t.scales, pad_count=0)
+
+    def test_passthrough_tensor_owns_its_values(self):
+        m = np.random.default_rng(32).normal(size=(3, 5))
+        want = m.copy()
+        t = quantize_blockwise(m, PASSTHROUGH)
+        m[0, 0] = 99.0
+        assert np.array_equal(dequantize(t), want)
+
+    def test_equality_compares_bytes(self):
+        # -0.0 == 0.0 as values, but the stored bytes differ
+        negative = quantize_blockwise(np.array([[-0.0, 1.0]]), PASSTHROUGH)
+        assert negative != quantize_blockwise(np.array([[0.0, 1.0]]), PASSTHROUGH)
+        assert negative == quantize_blockwise(np.array([[-0.0, 1.0]]), PASSTHROUGH)
 
 
 def _with_code(t, row: int, col: int, code: int):
@@ -807,10 +820,8 @@ class TestScaleRules:
         spec = make_format("SINT4")
         m = np.linspace(-3, 5, 64)[None, :]
         t = quantize_blockwise(m, spec)
-        assert t.scales.dtype == np.uint16
-        assert np.array_equal(
-            t.scale_values(), t.scales.view(np.float16).astype(np.float64)
-        )
+        assert t.scales.dtype == np.float16
+        assert np.array_equal(t.scale_values(), t.scales.astype(np.float64))
 
 
 def _word_dequantize(t) -> np.ndarray:
@@ -853,7 +864,6 @@ def _random_codes(spec, rows: int, cols: int, rng) -> QuantizedTensor:
         scales = rng.integers(0, 256, size=(rows, n_blocks), dtype=np.uint8)
     else:
         scales = rng.uniform(1e-3, 1e3, size=(rows, n_blocks)).astype(np.float16)
-        scales = scales.view(np.uint16)
     return QuantizedTensor(
         shape=(rows, cols), spec=spec,
         codes=rng.integers(0, 256, size=(rows, row_bytes), dtype=np.uint8),
@@ -989,7 +999,6 @@ class TestPairDecode:
             stored = rng.integers(0, 256, size=(rows, n_blocks), dtype=np.uint8)
         else:
             stored = rng.uniform(1e-3, 1e3, size=(rows, n_blocks)).astype(np.float16)
-            stored = stored.view(np.uint16)
         t = QuantizedTensor((rows, cols), _spec(codec, block_size, scale_kind),
                             _bitwise_pack(codes, codec.width), stored)
         scales = np.repeat(t.scale_values(), block_size, axis=1)

@@ -96,6 +96,18 @@ class TestAssembleLayer:
                    rotations=False)
         assert np.linalg.norm(reconstruct_weight(b) - w) <= 1e-12 * np.linalg.norm(w)
 
+    def test_equality_compares_the_bytes_of_the_tensors(self):
+        b = _quick(np.random.default_rng(3).normal(size=(6, 5)), make_format("SINT4"),
+                   PASSTHROUGH, rank=2, optimized_lr=False, rotations=False)
+        bundles = []
+        for zero in (0.0, -0.0):
+            left = dequantize(b.lowrank_left)
+            left[0, 0] = zero
+            bundles.append(dataclasses.replace(
+                b, lowrank_left=quantize_blockwise(left, PASSTHROUGH)))
+        assert bundles[0] != bundles[1]
+        assert bundles[1] == dataclasses.replace(bundles[1])
+
     def test_svdquant_style_baseline(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(70, 40))
@@ -520,7 +532,7 @@ class TestWeightError:
         w = rng.normal(size=(8, 8))
         b = _quick(w, make_format("SINT4"), make_format("SINT4"), rank=2,
                    optimized_lr=False, rotations=False)
-        b.residual.scales[0, 0] = 0x7C00  # float16 +inf
+        b.residual.scales[0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError):
                 weight_error(w, b)

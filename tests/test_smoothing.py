@@ -190,6 +190,25 @@ class TestGridSearch:
             score = float(np.mean((xs @ w_hat - x @ w) ** 2))
             assert res.search_score <= score + 1e-18
 
+    def test_points_that_overflow_are_skipped(self):
+        # gamma at (0.1, 1.0) overflows; (0, 0) gives gamma = 1
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(16, 32)) * 1e300
+        w = rng.normal(size=(32, 24)) * 1e-300
+        res = grid_search_migration(x, w, [(0.1, 1.0), (0.0, 0.0)], 4,
+                                    make_format("SINT4"))
+        assert (res.alpha_mig, res.beta_mig) == (0.0, 0.0)
+        assert np.isfinite(res.search_score)
+
+    def test_no_finite_score_is_a_numeric_error(self):
+        # every product overflows, so no point scores
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(16, 32)) * 1e200
+        w = rng.normal(size=(32, 24)) * 1e200
+        with pytest.raises(NumericError, match="no migration strengths of the 3-point"):
+            grid_search_migration(x, w, [(0.0, 0.0), (0.5, 0.5), (1.0, 0.0)], 4,
+                                  make_format("SINT4"))
+
     def test_empty_grid_rejected(self):
         x, w = _outlier_instance()
         with pytest.raises(ParameterError):

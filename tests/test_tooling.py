@@ -122,6 +122,25 @@ def test_only_formats_reads_block_size():
     assert readers == {"formats.py"}
 
 
+def _names_of_stored_dtypes(path: Path) -> int:
+    """Uses in ``path`` of a stored dtype: ``float16``, ``uint16`` or
+    ``uint8`` by name or attribute, or ``"<f2"``, ``"<u2"`` or ``"u1"``."""
+    names, strings = {"float16", "uint16", "uint8"}, {"<f2", "<u2", "u1"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in names
+               or isinstance(node, ast.Name) and node.id in names
+               or isinstance(node, ast.Constant) and node.value in strings)
+
+
+def test_only_formats_names_the_stored_dtypes():
+    # FormatSpec.stored_arrays decides what a tensor stores; a stored dtype
+    # named elsewhere would be a second copy of that decision
+    namers = {path.name for path in sorted(SRC.glob("*.py"))
+              if _names_of_stored_dtypes(path)}
+    assert namers == {"formats.py"}
+
+
 def test_only_pipeline_reads_the_branch_factors():
     # bundle_io and cli reach the three packed tensors through
     # LayerBundle.tensors(), in the order BundleMeta.tensor_layout() names them
