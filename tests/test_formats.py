@@ -696,6 +696,7 @@ class TestConstruction:
     @pytest.mark.parametrize("name,change", [
         ("MXINT4", lambda t: {"scales": t.scales.astype(np.int64)}),
         ("SINT4", lambda t: {"scales": t.scales.astype(np.uint8)}),
+        ("SINT4", lambda t: {"scales": t.scales.astype(np.float32)}),
         ("SINT4", lambda t: {"scales": t.scales.view(np.uint16)}),
         ("SINT4", lambda t: {"scales": t.scales[:, :1]}),
         ("MXINT4", lambda t: {"scales": t.scales.reshape(-1)}),
@@ -706,7 +707,8 @@ class TestConstruction:
         ("MXINT8", lambda t: {"codes": t.codes.tolist()}),
         ("fp16-passthrough", lambda t: {"codes": t.codes[:, :-1]}),
         ("fp16-passthrough", lambda t: {"scales": np.zeros((3, 1), np.uint16)}),
-    ], ids=["int64-scales", "fp16-as-uint8", "fp16-as-uint16", "too-few-blocks",
+    ], ids=["int64-scales", "fp16-as-uint8", "fp16-as-float32", "fp16-as-uint16",
+            "too-few-blocks",
             "flat-scales", "short-code-row", "missing-code-row", "extra-code-row",
             "int16-codes", "list-codes", "short-payload", "passthrough-scales"])
     def test_arrays_that_do_not_match_the_layout_are_refused(self, name, change):
