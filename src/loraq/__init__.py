@@ -35,6 +35,7 @@ from .formats import (
     MinifloatCodec,
     PassthroughCodec,
     QuantizedTensor,
+    add_dequantized,
     dequantize,
     fake_quant,
     make_format,

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -81,6 +82,7 @@ _STATS_MAGIC = b"LQS1"
 _BUNDLE_MAGIC = b"LRQB"
 
 _ELEMENT_KINDS = {4: "<f4", 8: "<f8"}
+_TENSOR_HEADER = struct.calcsize("<4sBQQ")  # magic, element kind, rows, cols
 
 # The tag prefix of each packed tensor that BundleMeta.tensor_layout names:
 # its codes are chunk prefix + "COD" and its scales chunk prefix + "SCL".
@@ -92,21 +94,33 @@ class _Reader:
     """Cursor over a byte string that fails loudly on truncation.
 
     It reads through a ``memoryview``, so taking a payload copies nothing.
+    ``size`` is the length of the whole file when ``data`` holds only its
+    head: :meth:`skip` and :meth:`expect_end` count the bytes not held.
     """
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, size: int | None = None):
         self.data = memoryview(data)
+        self.size = len(self.data) if size is None else size
         self.offset = 0
 
-    def take(self, count: int, what: str) -> memoryview:
-        if count < 0 or self.offset + count > len(self.data):
+    def _advance(self, count: int, what: str, end: int) -> int:
+        """The offset of ``count`` bytes that end before ``end``; moves past them."""
+        if count < 0 or self.offset + count > end:
             raise CorruptFileError(
                 f"truncated while reading {what} at offset {self.offset}",
                 offset=self.offset,
             )
-        out = self.data[self.offset:self.offset + count]
+        start = self.offset
         self.offset += count
-        return out
+        return start
+
+    def take(self, count: int, what: str) -> memoryview:
+        start = self._advance(count, what, len(self.data))
+        return self.data[start:self.offset]
+
+    def skip(self, count: int, what: str) -> None:
+        """Move past ``count`` bytes of the file, held or not."""
+        self._advance(count, what, self.size)
 
     def unpack(self, fmt: str, what: str) -> int:
         """The one integer of the ``struct`` format ``fmt``."""
@@ -114,9 +128,9 @@ class _Reader:
         return value
 
     def expect_end(self, what: str) -> None:
-        if self.offset != len(self.data):
+        if self.offset != self.size:
             raise CorruptFileError(
-                f"{len(self.data) - self.offset} trailing bytes after {what}",
+                f"{self.size - self.offset} trailing bytes after {what}",
                 offset=self.offset,
             )
 
@@ -142,19 +156,35 @@ def save_tensor(path, matrix, kind: str = "f64") -> None:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read an LQT1 file back into a float64 matrix."""
+    """Read an LQT1 file back into a new, writeable float64 matrix.
+
+    The header is read first, and the payload length it declares is checked
+    against the file's size before the payload is allocated.  The payload
+    is read straight into an array of its own dtype, so an f64 payload is
+    held once, as the result; an f32 payload is then cast.
+    """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    _check_magic(reader, _TENSOR_MAGIC, "tensor")
-    width = reader.unpack("<B", "element kind")
-    if width not in _ELEMENT_KINDS:
-        raise FileFormatError(f"unknown element kind byte {width}")
-    rows = reader.unpack("<Q", "row count")
-    cols = reader.unpack("<Q", "column count")
-    payload = reader.take(rows * cols * width, "tensor payload")
-    reader.expect_end("tensor payload")
-    data = np.frombuffer(payload, dtype=_ELEMENT_KINDS[width])
-    return data.astype(np.float64).reshape(rows, cols)
+        reader = _Reader(fh.read(_TENSOR_HEADER), size=os.fstat(fh.fileno()).st_size)
+        _check_magic(reader, _TENSOR_MAGIC, "tensor")
+        width = reader.unpack("<B", "element kind")
+        if width not in _ELEMENT_KINDS:
+            raise FileFormatError(f"unknown element kind byte {width}")
+        dims_offset = reader.offset
+        rows = reader.unpack("<Q", "row count")
+        cols = reader.unpack("<Q", "column count")
+        payload_offset = reader.offset
+        length = rows * cols * width
+        reader.skip(length, "tensor payload")
+        reader.expect_end("tensor payload")
+        if max(rows, cols) > np.iinfo(np.intp).max:  # only an empty matrix gets here
+            raise CorruptFileError(f"tensor shape {rows}x{cols} is too large",
+                                   offset=dims_offset)
+        data = np.empty((rows, cols), dtype=_ELEMENT_KINDS[width])
+        if fh.readinto(data) != length:  # the file shrank after its size was read
+            raise CorruptFileError(
+                f"truncated while reading tensor payload at offset {payload_offset}",
+                offset=payload_offset)
+    return data.astype(np.float64, copy=False)  # f64 payloads are the result
 
 
 def save_stats(path, stats: ChannelStats) -> None:

@@ -2,18 +2,22 @@
 
 Four subcommands: ``quantize`` turns LQT1 weight files into LRQB bundles,
 ``evaluate`` reports reconstruction/matmul errors for a bundle against its
-source weight, ``ablate`` runs the 2x2 optimization/rotation toggle grid
-(sharing one SVD and one absorption run per weight), and ``inspect`` dumps
-a bundle's manifest and bit accounting.
+source weight and the slack of the matmul-error bound, ``ablate`` runs the
+2x2 optimization/rotation toggle grid (sharing one SVD and one absorption
+run per weight), and ``inspect`` dumps a bundle's manifest and bit
+accounting.
 
 ``quantize`` and ``ablate`` take a JSON ``--config`` file whose keys are
 the subcommand's own flag destinations (``--rot-lr`` is ``rot_lr``,
 ``--no-optimize`` is ``optimized_lr``), ``config`` and ``machine`` aside.
-Its values become the flags' defaults, so flags win over the file.  Results
-go to stdout, diagnostics to stderr.  On failure, usage errors included, the
-last stderr line is machine-parsable: ``error: [E_XXX] message``.  Exit
-codes: 0 success, 2 usage/config, 3 file or codec format, 4 shape
-mismatch, 5 numeric failure, 1 internal.
+Its values become the flags' defaults, so flags win over the file.  Both
+read each weight file when its turn comes, so a run holds one dense weight
+at a time; a missing or corrupt later input therefore fails the run after
+the bundles of the earlier ones are written, as a failure to assemble one
+does.  Results go to stdout, diagnostics to stderr.  On failure, usage
+errors included, the last stderr line is machine-parsable: ``error:
+[E_XXX] message``.  Exit codes: 0 success, 2 usage/config, 3 file or codec
+format, 4 shape mismatch, 5 numeric failure, 1 internal.
 """
 
 from __future__ import annotations
@@ -183,21 +187,22 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     layer = _layer_kwargs(args)
     inputs = list(args.weights)
     paths = _out_paths(inputs, args.out, args.stats)
-    weights = [bundle_io.load_tensor(p) for p in inputs]
     calibration = _load_calibration(args.stats)
 
     summaries = []
-    for i, (w, path) in enumerate(zip(weights, paths)):
+    for i, (src, path) in enumerate(zip(inputs, paths)):
         _trim_heap()
+        w = bundle_io.load_tensor(src)
         bundle = assemble_layer(
             w, args.q1, args.q2, optimized_lr=args.optimized_lr,
             rotations=args.rotations, calibration=calibration, seed=args.seed + i,
             act_format=args.act_format, **layer,
         )
         bundle_io.save_bundle(path, bundle)
-        summary = _quantize_summary(inputs[i], bundle, weight_error(w, bundle))
+        summary = _quantize_summary(src, bundle, weight_error(w, bundle))
         summary["out"] = str(path)
         summaries.append(summary)
+        del w, bundle  # the next weight loads with none of this one's arrays held
     if args.machine:
         print(json.dumps(summaries, indent=2, sort_keys=True))
     else:
@@ -218,10 +223,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if act is None and bundle.meta.act_format is not None:
         act = make_format(bundle.meta.act_format)
     report = error_report(w, x, bundle, act)
+    # how far the matmul error stays below its bound; error_report refuses
+    # an error above it by more than roundoff
+    figures = {**report.to_dict(), "bound_slack": report.bound_rhs - report.matmul_err}
     if args.machine:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(figures, indent=2, sort_keys=True))
     else:
-        for key, value in report.to_dict().items():
+        for key, value in figures.items():
             print(f"{key}: {value:.12e}")
         print("bound holds: matmul_err <= bound_rhs")
     return 0
@@ -230,13 +238,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     layer = _layer_kwargs(args)
     inputs = list(args.weights)
-    weights = [bundle_io.load_tensor(p) for p in inputs]
 
     rows = []
-    for w in weights:
+    for path in inputs:
         _trim_heap()
+        w = bundle_io.load_tensor(path)
         cells = ablate_layer(w, args.q1, args.q2, **layer)
         rows.append({key: weight_error(w, bundle) for key, bundle in cells.items()})
+        del w, cells  # the next weight loads with none of this one's arrays held
     cells = []
     for optimized, rotated in rows[0]:
         errs, rels = zip(*(row[optimized, rotated] for row in rows))

@@ -109,9 +109,12 @@ all:
 One tile decoder does the lookups into a preallocated tile of about
 ``2^16`` values and runs the NaN check (one ``max``, which propagates NaN)
 on it while it is in cache; fields are unpacked and copied to ``intp`` by
-``np.take`` one tile at a time, never the whole matrix's.
-:func:`dequantize` decodes tiles of whole rows
-into one output and multiplies each by its scales.  When ``x`` has at
+``np.take`` one tile at a time, never the whole matrix's.  One row-group
+decoder decodes tiles of whole rows, multiplies each by its scales and
+hands on its real columns: :func:`dequantize` writes them into a
+C-contiguous ``(rows, cols)`` result (decoding in place when the rows have
+no padded tail), and :func:`add_dequantized` adds them into a given
+matrix, so ``out += dequantize(t)`` builds no decoded matrix.  When ``x`` has at
 most an eighth as many rows as a block holds values,
 :func:`matmul_dequantized` multiplies the scales into ``x`` instead, block
 by block: that touches ``m * rows * n_blocks`` values where scaling the
@@ -145,6 +148,7 @@ __all__ = [
     "PASSTHROUGH",
     "quantize_blockwise",
     "dequantize",
+    "add_dequantized",
     "matmul_dequantized",
     "fake_quant",
 ]
@@ -767,29 +771,65 @@ def _decode_tile(codec: IntCodec | MinifloatCodec, packed: np.ndarray,
         raise FormatError(message)
 
 
-def _decoded_blocks(t: QuantizedTensor) -> np.ndarray:
-    """The ``(rows, n_blocks * block_size)`` values of a blockwise tensor,
-    padded tail included, decoded in row-group tiles and multiplied by
-    their block scales.  An invalid code anywhere raises
-    :class:`FormatError`."""
-    rows, _ = t.shape
+def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
+    """Yield ``(rows, values)`` for consecutive row groups of a blockwise
+    tensor: ``values`` holds the ``(rows_g, cols)`` decoded values of the
+    slice ``rows``, multiplied by their block scales.  The groups share one
+    buffer of about ``_GROUP_VALUES`` values, so a group's values are only
+    valid until the next is yielded.  When the rows have no padded tail and
+    ``out``, a C-contiguous ``(rows, cols)`` float64 array, is given, each
+    group is decoded into its own rows of ``out`` instead.  An invalid
+    code, the padded tail included, raises :class:`FormatError` when its
+    group is decoded."""
+    rows, cols = t.shape
     spec = t.spec
     padded = t.n_blocks * spec.block_size
-    values = np.empty((rows, padded))
+    groups = _row_groups(rows, padded)
+    in_place = out is not None and padded == cols
+    if not in_place:
+        buffer = np.empty(min(groups[0].stop, rows) * padded if groups else 0)
     scales = t.scale_values()
-    for group in _row_groups(rows, padded):
-        block = values[group]
-        _decode_tile(spec.codec, t.codes[group], block)
-        grid = block.reshape(len(block), t.n_blocks, spec.block_size)
+    for group in groups:
+        codes = t.codes[group]
+        tile = (out[group] if in_place
+                else buffer[:len(codes) * padded].reshape(len(codes), padded))
+        _decode_tile(spec.codec, codes, tile)
+        grid = tile.reshape(len(codes), t.n_blocks, spec.block_size)
         grid *= scales[group][:, :, None]
-    return values
+        yield group, tile[:, :cols]
 
 
 def dequantize(t: QuantizedTensor) -> np.ndarray:
-    """Decode a quantized tensor back to float64 values."""
+    """Decode a quantized tensor back to float64 values: a new C-contiguous
+    ``(rows, cols)`` array, the one matrix-sized array the call holds.  The
+    codes are decoded one row group at a time, into the result's rows when
+    they have no padded tail, else into a buffer of about ``_GROUP_VALUES``
+    values whose real columns are copied out, so the padded tail of the
+    rows is never stored for the whole matrix."""
     if t.spec.is_passthrough:
         return t.codes.astype(np.float64)
-    return _decoded_blocks(t)[:, :t.shape[1]]
+    out = np.empty(t.shape)
+    for group, values in _decoded_groups(t, out):
+        if values.base is not out:  # decoded into the shared buffer
+            out[group] = values
+    return out
+
+
+def add_dequantized(out: np.ndarray, t: QuantizedTensor) -> np.ndarray:
+    """``out += dequantize(t)``, bit for bit, for a writeable float64 ``out``
+    of ``t``'s shape (else :class:`ParameterError` or :class:`ShapeError`),
+    which is returned.  The codes are decoded one row group at a time, so no
+    decoded matrix is built; the groups are disjoint sets of rows and
+    addition commutes, so the sums are those of ``dequantize(t) + out``.
+    When a group holds an invalid code, the :class:`FormatError` that
+    :func:`dequantize` raises is raised with the earlier groups added."""
+    _check_out(out, t.shape)
+    if t.spec.is_passthrough:
+        out += t.codes
+        return out
+    for group, values in _decoded_groups(t):
+        out[group] += values
+    return out
 
 
 def _slab_blocks(spec: FormatSpec, rows: int) -> int:
@@ -863,17 +903,22 @@ def dequantized_product(x: np.ndarray, t: QuantizedTensor) -> np.ndarray:
     return y.transpose(2, 0, 1).reshape(len(x), n_blocks * size)[:, :cols]
 
 
+def _check_out(out, shape: tuple[int, int]) -> None:
+    """Refuse ``out`` unless it is a writeable float64 array of ``shape``."""
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+        raise ParameterError("out must be a float64 numpy array")
+    if out.shape != shape:
+        raise ShapeError(f"out has shape {out.shape}, expected {shape}")
+    if not out.flags.writeable:
+        raise ParameterError("out must be writeable")
+
+
 def _destination(m: np.ndarray, out) -> np.ndarray:
     """``out`` checked as a destination for a result of ``m``'s shape, or a
     new array when ``out`` is None."""
     if out is None:
         return np.empty(m.shape)
-    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
-        raise ParameterError("out must be a float64 numpy array")
-    if out.shape != m.shape:
-        raise ShapeError(f"out has shape {out.shape}, expected {m.shape}")
-    if not out.flags.writeable:
-        raise ParameterError("out must be writeable")
+    _check_out(out, m.shape)
     if np.may_share_memory(out, m):
         raise ParameterError("out must not overlap the input")
     return out

@@ -23,6 +23,7 @@ from .formats import (
     FormatSpec,
     MinifloatCodec,
     QuantizedTensor,
+    add_dequantized,
     dequantize,
     dequantized_product,
     fake_quant,
@@ -470,9 +471,14 @@ def reconstruct_weight(bundle: LayerBundle, *, desmoothed: bool = False) -> np.n
 
     With ``desmoothed`` the result is mapped back to the original
     (pre-smoothing) coordinates for comparison against the source weight.
+    The call holds one d x n float64 array, the result: the residual is
+    decoded one row group at a time and added into the product ``L̂ @ R̂``
+    (:func:`~loraq.formats.add_dequantized`), which gives the sums of
+    ``dequantize(residual) + L̂ @ R̂`` bit for bit.  Besides it, only the
+    decoded factors, d x rank and rank x n, are held at once.
     """
     branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
-    w_hat = np.add(dequantize(bundle.residual), branch, out=branch)
+    w_hat = add_dequantized(branch, bundle.residual)
     if desmoothed and bundle.gamma is not None:
         w_hat /= bundle.gamma[:, None]
     return w_hat
@@ -558,10 +564,14 @@ def _weight_error(w: np.ndarray, w_hat: np.ndarray) -> tuple[float, float]:
     """Weight errors of the de-smoothed reconstruction ``w_hat``, which this
     overwrites: the caller must not read it afterwards."""
     diff = np.subtract(w, w_hat, out=w_hat)
-    weight_err = float(np.linalg.norm(diff, "fro"))
+    return _relative(float(np.linalg.norm(diff, "fro")), float(np.linalg.norm(w, "fro")))
+
+
+def _relative(weight_err: float, w_norm: float) -> tuple[float, float]:
+    """``(weight_err, weight_err / w_norm)``, 0 for ``w_norm = 0``; an error
+    that is not finite raises :class:`NumericError`."""
     if not np.isfinite(weight_err):
         raise NumericError("the reconstructed weight is not finite")
-    w_norm = float(np.linalg.norm(w, "fro"))
     return weight_err, weight_err / w_norm if w_norm else 0.0
 
 
@@ -588,10 +598,14 @@ def error_report(w, x, bundle: LayerBundle,
     that overflow when divided by the smoothing vector.
 
     The weight is checked against the bundle's shape before the
-    activations are read.  Besides ``w`` the call holds at most two d x n
-    float64 arrays at a time: the reconstruction ``What_s`` of
-    :func:`reconstruct_weight`, and ``W_s = gamma * W`` (with smoothing,
-    overwritten by ``W_s - What_s``) or ``W_s - What_s`` (without).
+    activations are read.  Besides ``w`` the call holds one d x n float64
+    array without smoothing: the reconstruction ``What_s`` of
+    :func:`reconstruct_weight`, which is overwritten by ``W - What`` once
+    ``matmul_err`` is taken, so that one norm gives both
+    ``weight_err_smoothed`` and ``weight_err``.  With smoothing it holds
+    two: ``What_s``, and ``W_s = gamma * W``, overwritten by ``W_s -
+    What_s``.  Either way every figure is the one fresh temporaries give,
+    bit for bit.
     """
     w = _bundle_weight(w, bundle)
     x_s, x_q = _activations(bundle, x, activation_format)
@@ -600,20 +614,26 @@ def error_report(w, x, bundle: LayerBundle,
     w_s = w if gamma is None else gamma[:, None] * w
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        exact = x_s @ w_s
-        matmul_err = float(np.linalg.norm(exact - x_q @ w_hat_s, "fro"))
-        w_norm = float(np.linalg.norm(w_s, "fro"))
-        diff = np.subtract(w_s, w_hat_s, out=None if gamma is None else w_s)
-        weight_err_smoothed = float(np.linalg.norm(diff, "fro"))
-        residual_mse = float(np.mean(np.square(diff, out=diff)))
         act_err = float(np.linalg.norm(x_s - x_q, "fro"))
         x_norm = float(np.linalg.norm(x_s, "fro"))
-        bound_rhs = (act_err * w_norm
-                     + float(np.linalg.norm(x_q, "fro")) * weight_err_smoothed)
+        x_q_norm = float(np.linalg.norm(x_q, "fro"))
+        exact = x_s @ w_s
+        del x_s  # X_s is dead: X_q and two m x n arrays are all that follow
         exact_norm = float(np.linalg.norm(exact, "fro"))
-    if gamma is not None:
+        error = np.subtract(exact, x_q @ w_hat_s, out=exact)
+        matmul_err = float(np.linalg.norm(error, "fro"))
+        w_norm = float(np.linalg.norm(w_s, "fro"))
+        # W_s - What_s into a buffer nothing reads afterwards: W_s's with
+        # smoothing, else What_s's, since W_s is W and its error is the error
+        diff = np.subtract(w_s, w_hat_s, out=w_hat_s if gamma is None else w_s)
+        weight_err_smoothed = float(np.linalg.norm(diff, "fro"))
+        residual_mse = float(np.mean(np.square(diff, out=diff)))
+        bound_rhs = act_err * w_norm + x_q_norm * weight_err_smoothed
+    if gamma is None:
+        weight_err, weight_err_rel = _relative(weight_err_smoothed, w_norm)
+    else:
         w_hat_s /= gamma[:, None]
-    weight_err, weight_err_rel = _weight_error(w, w_hat_s)
+        weight_err, weight_err_rel = _weight_error(w, w_hat_s)
     report = ErrorReport(
         weight_err=weight_err,
         weight_err_rel=weight_err_rel,

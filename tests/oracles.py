@@ -12,6 +12,10 @@ optimizer loops can be checked against them bit for bit:
   (``rotation.optimize_rotation``);
 * :func:`decode_codes`, the whole-array table decode of element codes
   that ``formats.dequantize`` does by byte tables;
+* :func:`decoded_blocks`, ``formats.dequantize`` as it was before it
+  decoded through one row-group buffer: the whole ``(rows, n_blocks *
+  block_size)`` matrix, padded tail included, then a strided view of its
+  real columns;
 * :func:`materialized_matmul`, ``formats.matmul_dequantized`` as it was
   before the scale fold decoded one block-column slab at a time: the
   whole unscaled code matrix decoded first, then one batched matmul.
@@ -35,6 +39,7 @@ from loraq import (
     fake_quant,
     fuse_rotation,
 )
+from loraq import formats
 
 
 def frobenius_norm(a) -> float:
@@ -142,6 +147,26 @@ def rotation_loss(left, right, omega, quantizer: FormatSpec) -> float:
     err_left = fake_quant(rotated_left, quantizer) - rotated_left
     err_right = fake_quant(rotated_right, quantizer) - rotated_right
     return float(np.mean(np.square(err_left)) + np.mean(np.square(err_right)))
+
+
+def decoded_blocks(t: QuantizedTensor) -> np.ndarray:
+    """``dequantize(t)`` by the padded decode: every row group's tile decoded
+    in place into one ``(rows, n_blocks * block_size)`` matrix and multiplied
+    by its block scales, and a view of the real columns returned.  An
+    invalid code anywhere raises :class:`FormatError`."""
+    if t.spec.is_passthrough:
+        return t.codes.astype(np.float64)
+    rows, cols = t.shape
+    spec = t.spec
+    padded = t.n_blocks * spec.block_size
+    values = np.empty((rows, padded))
+    scales = t.scale_values()
+    for group in formats._row_groups(rows, padded):
+        block = values[group]
+        formats._decode_tile(spec.codec, t.codes[group], block)
+        grid = block.reshape(len(block), t.n_blocks, spec.block_size)
+        grid *= scales[group][:, :, None]
+    return values[:, :cols]
 
 
 def materialized_matmul(x, t: QuantizedTensor) -> np.ndarray:

@@ -8,6 +8,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -498,6 +499,64 @@ def test_small_files_round_trip(case):
         assert _file_bytes(save_stats, loaded) == raw
     else:
         assert _file_bytes(save_tensor, loaded, case[-3:]) == raw
+
+
+def test_tensor_refusals_name_their_field_and_offset():
+    raw = SMALL_FILES["LQT1-f64"][0]  # 3 x 5 float64 after a 21-byte header
+    fields = [(4, "tensor magic", 0), (5, "element kind", 4), (13, "row count", 5),
+              (21, "column count", 13), (len(raw), "tensor payload", 21)]
+    for cut in range(len(raw)):
+        _, what, offset = next(field for field in fields if cut < field[0])
+        with pytest.raises(CorruptFileError,
+                           match=f"^truncated while reading {what} at offset {offset}$") as info:
+            _load_bytes(raw[:cut], load_tensor)
+        assert info.value.offset == offset
+    with pytest.raises(CorruptFileError, match="^3 trailing bytes after tensor payload$") as info:
+        _load_bytes(raw + b"xyz", load_tensor)
+    assert info.value.offset == len(raw)
+
+
+def test_tensor_header_is_checked_before_the_payload_is_allocated():
+    # 2^20 x 2^20 float64 declared on a file with no payload: refused with a
+    # traced peak of a few kilobytes, not the 8 TB the header asks for
+    raw = b"LQT1" + struct.pack("<BQQ", 8, 1 << 20, 1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFileError, match="tensor payload at offset 21"):
+            _load_bytes(raw, load_tensor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("cols", [1 << 63, (1 << 64) - 1])
+def test_an_empty_tensor_too_wide_for_an_array_is_refused(cols):
+    raw = b"LQT1" + struct.pack("<BQQ", 8, 0, cols)
+    with pytest.raises(CorruptFileError, match="too large") as info:
+        _load_bytes(raw, load_tensor)
+    assert info.value.offset == 5
+
+
+@pytest.mark.parametrize("kind", ["f64", "f32"])
+def test_load_tensor_holds_the_payload_once(tmp_path, kind):
+    # an f64 payload is read straight into the result; an f32 one is cast
+    w = np.random.default_rng(70).normal(size=(1024, 1024))
+    path = tmp_path / "w.lqt"
+    save_tensor(path, w, kind)
+    loaded = []
+    tracemalloc.start()
+    try:
+        loaded.append(load_tensor(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = w.size * (8 if kind == "f64" else 4)
+    assert peak < (1.1 if kind == "f64" else 3.1) * payload
+    (got,) = loaded
+    assert got.dtype == np.float64 and got.flags.writeable and got.flags.owndata
+    assert got.tobytes() == (w if kind == "f64" else w.astype(np.float32)).astype(
+        np.float64).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -2.0], ids=["nan", "inf", "negative"])

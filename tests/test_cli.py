@@ -4,6 +4,7 @@ stderr line, batch runs, and the ablate grid's shared stages."""
 import json
 import struct
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from loraq import (
     RankCapWarning,
     absorber,
     assemble_layer,
+    bundle_io,
     cli,
     compute_channel_stats,
     error_report,
@@ -67,6 +69,45 @@ def test_quantize_machine_output(tmp_path, capsys):
         assert bundle.meta.seed == 11 + i
         assert (summary["weight_err"], summary["weight_err_rel"]) == weight_error(
             load_tensor(inputs[i]), bundle)
+
+
+@pytest.mark.parametrize("command,stage", [("quantize", "assemble_layer"),
+                                           ("ablate", "ablate_layer")])
+def test_weights_load_one_at_a_time(tmp_path, capsys, monkeypatch, command, stage):
+    # each weight is read when its turn comes, after the last one is freed
+    inputs = _weights(tmp_path, count=3)
+    events, loaded = [], []
+    load, run = bundle_io.load_tensor, getattr(cli, stage)
+
+    def loading(path):
+        alive = sum(ref() is not None for ref in loaded)
+        events.append(("load", Path(path).name, alive))
+        w = load(path)
+        loaded.append(weakref.ref(w))
+        return w
+
+    def running(w, *args, **kwargs):
+        events.append((stage, w.shape[0]))
+        return run(w, *args, **kwargs)
+
+    monkeypatch.setattr(bundle_io, "load_tensor", loading)
+    monkeypatch.setattr(cli, stage, running)
+    code, _, _ = _run(capsys, [command, *inputs, *RUN, *(
+        ["--out", str(tmp_path / "out")] if command == "quantize" else [])])
+    assert code == 0
+    assert events == [event for i in range(3) for event in
+                      (("load", f"w{i}.lqt", 0), (stage, 24 + 8 * i))]
+
+
+def test_a_missing_later_input_fails_after_the_earlier_bundles(tmp_path, capsys):
+    [first] = _weights(tmp_path, 1)
+    missing = str(tmp_path / "missing.lqt")
+    out = tmp_path / "out"
+    code, stdout, err = _run(capsys, ["quantize", first, missing, *RUN, "--out", str(out)])
+    assert code == 3 and stdout == ""
+    assert _last_error_line(err).startswith("error: [E_FORMAT]")
+    assert load_bundle(out / "w0.lrqb").meta.shape == (24, 40)
+    assert not (out / "missing.lrqb").exists()
 
 
 def test_batch_run_writes_the_bytes_of_single_runs(tmp_path, capsys):
@@ -290,11 +331,12 @@ def test_evaluate_machine_output(tmp_path, capsys):
     report = json.loads(out)
     assert set(report) == {"weight_err", "weight_err_rel", "weight_err_smoothed",
                            "matmul_err", "matmul_err_rel", "bound_rhs",
-                           "residual_mse", "lowrank_q2_mse"}
+                           "residual_mse", "lowrank_q2_mse", "bound_slack"}
     assert all(isinstance(v, float) and np.isfinite(v) for v in report.values())
     assert report["matmul_err"] <= report["bound_rhs"]
     assert (report["weight_err"], report["weight_err_rel"]) == weight_error(
         load_tensor(weight), load_bundle(bundle))
+    assert report["bound_slack"] == report["bound_rhs"] - report["matmul_err"]
 
 
 def test_evaluate_text_output(tmp_path, capsys):
@@ -305,8 +347,29 @@ def test_evaluate_text_output(tmp_path, capsys):
     report = error_report(load_tensor(weight), np.eye(24), load_bundle(bundle))
     assert out.splitlines() == [
         *(f"{key}: {value:.12e}" for key, value in report.to_dict().items()),
+        f"bound_slack: {report.bound_rhs - report.matmul_err:.12e}",
         "bound holds: matmul_err <= bound_rhs",
     ]
+
+
+@pytest.mark.parametrize("act", [None, "MXINT4"])
+def test_evaluate_reports_the_slack_of_the_bound(tmp_path, capsys, act):
+    [weight] = _weights(tmp_path, 1)
+    bundle = _bundle_file(tmp_path, capsys, weight)
+    x = np.random.default_rng(33).standard_t(df=3, size=(16, 24))
+    activations = tmp_path / "x.lqt"
+    save_tensor(activations, x)
+    flags = [] if act is None else ["--act-format", act]
+    code, out, _ = _run(capsys, ["evaluate", bundle, weight, "--activations",
+                                 str(activations), *flags, "--machine"])
+    assert code == 0
+    report = json.loads(out)
+    want = error_report(load_tensor(weight), x, load_bundle(bundle),
+                        None if act is None else make_format(act))
+    assert {key: report[key] for key in want.to_dict()} == want.to_dict()
+    assert report["bound_slack"] == want.bound_rhs - want.matmul_err
+    w_norm = np.linalg.norm(load_tensor(weight))
+    assert report["bound_slack"] >= -1e-12 * (1 + np.linalg.norm(x) * w_norm)
 
 
 def test_inspect_machine_output(tmp_path, capsys):

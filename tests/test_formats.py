@@ -16,6 +16,7 @@ from loraq import (
     QuantizedTensor,
     ShapeError,
     UnknownFormatError,
+    add_dequantized,
     dequantize,
     fake_quant,
     make_format,
@@ -27,6 +28,7 @@ from loraq.formats import _minifloat_tables, _pack_codes, _unpack_codes
 from oracles import (
     decode_codes,
     decode_element,
+    decoded_blocks,
     encode_element,
     int_test_format,
     materialized_matmul,
@@ -1038,6 +1040,81 @@ def _rel(got, want) -> float:
 MATMUL_SPECS = {**{name: make_format(name) for name in ALL_FORMATS},
                 "int6-b11-fp16": _spec(IntCodec(6), 11, "fp16"),
                 "e2m3-b16": _spec(MinifloatCodec(2, 3, 1), 16)}
+
+
+class TestRowGroupDecoder:
+    """``dequantize`` and ``add_dequantized`` decode through one row-group
+    buffer; both are pinned bit for bit to the padded whole-matrix decode
+    (``oracles.decoded_blocks``) they replaced."""
+
+    @staticmethod
+    def _check(t, rng):
+        want = decoded_blocks(t)
+        got = dequantize(t)
+        assert got.dtype == np.float64 and got.shape == t.shape
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        base = rng.normal(size=t.shape)
+        out = base.copy()
+        assert add_dequantized(out, t) is out
+        assert out.tobytes() == (want + base).tobytes()
+
+    @pytest.mark.parametrize("name", [*ALL_FORMATS, PASSTHROUGH.name])
+    def test_registry_formats(self, name):
+        spec = make_format(name)
+        rng = np.random.default_rng(53)
+        for shape in [(1, 1), (3, 31), (5, 72), (300, 333), (1100, 72)]:
+            self._check(quantize_blockwise(rng.standard_t(df=3, size=shape), spec), rng)
+
+    @pytest.mark.parametrize("block_size", [32, 64])
+    @pytest.mark.parametrize("codec", [IntCodec(4), MinifloatCodec(2, 3, 1)],
+                             ids=["int4", "e2m3"])
+    def test_padded_rows(self, monkeypatch, codec, block_size):
+        # 72 columns leave 24 or 56 padded codes per row; the groups of 1 and
+        # of 3 rows end where the groups of the default size do not
+        rng = np.random.default_rng(block_size)
+        for scale_kind in ("e8m0", "fp16"):
+            spec = _spec(codec, block_size, scale_kind)
+            for rows in (1, 7, 1100):
+                t = quantize_blockwise(rng.standard_t(df=3, size=(rows, 72)), spec)
+                assert t.pad_count > 0
+                self._check(t, rng)
+        for values in (1, 3 * 96):
+            monkeypatch.setattr(formats, "_GROUP_VALUES", values)
+            self._check(t, rng)
+
+    @pytest.mark.parametrize("name", ["SINT4", "MXFP6e2", PASSTHROUGH.name])
+    def test_no_rows(self, name):
+        t = quantize_blockwise(np.empty((0, 72)), make_format(name))
+        self._check(t, np.random.default_rng(54))
+
+    @pytest.mark.parametrize("col", [17, 71, 72], ids=["inside", "last", "padded-tail"])
+    @pytest.mark.parametrize("name", ["SINT4", "MXINT4"])
+    def test_invalid_int4_code(self, name, col):
+        # the pattern 0b1000 in row 690, in the second row group of either
+        # format, so the add has added the first group when it raises
+        spec = make_format(name)
+        valid = quantize_blockwise(np.random.default_rng(55).normal(size=(700, 72)), spec)
+        t = _with_code(valid, 690, col, 0b1000)
+        with pytest.raises(FormatError) as want:
+            decoded_blocks(t)
+        with pytest.raises(FormatError) as got:
+            dequantize(t)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(FormatError) as got:
+            add_dequantized(np.zeros(t.shape), t)
+        assert str(got.value) == str(want.value)
+
+    def test_add_refuses_a_bad_destination(self):
+        t = quantize_blockwise(np.ones((3, 40)), make_format("SINT4"))
+        with pytest.raises(ShapeError):
+            add_dequantized(np.zeros((3, 41)), t)
+        with pytest.raises(ParameterError):
+            add_dequantized(np.zeros((3, 40), dtype=np.float32), t)
+        frozen = np.zeros((3, 40))
+        frozen.flags.writeable = False
+        with pytest.raises(ParameterError):
+            add_dequantized(frozen, t)
 
 
 class TestMatmulDequantized:

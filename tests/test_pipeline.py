@@ -18,6 +18,7 @@ from loraq import (
     RankCapWarning,
     ShapeError,
     ablate_layer,
+    add_dequantized,
     assemble_layer,
     compute_channel_stats,
     default_absorb_lr,
@@ -378,9 +379,15 @@ class TestErrorReport:
             decoded.append(t)
             return dequantize(t)
 
+        def counting_add(out, t):
+            decoded.append(t)
+            return add_dequantized(out, t)
+
+        # the factors are decoded whole, the residual into their product
         monkeypatch.setattr(pipeline, "dequantize", counting)
+        monkeypatch.setattr(pipeline, "add_dequantized", counting_add)
         report = error_report(w, x, b, make_format("MXINT8"))
-        assert len(decoded) == 3
+        assert sorted(map(id, decoded)) == sorted(map(id, b.tensors()))
         # the figures the two-decode path gave, bit for bit
         branch = dequantize(b.lowrank_left) @ dequantize(b.lowrank_right)
         w_hat = dequantize(b.residual) + branch
@@ -606,6 +613,17 @@ def _dense_error_report(w, x, bundle, act=None) -> ErrorReport:
     )
 
 
+def _dense_weight_error(w, bundle) -> tuple[float, float]:
+    """``weight_error``'s figures from the dense reconstruction, built from
+    fresh temporaries."""
+    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
+    w_hat = dequantize(bundle.residual) + branch
+    if bundle.gamma is not None:
+        w_hat = w_hat / bundle.gamma[:, None]
+    weight_err = float(np.linalg.norm(w - w_hat, "fro"))
+    return weight_err, weight_err / float(np.linalg.norm(w, "fro"))
+
+
 def _rel(got, want) -> float:
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
@@ -718,19 +736,56 @@ class TestServePathMemory:
         x = np.random.default_rng(64).normal(size=(1, 1024))
         assert _traced_peak(lambda: forward(b, x)) < 1.5 * w.nbytes
 
+    @staticmethod
+    def _one_matrix(w, b) -> float:
+        # the reconstruction, and beside it, while L̂ @ R̂ is multiplied, the
+        # two decoded factors (a quarter of w at rank 128 on 1024 x 1024),
+        # plus a tenth of w for the m x n arrays and the row-group buffer;
+        # a second d x n array would add a whole w
+        factors = b.lowrank_left.shape, b.lowrank_right.shape
+        return 1.1 * w.nbytes + 8 * sum(rows * cols for rows, cols in factors)
+
     @pytest.mark.parametrize("smoothed", [False, True])
     @pytest.mark.parametrize("pair", SERVE_PAIRS, ids=str)
-    def test_error_report_holds_two_matrices(self, served, pair, smoothed):
-        # the decoded residual and one buffer that holds the branch and what
-        # is built from it; a third (a separate scratch) peaked at 3.0-3.3,
-        # and the dense report at about five
+    def test_reconstruction_holds_one_matrix(self, served, pair, smoothed):
+        # the residual is decoded into the product of the factors, which
+        # weight_error de-smooths in place; the padded decoded residual
+        # beside it peaked at about 2.05
         w, bundles = served
         b = bundles[(*pair, smoothed)]
+        branch = dequantize(b.lowrank_left) @ dequantize(b.lowrank_right)
+        want = dequantize(b.residual) + branch
+        got = []
+        assert _traced_peak(lambda: got.append(reconstruct_weight(b))) < self._one_matrix(w, b)
+        assert _traced_peak(lambda: got.append(weight_error(w, b))) < self._one_matrix(w, b)
+        assert got[0].tobytes() == want.tobytes()
+        assert got[1] == _dense_weight_error(w, b)
+
+    @pytest.mark.parametrize("pair", SERVE_PAIRS, ids=str)
+    def test_error_report_holds_one_matrix(self, served, pair):
+        # without smoothing W - What goes into What's buffer once the matmul
+        # error is taken; a separate difference peaked at about 2.13
+        w, bundles = served
+        b = bundles[(*pair, False)]
         x = np.random.default_rng(65).normal(size=(64, 1024))
         for act in (None, make_format("MXINT8")):
             reports = []
             peak = _traced_peak(lambda: reports.append(error_report(w, x, b, act)))
-            assert peak < 2.75 * w.nbytes
+            assert peak < self._one_matrix(w, b)
+            assert reports[0] == _dense_error_report(w, x, b, act)
+
+    @pytest.mark.parametrize("pair", SERVE_PAIRS, ids=str)
+    def test_error_report_holds_two_matrices(self, served, pair):
+        # with smoothing What_s and W_s = gamma * W, which W_s - What_s
+        # overwrites; a third (a separate scratch) peaked at 3.0-3.3, and the
+        # dense report at about five
+        w, bundles = served
+        b = bundles[(*pair, True)]
+        x = np.random.default_rng(65).normal(size=(64, 1024))
+        for act in (None, make_format("MXINT8")):
+            reports = []
+            peak = _traced_peak(lambda: reports.append(error_report(w, x, b, act)))
+            assert peak < 2.25 * w.nbytes
             assert reports[0] == _dense_error_report(w, x, b, act)
 
 
