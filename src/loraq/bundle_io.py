@@ -40,7 +40,11 @@ row-major concatenation of per-row byte runs (LSB-first bit packing);
 scales are one exponent byte per block for e8m0 and one float16 for
 fp16; a passthrough tensor stores its float64 values and no scales.
 Loaders validate magic, version and every declared length before
-allocating, and round-trips are bit-exact.
+allocating, and round-trips are bit-exact.  The manifest's formats are
+:func:`~loraq.formats.make_format` entries, read back by name, so no codec
+is built from file data.  :func:`save_bundle` refuses (with
+:class:`ParameterError`, before the file is opened) a bundle whose manifest
+:func:`load_bundle` would refuse.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .errors import (
     CorruptFileError,
     FileFormatError,
     FormatError,
+    LoraqError,
     ParameterError,
     UnknownFormatError,
     VersionError,
@@ -142,17 +147,23 @@ def _check_magic(reader: _Reader, magic: bytes, what: str) -> None:
 
 
 def save_tensor(path, matrix, kind: str = "f64") -> None:
-    """Write a matrix as an LQT1 file."""
+    """Write a matrix as an LQT1 file.  An ``f32`` file refuses, with
+    :class:`ParameterError` and before the file is opened, an entry that
+    float32 cannot hold as a finite value."""
     matrix = as_matrix(matrix)
     if kind not in ("f32", "f64"):
         raise FileFormatError(f"element kind must be f32 or f64, got {kind!r}")
     width = 4 if kind == "f32" else 8
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        payload = np.ascontiguousarray(matrix, dtype=_ELEMENT_KINDS[width])
+    if width == 4 and not np.all(np.isfinite(payload)):
+        raise ParameterError("matrix holds an entry beyond the float32 range")
     rows, cols = matrix.shape
     with open(path, "wb") as fh:
         fh.write(_TENSOR_MAGIC)
         fh.write(struct.pack("<B", width))
         fh.write(struct.pack("<QQ", rows, cols))
-        fh.write(np.ascontiguousarray(matrix, dtype=_ELEMENT_KINDS[width]).tobytes())
+        fh.write(payload.tobytes())
 
 
 def load_tensor(path) -> np.ndarray:
@@ -233,7 +244,14 @@ def _chunk_plan(meta: BundleMeta, has_gamma: bool) -> list[tuple]:
 
 
 def save_bundle(path, bundle: LayerBundle) -> None:
-    """Write a layer bundle as an LRQB file; round-trips bit-exactly."""
+    """Write a layer bundle as an LRQB file; round-trips bit-exactly.  A
+    meta that :meth:`BundleMeta.from_dict` would refuse raises
+    :class:`ParameterError` before the file is opened."""
+    meta = bundle.meta.to_dict()
+    try:
+        BundleMeta.from_dict(meta)
+    except (LookupError, TypeError, ValueError, LoraqError) as exc:
+        raise ParameterError(f"the bundle would not load: {exc}") from exc
     layout, has_gamma = bundle.meta.tensor_layout(), bundle.gamma is not None
     arrays = [array for t in bundle.tensors() for array in (t.codes, t.scales)]
     if has_gamma:
@@ -241,7 +259,7 @@ def save_bundle(path, bundle: LayerBundle) -> None:
     chunks = [(tag, array.tobytes()) for (tag, *_), array
               in zip(_chunk_plan(bundle.meta, has_gamma), arrays, strict=True)]
     manifest = {
-        "meta": bundle.meta.to_dict(),
+        "meta": meta,
         "pad": {name: t.pad_count for (name, _, _), t in zip(layout, bundle.tensors())},
         "gamma": has_gamma,
         "chunks": [{"tag": tag, "length": len(data)} for tag, data in chunks],
@@ -305,11 +323,6 @@ def load_bundle(path) -> LayerBundle:
         raise CorruptFileError(
             f"manifest describes an unusable format: {exc}", offset=manifest_start
         ) from exc
-    if min(meta.rank, *meta.shape) < 1:
-        raise CorruptFileError(
-            f"manifest rank {meta.rank} and shape {list(meta.shape)} must be positive",
-            offset=manifest_start,
-        )
     plan = _chunk_plan(meta, has_gamma)
     tags, planned = [tag for tag, _ in declared], [tag for tag, *_ in plan]
     if tags != planned:

@@ -129,7 +129,7 @@ codes start on a word and decode exactly like a row of their own.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -165,6 +165,7 @@ class IntCodec:
     rejected on decode, which keeps the value set symmetric.
     """
 
+    kind = "int"  # a format description's name for the codec, not a field
     bits: int
 
     def __post_init__(self):
@@ -264,6 +265,7 @@ def _minifloat_encode_table(exp_bits: int, mantissa_bits: int, bias: int) -> np.
 class MinifloatCodec:
     """Sign + exponent + mantissa minifloat with subnormals, no infinities."""
 
+    kind = "minifloat"
     exp_bits: int
     mantissa_bits: int
     bias: int
@@ -335,15 +337,14 @@ class PassthroughCodec:
     is stored at full float64 precision so reconstruction is exact.
     """
 
+    kind = "passthrough"
+
     @property
     def width(self) -> int:
         return 16
 
 
 Codec = IntCodec | MinifloatCodec | PassthroughCodec
-# a manifest's codec is its kind and the fields of that kind's dataclass
-_CODEC_KINDS = {"int": IntCodec, "minifloat": MinifloatCodec,
-                "passthrough": PassthroughCodec}
 
 
 @dataclass(frozen=True)
@@ -399,40 +400,13 @@ class FormatSpec:
         return ((rows, row_bytes), np.dtype("u1")), ((rows, n_blocks), scales)
 
     def to_dict(self) -> dict:
-        kind = next(k for k, codec in _CODEC_KINDS.items() if isinstance(self.codec, codec))
         return {
             "name": self.name,
             "block_size": self.block_size,
             "scale_kind": self.scale_kind,
-            "codec": {"kind": kind, **asdict(self.codec)},
+            "codec": {"kind": self.codec.kind, **asdict(self.codec)},
             "bits_per_value": self.bits_per_value,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FormatSpec":
-        """Inverse of :meth:`to_dict`; a description that is malformed, or
-        whose codec or format could not be built, raises :class:`FormatError`."""
-        try:
-            c = d["codec"]
-            codec_type = _CODEC_KINDS.get(c["kind"])
-            if codec_type is None:
-                raise FormatError(f"unknown codec kind {c['kind']!r}")
-            codec = codec_type(**{f.name: json_int(c[f.name], f.name)
-                                  for f in fields(codec_type)})
-            spec = cls(
-                name=json_str(d["name"], "name"),
-                block_size=json_int(d["block_size"], "block_size"),
-                scale_kind=json_str(d["scale_kind"], "scale_kind"),
-                codec=codec,
-            )
-            if json_int(d["bits_per_value"], "bits_per_value") != spec.bits_per_value:
-                raise FormatError(
-                    f"bits_per_value {d['bits_per_value']} does not match the "
-                    f"{spec.bits_per_value}-bit element codec"
-                )
-            return spec
-        except (KeyError, TypeError, ValueError, ParameterError) as exc:
-            raise FormatError(f"malformed format description: {exc}") from exc
 
 
 # Typed readers for JSON from outside (manifests, config files): each returns

@@ -10,6 +10,9 @@ checks.  A stage supplies only a score of one iterate.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -22,6 +25,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "as_matrix",
+    "as_int",
     "truncated_svd",
     "AdamState",
     "adam_step",
@@ -51,6 +55,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as a Python ``int``: anything ``operator.index`` accepts
+    (``np.int64`` included) but a boolean; anything else raises
+    :class:`ParameterError`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def _canonical_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,19 +151,30 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray,
 
 @dataclass
 class OptimizerConfig:
-    """Settings of one Adam stage: absorption or rotation."""
+    """Settings of one Adam stage: absorption or rotation.
+
+    ``steps`` is kept as a Python int and ``learning_rate`` as a float.  A
+    step count that is negative or not an integer, and a learning rate that
+    is not a positive, finite real number, raise :class:`ParameterError`.
+    """
 
     learning_rate: float
     steps: int
     quantizer: FormatSpec
 
     def __post_init__(self):
+        self.steps = as_int(self.steps, "steps")
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ParameterError(
-                f"learning rate must be positive and finite, got {self.learning_rate}"
-            )
+        lr = self.learning_rate
+        real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
+        try:
+            rate = float(lr) if real else math.nan
+        except OverflowError:  # an integer beyond the float range
+            rate = math.inf
+        if not 0 < rate < math.inf:
+            raise ParameterError(f"learning rate must be positive and finite, got {lr!r}")
+        self.learning_rate = rate
 
 
 def adam_descent(score, params, cfg: OptimizerConfig, *, best):

@@ -11,6 +11,7 @@ product, encoded with ``q1``).  Reconstruction is
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -35,7 +36,7 @@ from .formats import (
     make_format,
     quantize_blockwise,
 )
-from .numerics import OptimizerConfig, as_matrix
+from .numerics import OptimizerConfig, as_int, as_matrix
 from .rotation import fuse_rotation, optimize_rotation
 from .smoothing import (
     ChannelStats,
@@ -150,14 +151,16 @@ class BundleMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BundleMeta":
-        """Inverse of :meth:`to_dict`.  A value without its JSON type raises
-        ``TypeError`` and an activation format that names no format
-        :class:`UnknownFormatError`; :func:`bundle_io.load_bundle` reports
-        both as corrupt."""
+        """Inverse of :meth:`to_dict`.  ``q1`` and ``q2`` must each be
+        exactly the ``to_dict()`` of the :func:`make_format` entry they
+        name, or :class:`FormatError` is raised (:class:`UnknownFormatError`
+        for a name of no format, as for the activation formats).  A value
+        without its JSON type raises ``TypeError``, and a rank or dimension
+        below 1 ``ValueError``; ``load_bundle`` reports each as corrupt."""
         rows, cols = d["shape"]
-        return cls(
-            q1=FormatSpec.from_dict(d["q1"]),
-            q2=FormatSpec.from_dict(d["q2"]),
+        meta = cls(
+            q1=_registry_format(d["q1"], "q1"),
+            q2=_registry_format(d["q2"], "q2"),
             shape=(json_int(rows, "shape"), json_int(cols, "shape")),
             rank=json_int(d["rank"], "rank"),
             rank_requested=json_int(d["rank_requested"], "rank_requested"),
@@ -174,6 +177,20 @@ class BundleMeta:
             lowrank_act_format=_nullable(
                 _format_name, d.get("lowrank_act_format"), "lowrank_act_format"),
         )
+        if min(meta.rank, *meta.shape) < 1:
+            raise ValueError(
+                f"rank {meta.rank} and shape {list(meta.shape)} must be positive")
+        return meta
+
+
+def _registry_format(value, label: str) -> FormatSpec:
+    """The :func:`make_format` entry that the description ``value`` names.
+    It must be the entry's ``to_dict()`` as JSON text, so ``4.0``, ``"4"``
+    or ``true`` for a ``4`` raises :class:`FormatError`."""
+    spec = make_format(json_str(json_object(value, label).get("name"), f"{label}.name"))
+    if json.dumps(value, sort_keys=True) != json.dumps(spec.to_dict(), sort_keys=True):
+        raise FormatError(f"{label} does not describe the registry's {spec.name}")
+    return spec
 
 
 def _format_name(value, label: str) -> str:
@@ -355,12 +372,23 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
         raise ShapeError(f"weight has no rows or no columns: shape {w.shape}")
     if (budget is None) == (rank is None):
         raise ParameterError("exactly one of budget and rank must be given")
+    seed = as_int(seed, "seed")
     if rank is not None:
-        if rank < 1:
-            raise ParameterError(f"rank must be >= 1, got {rank}")
-        requested = rank
+        requested = as_int(rank, "rank")
+        if requested < 1:
+            raise ParameterError(f"rank must be >= 1, got {requested}")
     else:
+        budget = as_int(budget, "budget")
         requested = rank_for_budget(budget, q2.bits_per_value)
+    absorb = OptimizerConfig(
+        default_absorb_lr(q1) if absorb_lr is None else absorb_lr,
+        DEFAULT_ABSORB_STEPS if absorb_steps is None else absorb_steps, q1)
+    rotate = OptimizerConfig(
+        default_rotation_lr(q2) if rotation_lr is None else rotation_lr,
+        DEFAULT_ROTATION_STEPS if rotation_steps is None else rotation_steps, q2)
+    if not any(optimized for optimized, _ in cells):
+        absorb.steps = 0  # checked above all the same
+
     effective_rank = min(requested, d, n)
     if effective_rank < requested:
         warnings.warn(
@@ -373,22 +401,14 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
     gamma, smoothing_meta = _smooth(w, q1, effective_rank, calibration)
     work = w if gamma is None else gamma[:, None] * w
 
-    a_steps = DEFAULT_ABSORB_STEPS if absorb_steps is None else absorb_steps
-    a_lr = default_absorb_lr(q1) if absorb_lr is None else absorb_lr
-    r_steps = DEFAULT_ROTATION_STEPS if rotation_steps is None else rotation_steps
-    r_lr = default_rotation_lr(q2) if rotation_lr is None else rotation_lr
-
     init = init_factors(work, effective_rank)
-    steps = a_steps if any(optimized for optimized, _ in cells) else 0
-    best, trace = optimize_factors(work, init, OptimizerConfig(a_lr, steps, q1))
+    best, trace = optimize_factors(work, init, absorb)
     starts = {True: (best, trace), False: (init, trace[:1])}
 
     bundles = []
     for optimized, rotated in cells:
         factors, absorb_trace = starts[optimized]
-        rotation = None
-        if rotated and not q2.is_passthrough:
-            rotation = OptimizerConfig(r_lr, r_steps, q2)
+        rotation = rotate if rotated and not q2.is_passthrough else None
         tensors, rotation_meta, lowrank_q2_mse = _rotate_and_pack(
             work, factors, q1, q2, rotation
         )
@@ -402,7 +422,7 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
             optimized_lr=optimized,
             rotations=rotated,
             seed=seed,
-            absorb=_trace_summary(absorb_trace, a_lr),
+            absorb=_trace_summary(absorb_trace, absorb.learning_rate),
             rotation=rotation_meta,
             smoothing=smoothing_meta,
             lowrank_q2_mse=lowrank_q2_mse,

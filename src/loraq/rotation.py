@@ -34,13 +34,18 @@ __all__ = [
 _ORTHO_TOL = 1e-8
 
 
-def _check_rotation_inputs(left: np.ndarray, right: np.ndarray,
-                           omega: np.ndarray) -> None:
+def _shared_rank(left: np.ndarray, right: np.ndarray) -> int:
     rank = left.shape[1]
     if right.shape[0] != rank:
         raise ShapeError(
             f"factor shapes {left.shape} x {right.shape} do not share a rank"
         )
+    return rank
+
+
+def _check_rotation_inputs(left: np.ndarray, right: np.ndarray,
+                           omega: np.ndarray) -> None:
+    rank = _shared_rank(left, right)
     if omega.shape != (rank, rank):
         raise ShapeError(f"rotation must be {rank}x{rank}, got {omega.shape}")
     defect = np.linalg.norm(omega.T @ omega - np.eye(rank), "fro")
@@ -109,11 +114,7 @@ def optimize_rotation(left, right,
     """
     left = as_matrix(left, "left factor")
     right = as_matrix(right, "right factor")
-    rank = left.shape[1]
-    if right.shape[0] != rank:
-        raise ShapeError(
-            f"factor shapes {left.shape} x {right.shape} do not share a rank"
-        )
+    rank = _shared_rank(left, right)
 
     def score(params):
         (a,) = params

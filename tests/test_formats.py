@@ -329,27 +329,7 @@ class TestFakeQuantOutRefused:
             fake_quant(self.m, self.spec, out=out)
 
 
-UNBUILDABLE = {
-    "bias -2000": {"kind": "minifloat", "exp_bits": 2, "mantissa_bits": 1, "bias": -2000},
-    "mantissa_bits -2": {"kind": "minifloat", "exp_bits": 5, "mantissa_bits": -2,
-                         "bias": 1},
-    "exp_bits 0": {"kind": "minifloat", "exp_bits": 0, "mantissa_bits": 3, "bias": 1},
-    "exp_bits 2^40": {"kind": "minifloat", "exp_bits": 2**40, "mantissa_bits": 3,
-                      "bias": 1},
-    "int bits 1": {"kind": "int", "bits": 1},
-}
-
-
 class TestCodecParameters:
-    @pytest.mark.parametrize("case", sorted(UNBUILDABLE))
-    def test_from_dict_refuses_unbuildable_codecs(self, case):
-        codec = UNBUILDABLE[case]
-        described = make_format("MXFP4e2").to_dict()
-        described["codec"] = codec
-        described["bits_per_value"] = 1 if codec["kind"] == "int" else 4  # the width
-        with pytest.raises(FormatError):
-            FormatSpec.from_dict(described)
-
     @pytest.mark.parametrize("args", [(2, 1, -2000), (5, -2, 1), (0, 3, 1),
                                       (2, 1, 1023), (2, 1, -1021), (2**40, 1, 1)])
     def test_unbuildable_minifloat_is_refused(self, args):

@@ -6,10 +6,12 @@ import pytest
 from loraq import (
     AdamState,
     NumericError,
+    OptimizerConfig,
     ParameterError,
     ShapeError,
     adam_step,
     cayley_retract,
+    make_format,
     skew_project,
     truncated_svd,
 )
@@ -132,6 +134,20 @@ class TestAdam:
         for expected in (1, 2, 3):
             params = adam_step(state, params, np.ones((2, 2)), 0.1)
             assert state.step_count == expected
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("lr,steps", [
+        (1e-3, 2.5), (1e-3, True), (1e-3, "3"), ("0.001", 1), (True, 1), (10**400, 1),
+    ], ids=["steps 2.5", "steps True", "steps '3'", "lr '0.001'", "lr True", "lr 10**400"])
+    def test_settings_must_be_numbers_of_their_kind(self, lr, steps):
+        with pytest.raises(ParameterError):
+            OptimizerConfig(lr, steps, make_format("SINT4"))
+
+    def test_numpy_settings_are_kept_as_python_numbers(self):
+        cfg = OptimizerConfig(np.float32(0.5), np.int64(3), make_format("SINT4"))
+        assert (type(cfg.learning_rate), type(cfg.steps)) == (float, int)
+        assert (cfg.learning_rate, cfg.steps) == (0.5, 3)
 
 
 class TestCayley:

@@ -11,7 +11,6 @@ from loraq import (
     PASSTHROUGH,
     BudgetError,
     FormatError,
-    FormatSpec,
     ErrorReport,
     NumericError,
     ParameterError,
@@ -161,6 +160,31 @@ class TestAssembleLayer:
         with pytest.raises(ParameterError):
             assemble_layer(w, q, q, budget=512, rank=2)
 
+    @pytest.mark.parametrize("setting", [
+        {"rank": 2.5}, {"rank": True}, {"budget": 64.0}, {"seed": 1.5},
+        {"absorb_steps": 2.0}, {"rotation_steps": 1.0}, {"absorb_lr": "0.001"},
+        {"rotation_lr": True},
+    ], ids=repr)
+    def test_numeric_settings_must_be_numbers_of_their_kind(self, setting):
+        w = np.random.default_rng(8).normal(size=(8, 8))
+        q = make_format("SINT4")
+        kwargs = setting if "budget" in setting else {"rank": 2, **setting}
+        with pytest.raises(ParameterError):
+            assemble_layer(w, q, q, **kwargs)
+
+    def test_numpy_integer_settings_are_stored_as_ints(self):
+        w = np.random.default_rng(9).normal(size=(8, 40))
+        q = make_format("SINT4")
+        steps = dict(absorb_steps=2, rotation_steps=1)
+        for size in ({"rank": 2}, {"budget": 8}):
+            wide = {key: np.int64(value) for key, value in size.items()}
+            got = assemble_layer(w, q, q, seed=np.int64(3), **wide,
+                                 **{k: np.int64(v) for k, v in steps.items()})
+            plain = assemble_layer(w, q, q, seed=3, **size, **steps)
+            meta = got.meta
+            assert all(type(v) is int for v in (meta.rank, meta.rank_requested, meta.seed))
+            assert save_bytes(got) == save_bytes(plain)
+
     def test_deterministic_bundles(self):
         rng = np.random.default_rng(3)
         w = rng.normal(size=(40, 40))
@@ -282,7 +306,7 @@ class TestForward:
         x = rng.normal(size=(6, 32))
         b = _quick(w, make_format("SINT4"), make_format("MXINT4"), rank=4)
         act = make_format("MXINT8")
-        twin = FormatSpec.from_dict(act.to_dict())  # equal, not the same object
+        twin = dataclasses.replace(act)  # equal, not the same object
         assert twin == act and twin is not act
         expected = forward(b, x, act)
         calls = []

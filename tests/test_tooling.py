@@ -108,6 +108,28 @@ def test_only_the_shared_loop_calls_adam_step():
     assert callers == {"numerics.py": 1}
 
 
+_FORMAT_CLASSES = {"FormatSpec", "IntCodec", "MinifloatCodec", "PassthroughCodec"}
+
+
+def _format_builds(path: Path) -> int:
+    """Calls in ``path`` of a format or codec class, or of one of its class
+    methods: ``FormatSpec(...)``, ``formats.IntCodec(...)``,
+    ``FormatSpec.from_dict(...)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sum(1 for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) in _FORMAT_CLASSES
+                    or getattr(node.func, "attr", None) in _FORMAT_CLASSES
+                    or getattr(getattr(node.func, "value", None), "id", None)
+                    in _FORMAT_CLASSES))
+
+
+def test_only_formats_builds_formats():
+    # every other module takes its formats from make_format, by name, so no
+    # module builds a format or a codec from data
+    builders = {path.name for path in sorted(SRC.glob("*.py")) if _format_builds(path)}
+    assert builders == {"formats.py"}
+
+
 def _attribute_reads(path: Path, attr: str) -> int:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return sum(1 for node in ast.walk(tree)
