@@ -44,7 +44,7 @@ allocating, and round-trips are bit-exact.  The manifest's formats are
 :func:`~loraq.formats.make_format` entries, read back by name, so no codec
 is built from file data.  :func:`save_bundle` refuses (with
 :class:`ParameterError`, before the file is opened) a bundle whose manifest
-:func:`load_bundle` would refuse.
+or float chunks :func:`load_bundle` would refuse.
 """
 
 from __future__ import annotations
@@ -245,8 +245,10 @@ def _chunk_plan(meta: BundleMeta, has_gamma: bool) -> list[tuple]:
 
 def save_bundle(path, bundle: LayerBundle) -> None:
     """Write a layer bundle as an LRQB file; round-trips bit-exactly.  A
-    meta that :meth:`BundleMeta.from_dict` would refuse raises
-    :class:`ParameterError` before the file is opened."""
+    meta that :meth:`BundleMeta.from_dict` would refuse, or a float chunk
+    that :func:`load_bundle` would refuse (a passthrough value that is not
+    finite, an fp16 scale or a gamma entry that is not finite and
+    positive), raises :class:`ParameterError` before the file is opened."""
     meta = bundle.meta.to_dict()
     try:
         BundleMeta.from_dict(meta)
@@ -256,8 +258,13 @@ def save_bundle(path, bundle: LayerBundle) -> None:
     arrays = [array for t in bundle.tensors() for array in (t.codes, t.scales)]
     if has_gamma:
         arrays.append(np.asarray(bundle.gamma, dtype="<f8"))
-    chunks = [(tag, array.tobytes()) for (tag, *_), array
-              in zip(_chunk_plan(bundle.meta, has_gamma), arrays, strict=True)]
+    chunks = []
+    for (tag, what, *_), array in zip(_chunk_plan(bundle.meta, has_gamma), arrays,
+                                      strict=True):
+        refusal = _bad_values(what, array)
+        if refusal is not None:
+            raise ParameterError(f"the bundle would not load: {refusal}")
+        chunks.append((tag, array.tobytes()))
     manifest = {
         "meta": meta,
         "pad": {name: t.pad_count for (name, _, _), t in zip(layout, bundle.tensors())},
@@ -282,6 +289,18 @@ _BAD_VALUES = {
     "scale": "scale chunk holds a float16 scale that is not finite and positive",
     "gamma": "gamma chunk holds an entry that is not finite and positive",
 }
+
+
+def _bad_values(what: str, values: np.ndarray) -> str | None:
+    """Why ``values``, the payload of a ``what`` chunk, would be refused at
+    load, or None: a float chunk must hold finite values, and a scale or
+    gamma chunk positive ones."""
+    if values.dtype.kind != "f":
+        return None
+    valid = np.isfinite(values)
+    if what != "code":  # scales and gamma must also be positive
+        valid = valid & (values > 0)
+    return None if np.all(valid) else _BAD_VALUES[what]
 
 
 def load_bundle(path) -> LayerBundle:
@@ -351,12 +370,9 @@ def load_bundle(path) -> LayerBundle:
                 f"{what} chunk holds {length} bytes, expected {expected}", offset=offset
             )
         values = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-        if dtype.kind == "f":
-            valid = np.isfinite(values)
-            if what != "code":  # scales and gamma must also be positive
-                valid = valid & (values > 0)
-            if not np.all(valid):
-                raise CorruptFileError(_BAD_VALUES[what], offset=offset)
+        refusal = _bad_values(what, values)
+        if refusal is not None:
+            raise CorruptFileError(refusal, offset=offset)
         arrays.append((values, offset))
     reader.expect_end("bundle chunks")
 

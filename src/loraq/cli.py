@@ -7,6 +7,13 @@ source weight and the slack of the matmul-error bound, ``ablate`` runs the
 run per weight), and ``inspect`` dumps a bundle's manifest and bit
 accounting.
 
+``evaluate`` streams its figures over the residual's row groups: besides
+the weight it holds the decoded low-rank factors, one row group, the
+activations and two (batch x columns) products, and never a reconstructed
+weight.  Without ``--activations`` it reports against the identity, in
+closed form, with no (rows x rows) matrix built.  Each figure is a streamed
+sum, so it may differ in its last bits from a whole-matrix norm.
+
 ``quantize`` and ``ablate`` take a JSON ``--config`` file whose keys are
 the subcommand's own flag destinations (``--rot-lr`` is ``rot_lr``,
 ``--no-optimize`` is ``optimized_lr``), ``config`` and ``machine`` aside.
@@ -215,10 +222,8 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     bundle = bundle_io.load_bundle(args.bundle)
     w = bundle_io.load_tensor(args.weight)
-    if args.activations is not None:
-        x = bundle_io.load_tensor(args.activations)
-    else:
-        x = np.eye(w.shape[0])
+    # without activations error_report takes the d x d identity, in closed form
+    x = None if args.activations is None else bundle_io.load_tensor(args.activations)
     act = args.act_format
     if act is None and bundle.meta.act_format is not None:
         act = make_format(bundle.meta.act_format)

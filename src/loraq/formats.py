@@ -746,10 +746,11 @@ def _decode_tile(codec: IntCodec | MinifloatCodec, packed: np.ndarray,
 
 
 def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
-    """Yield ``(rows, values)`` for consecutive row groups of a blockwise
-    tensor: ``values`` holds the ``(rows_g, cols)`` decoded values of the
-    slice ``rows``, multiplied by their block scales.  The groups share one
-    buffer of about ``_GROUP_VALUES`` values, so a group's values are only
+    """Yield ``(rows, values)`` for consecutive row groups of a tensor:
+    ``values`` holds the ``(rows_g, cols)`` decoded values of the slice
+    ``rows``, multiplied by their block scales (a passthrough tensor's
+    values copied).  The groups share one buffer of about ``_GROUP_VALUES``
+    values, which the caller may overwrite: a group's values are only
     valid until the next is yielded.  When the rows have no padded tail and
     ``out``, a C-contiguous ``(rows, cols)`` float64 array, is given, each
     group is decoded into its own rows of ``out`` instead.  An invalid
@@ -757,19 +758,22 @@ def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
     group is decoded."""
     rows, cols = t.shape
     spec = t.spec
-    padded = t.n_blocks * spec.block_size
+    padded = cols if spec.is_passthrough else t.n_blocks * spec.block_size
     groups = _row_groups(rows, padded)
     in_place = out is not None and padded == cols
     if not in_place:
         buffer = np.empty(min(groups[0].stop, rows) * padded if groups else 0)
-    scales = t.scale_values()
+    scales = None if spec.is_passthrough else t.scale_values()
     for group in groups:
         codes = t.codes[group]
         tile = (out[group] if in_place
                 else buffer[:len(codes) * padded].reshape(len(codes), padded))
-        _decode_tile(spec.codec, codes, tile)
-        grid = tile.reshape(len(codes), t.n_blocks, spec.block_size)
-        grid *= scales[group][:, :, None]
+        if scales is None:
+            tile[...] = codes
+        else:
+            _decode_tile(spec.codec, codes, tile)
+            grid = tile.reshape(len(codes), t.n_blocks, spec.block_size)
+            grid *= scales[group][:, :, None]
         yield group, tile[:, :cols]
 
 
@@ -780,8 +784,6 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
     they have no padded tail, else into a buffer of about ``_GROUP_VALUES``
     values whose real columns are copied out, so the padded tail of the
     rows is never stored for the whole matrix."""
-    if t.spec.is_passthrough:
-        return t.codes.astype(np.float64)
     out = np.empty(t.shape)
     for group, values in _decoded_groups(t, out):
         if values.base is not out:  # decoded into the shared buffer
@@ -798,9 +800,6 @@ def add_dequantized(out: np.ndarray, t: QuantizedTensor) -> np.ndarray:
     When a group holds an invalid code, the :class:`FormatError` that
     :func:`dequantize` raises is raised with the earlier groups added."""
     _check_out(out, t.shape)
-    if t.spec.is_passthrough:
-        out += t.codes
-        return out
     for group, values in _decoded_groups(t):
         out[group] += values
     return out

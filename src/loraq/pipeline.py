@@ -24,6 +24,7 @@ from .formats import (
     FormatSpec,
     MinifloatCodec,
     QuantizedTensor,
+    _decoded_groups,
     add_dequantized,
     dequantize,
     dequantized_product,
@@ -78,8 +79,10 @@ def rank_for_budget(budget: int, bits: int) -> int:
     """Largest rank whose payload fits the budget: floor(budget / bits).
 
     ``budget`` is in bits per channel and ``bits`` is the low-rank branch's
-    bits per value, one of 4/6/8/16.
+    bits per value, one of 4/6/8/16; both must be integers (not booleans),
+    else :class:`ParameterError`.
     """
+    budget, bits = as_int(budget, "budget"), as_int(bits, "lowrank bits")
     if budget < 1:
         raise BudgetError(f"budget must be positive, got {budget}")
     if bits not in (4, 6, 8, 16):
@@ -270,7 +273,10 @@ class ErrorReport:
     row and ``X_s = X / gamma`` column by column (``W`` and ``X`` without
     smoothing).  ``What_s`` is :func:`reconstruct_weight` of the bundle,
     ``X_q`` is ``X_s`` fake quantized in the activation format (``X_s``
-    without one), and every norm is a Frobenius norm.
+    without one), and every norm is a Frobenius norm.  :func:`error_report`
+    computes them as streamed sums over the residual's row groups, so each
+    may differ in its last bits from a whole-matrix norm, and ``What_s``
+    from :func:`reconstruct_weight` by the rounding of its product.
 
     * ``weight_err``: ``||W - What||``, with ``What = What_s / gamma`` row
       by row; ``weight_err_rel`` divides it by ``||W||`` (0 if ``W = 0``).
@@ -515,15 +521,22 @@ def _activations(bundle: LayerBundle, x,
     d = bundle.meta.shape[0]
     if x.shape[1] != d:
         raise ShapeError(f"activations have {x.shape[1]} columns, layer expects {d}")
-    x_s = x
-    if bundle.gamma is not None:
-        with np.errstate(over="ignore"):
-            x_s = x / bundle.gamma[None, :]
-        if not np.isfinite(x_s).all():
-            raise NumericError(
-                "the activations overflow when divided by the smoothing vector")
+    x_s = _smoothed(x, bundle.gamma)
     x_q = fake_quant(x_s, activation_format) if activation_format is not None else x_s
     return x_s, x_q
+
+
+def _smoothed(x: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
+    """``x / gamma`` along the last axis (``x`` itself without smoothing);
+    a quotient that overflows raises :class:`NumericError` naming the
+    division."""
+    if gamma is None:
+        return x
+    with np.errstate(over="ignore"):
+        x_s = x / gamma
+    if not np.isfinite(x_s).all():
+        raise NumericError("the activations overflow when divided by the smoothing vector")
+    return x_s
 
 
 def forward(
@@ -580,11 +593,60 @@ def _bundle_weight(w, bundle: LayerBundle) -> np.ndarray:
     return w
 
 
-def _weight_error(w: np.ndarray, w_hat: np.ndarray) -> tuple[float, float]:
-    """Weight errors of the de-smoothed reconstruction ``w_hat``, which this
-    overwrites: the caller must not read it afterwards."""
-    diff = np.subtract(w, w_hat, out=w_hat)
-    return _relative(float(np.linalg.norm(diff, "fro")), float(np.linalg.norm(w, "fro")))
+def _reconstructed_groups(bundle: LayerBundle):
+    """Yield ``(rows, w_hat_s)`` for consecutive row groups of the residual:
+    those rows of the reconstruction, the decoded residual rows plus
+    ``L̂[rows] @ R̂``, added in the decoder's buffer, which the caller may
+    overwrite until the next group.  Besides one group and its product
+    only the decoded factors are held.  The values are those of
+    :func:`reconstruct_weight` up to the rounding of the product, which
+    BLAS need not sum alike for a row slab and for the whole."""
+    left = dequantize(bundle.lowrank_left)
+    right = dequantize(bundle.lowrank_right)
+    for rows, w_hat_s in _decoded_groups(bundle.residual):
+        w_hat_s += left[rows] @ right
+        yield rows, w_hat_s
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    return float(np.vdot(a, a))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_sum_squares(a))
+
+
+def _weight_sums(w: np.ndarray, bundle: LayerBundle,
+                 on_group=None) -> tuple[float, float, float, float]:
+    """``(||W||², ||W_s||², ||W_s - What_s||², ||W - What||²)``, each a sum
+    over the row groups of :func:`_reconstructed_groups`, with ``W_s =
+    gamma * W`` and ``What = What_s / gamma`` row by row.  Before a group's
+    arrays are overwritten, ``on_group(rows, w_s, w_hat_s)`` reads them.
+    Besides ``w`` the pass holds the decoded factors and one group's rows
+    of ``W_s``, ``What_s`` and the decoded residual.  Overflows are left
+    to the caller to find in the sums."""
+    gamma = bundle.gamma
+    w_sq = w_s_sq = diff_s_sq = diff_sq = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, w_hat_s in _reconstructed_groups(bundle):
+            w_g = w[rows]
+            w_s = w_g if gamma is None else gamma[rows, None] * w_g
+            group_sq = _sum_squares(w_g)
+            w_sq += group_sq
+            w_s_sq += group_sq if gamma is None else _sum_squares(w_s)
+            if on_group is not None:
+                on_group(rows, w_s, w_hat_s)
+            # W_s - What_s into a buffer nothing reads afterwards: W_s's with
+            # smoothing, else What_s's, since W_s is W and its error is the error
+            diff = np.subtract(w_s, w_hat_s, out=w_hat_s if gamma is None else w_s)
+            group_sq = _sum_squares(diff)
+            diff_s_sq += group_sq
+            if gamma is not None:
+                w_hat_s /= gamma[rows, None]
+                group_sq = _sum_squares(np.subtract(w_g, w_hat_s, out=w_hat_s))
+            diff_sq += group_sq
+            del w_s, diff  # freed before the next group's product is built
+    return w_sq, w_s_sq, diff_s_sq, diff_sq
 
 
 def _relative(weight_err: float, w_norm: float) -> tuple[float, float]:
@@ -598,62 +660,107 @@ def _relative(weight_err: float, w_norm: float) -> tuple[float, float]:
 def weight_error(w, bundle: LayerBundle) -> tuple[float, float]:
     """``(weight_err, weight_err_rel)`` of a bundle against its source weight.
 
-    The figures :func:`error_report` gives, without activations: the
-    Frobenius error of the de-smoothed reconstruction, absolute and
-    relative to ``||w||``.  A non-finite reconstruction raises
-    :class:`NumericError`.
+    The figures :func:`error_report` gives, bit for bit, from the same pass
+    without activations: the Frobenius error of the de-smoothed
+    reconstruction, absolute and relative to ``||w||``, each norm a sum of
+    squares over the residual's row groups.  Besides ``w`` the call holds
+    the decoded factors and one row group, never a d x n array.  A
+    non-finite reconstruction raises :class:`NumericError`.
     """
     w = _bundle_weight(w, bundle)
-    return _weight_error(w, reconstruct_weight(bundle, desmoothed=True))
+    w_sq, _, _, diff_sq = _weight_sums(w, bundle)
+    return _relative(math.sqrt(diff_sq), math.sqrt(w_sq))
+
+
+class _DenseProducts:
+    """The activation side of :func:`error_report` for activations ``x``:
+    ``X_s W_s - X_q What_s``, summed one row group of the weight at a time
+    into one m x n array beside one m x n scratch.  Each group adds and
+    subtracts its two products, so an exact reconstruction reports exactly
+    0 when the activations are not quantized.
+    ``||X_s W_s||`` needs the whole product: it is taken once, before the
+    pass, since summing it by groups would hold a third m x n array."""
+
+    def __init__(self, bundle: LayerBundle, x, activation_format, w: np.ndarray):
+        self.x_s, self.x_q = _activations(bundle, x, activation_format)
+        gamma = bundle.gamma
+        with np.errstate(over="ignore", invalid="ignore"):  # error_report checks
+            self.act_err = _norm(self.x_s - self.x_q)
+            self.x_norm, self.x_q_norm = _norm(self.x_s), _norm(self.x_q)
+            # X_s W_s is (X_s gamma) W, which needs no W_s
+            self.exact_norm = _norm((self.x_s if gamma is None else self.x_s * gamma) @ w)
+        self.error = np.zeros((len(self.x_s), w.shape[1]))
+        self.scratch = np.empty_like(self.error)
+
+    def add(self, rows: slice, w_s: np.ndarray, w_hat_s: np.ndarray) -> None:
+        self.error += np.matmul(self.x_s[:, rows], w_s, out=self.scratch)
+        self.error -= np.matmul(self.x_q[:, rows], w_hat_s, out=self.scratch)
+
+    def norms(self) -> tuple[float, float]:
+        """``(||X_s W_s||, ||X_s W_s - X_q What_s||)``, once every group is added."""
+        return self.exact_norm, _norm(self.error)
+
+
+class _DiagonalProducts:
+    """The activation side of :func:`error_report` for the d x d identity,
+    which is never built.  ``X_s = diag(s)`` with ``s = 1 / gamma`` (ones
+    without smoothing), and ``X_q = diag(q)`` with ``q`` the fake quantized
+    ``s`` as a column: each row of ``X_s`` holds one nonzero, which alone
+    sets its block's scale.  So both products scale the rows of their
+    weight, and their norms are sums over the row groups."""
+
+    def __init__(self, bundle: LayerBundle, activation_format):
+        self.s = _smoothed(np.ones(bundle.meta.shape[0]), bundle.gamma)
+        self.q = (self.s if activation_format is None
+                  else fake_quant(self.s[:, None], activation_format)[:, 0])
+        with np.errstate(over="ignore", invalid="ignore"):  # error_report checks
+            self.act_err = _norm(self.s - self.q)
+            self.x_norm, self.x_q_norm = _norm(self.s), _norm(self.q)
+        self.exact_sq = self.error_sq = 0.0
+
+    def add(self, rows: slice, w_s: np.ndarray, w_hat_s: np.ndarray) -> None:
+        exact = self.s[rows, None] * w_s
+        self.exact_sq += _sum_squares(exact)
+        exact -= self.q[rows, None] * w_hat_s
+        self.error_sq += _sum_squares(exact)
+
+    def norms(self) -> tuple[float, float]:
+        return math.sqrt(self.exact_sq), math.sqrt(self.error_sq)
 
 
 def error_report(w, x, bundle: LayerBundle,
                  activation_format: FormatSpec | None = None) -> ErrorReport:
     """Measure reconstruction and matmul error and check the upper bound.
 
-    The bound states that the matmul error cannot exceed
+    ``x`` holds the activations, one column per weight row, or is None for
+    the d x d identity, whose figures are computed in closed form without
+    building it.  The bound states that the matmul error cannot exceed
     ``||X - Q(X)|| * ||W|| + ||Q(X)|| * ||W - What||``; a violation beyond
     float roundoff raises :class:`NumericError`, and so does a figure that
     overflows, since no bound can be checked on it, and so do activations
     that overflow when divided by the smoothing vector.
 
     The weight is checked against the bundle's shape before the
-    activations are read.  Besides ``w`` the call holds one d x n float64
-    array without smoothing: the reconstruction ``What_s`` of
-    :func:`reconstruct_weight`, which is overwritten by ``W - What`` once
-    ``matmul_err`` is taken, so that one norm gives both
-    ``weight_err_smoothed`` and ``weight_err``.  With smoothing it holds
-    two: ``What_s``, and ``W_s = gamma * W``, overwritten by ``W_s -
-    What_s``.  Either way every figure is the one fresh temporaries give,
-    bit for bit.
+    activations are read.  The figures are streamed: one pass over the
+    residual's row groups builds each group's rows of ``What_s``
+    (:func:`_reconstructed_groups`) and of ``W_s = gamma * W``, and sums
+    the squared norms of ``W_s``, ``W_s - What_s`` and ``W - What`` and,
+    for activations ``x`` (m x d), the products ``X_s W_s - X_q What_s``
+    into one m x n array.  Besides its inputs the call holds the decoded
+    factors, one row group, the m x d activations ``X_s`` and ``X_q`` and
+    two m x n arrays; for the identity, no m x n array.  The sums run in
+    another order than whole-matrix norms and products, so a figure may
+    differ from theirs in its last bits.
     """
     w = _bundle_weight(w, bundle)
-    x_s, x_q = _activations(bundle, x, activation_format)
-    gamma = bundle.gamma
-    w_hat_s = reconstruct_weight(bundle)
-    w_s = w if gamma is None else gamma[:, None] * w
-
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        act_err = float(np.linalg.norm(x_s - x_q, "fro"))
-        x_norm = float(np.linalg.norm(x_s, "fro"))
-        x_q_norm = float(np.linalg.norm(x_q, "fro"))
-        exact = x_s @ w_s
-        del x_s  # X_s is dead: X_q and two m x n arrays are all that follow
-        exact_norm = float(np.linalg.norm(exact, "fro"))
-        error = np.subtract(exact, x_q @ w_hat_s, out=exact)
-        matmul_err = float(np.linalg.norm(error, "fro"))
-        w_norm = float(np.linalg.norm(w_s, "fro"))
-        # W_s - What_s into a buffer nothing reads afterwards: W_s's with
-        # smoothing, else What_s's, since W_s is W and its error is the error
-        diff = np.subtract(w_s, w_hat_s, out=w_hat_s if gamma is None else w_s)
-        weight_err_smoothed = float(np.linalg.norm(diff, "fro"))
-        residual_mse = float(np.mean(np.square(diff, out=diff)))
-        bound_rhs = act_err * w_norm + x_q_norm * weight_err_smoothed
-    if gamma is None:
-        weight_err, weight_err_rel = _relative(weight_err_smoothed, w_norm)
-    else:
-        w_hat_s /= gamma[:, None]
-        weight_err, weight_err_rel = _weight_error(w, w_hat_s)
+    products = (_DiagonalProducts(bundle, activation_format) if x is None
+                else _DenseProducts(bundle, x, activation_format, w))
+    w_sq, w_s_sq, diff_s_sq, diff_sq = _weight_sums(w, bundle, products.add)
+    exact_norm, matmul_err = products.norms()
+    w_norm = math.sqrt(w_s_sq)
+    weight_err_smoothed = math.sqrt(diff_s_sq)
+    weight_err, weight_err_rel = _relative(math.sqrt(diff_sq), math.sqrt(w_sq))
+    bound_rhs = products.act_err * w_norm + products.x_q_norm * weight_err_smoothed
     report = ErrorReport(
         weight_err=weight_err,
         weight_err_rel=weight_err_rel,
@@ -661,7 +768,7 @@ def error_report(w, x, bundle: LayerBundle,
         matmul_err=matmul_err,
         matmul_err_rel=matmul_err / exact_norm if exact_norm else 0.0,
         bound_rhs=bound_rhs,
-        residual_mse=residual_mse,
+        residual_mse=diff_s_sq / w.size,
         lowrank_q2_mse=bundle.meta.lowrank_q2_mse,
     )
     # an overflowed figure would pass the bound check below (inf > inf is
@@ -671,7 +778,7 @@ def error_report(w, x, bundle: LayerBundle,
     if overflowed:
         raise NumericError(f"error figures are not finite: {', '.join(overflowed)}")
 
-    slack = 1e-12 * (1.0 + x_norm * w_norm)
+    slack = 1e-12 * (1.0 + products.x_norm * w_norm)
     if matmul_err > bound_rhs + slack:
         raise NumericError(
             f"matmul error {matmul_err:.6e} exceeds its upper bound "

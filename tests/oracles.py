@@ -18,7 +18,11 @@ optimizer loops can be checked against them bit for bit:
   real columns;
 * :func:`materialized_matmul`, ``formats.matmul_dequantized`` as it was
   before the scale fold decoded one block-column slab at a time: the
-  whole unscaled code matrix decoded first, then one batched matmul.
+  whole unscaled code matrix decoded first, then one batched matmul;
+* :func:`dense_error_report` and :func:`dense_weight_error`,
+  ``pipeline.error_report`` and ``pipeline.weight_error`` as they were
+  before they streamed over row groups: every figure a whole-matrix norm
+  of fresh d x n temporaries.
 """
 
 import dataclasses
@@ -26,6 +30,7 @@ import dataclasses
 import numpy as np
 
 from loraq import (
+    ErrorReport,
     FormatError,
     FormatSpec,
     IntCodec,
@@ -191,3 +196,44 @@ def materialized_matmul(x, t: QuantizedTensor) -> np.ndarray:
     blocks = codes.reshape(rows, n_blocks, size).transpose(1, 2, 0)
     y = np.matmul(blocks, scaled_x)  # (n_blocks, size, m): y.T, block by block
     return y.transpose(2, 0, 1).reshape(len(x), n_blocks * size)[:, :cols]
+
+
+def dense_error_report(w, x, bundle, act=None) -> ErrorReport:
+    """``error_report``'s figures from fresh dense temporaries: the whole
+    reconstruction, ``W_s = gamma * W``, and the products ``X_s W_s`` and
+    ``X_q What_s``, each measured by one whole-matrix norm."""
+    gamma = bundle.gamma
+    w_s = gamma[:, None] * w if gamma is not None else w
+    x_s = x / gamma[None, :] if gamma is not None else x
+    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
+    residual_hat = dequantize(bundle.residual)
+    w_hat_s = residual_hat + branch
+    x_q = fake_quant(x_s, act) if act is not None else x_s
+    exact = x_s @ w_s
+    matmul_err = float(np.linalg.norm(exact - x_q @ w_hat_s, "fro"))
+    weight_err_smoothed = float(np.linalg.norm(w_s - w_hat_s, "fro"))
+    bound_rhs = (float(np.linalg.norm(x_s - x_q, "fro")) * float(np.linalg.norm(w_s, "fro"))
+                 + float(np.linalg.norm(x_q, "fro")) * weight_err_smoothed)
+    w_hat = w_hat_s / gamma[:, None] if gamma is not None else w_hat_s
+    weight_err = float(np.linalg.norm(w - w_hat, "fro"))
+    return ErrorReport(
+        weight_err=weight_err,
+        weight_err_rel=weight_err / float(np.linalg.norm(w, "fro")),
+        weight_err_smoothed=weight_err_smoothed,
+        matmul_err=matmul_err,
+        matmul_err_rel=matmul_err / float(np.linalg.norm(exact, "fro")),
+        bound_rhs=bound_rhs,
+        residual_mse=float(np.mean(np.square(w_s - w_hat_s))),
+        lowrank_q2_mse=bundle.meta.lowrank_q2_mse,
+    )
+
+
+def dense_weight_error(w, bundle) -> tuple[float, float]:
+    """``weight_error``'s figures from the dense reconstruction, built from
+    fresh temporaries."""
+    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
+    w_hat = dequantize(bundle.residual) + branch
+    if bundle.gamma is not None:
+        w_hat = w_hat / bundle.gamma[:, None]
+    weight_err = float(np.linalg.norm(w - w_hat, "fro"))
+    return weight_err, weight_err / float(np.linalg.norm(w, "fro"))

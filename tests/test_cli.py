@@ -344,7 +344,8 @@ def test_evaluate_text_output(tmp_path, capsys):
     bundle = _bundle_file(tmp_path, capsys, weight)
     code, out, _ = _run(capsys, ["evaluate", bundle, weight])
     assert code == 0
-    report = error_report(load_tensor(weight), np.eye(24), load_bundle(bundle))
+    # without --activations: the identity, which error_report takes as None
+    report = error_report(load_tensor(weight), None, load_bundle(bundle))
     assert out.splitlines() == [
         *(f"{key}: {value:.12e}" for key, value in report.to_dict().items()),
         f"bound_slack: {report.bound_rhs - report.matmul_err:.12e}",

@@ -192,10 +192,12 @@ def _readers_of(path: Path, attrs: set[str]) -> set[str]:
 
 
 def test_one_reconstruction_of_the_branch():
-    # error_report measures the weight reconstruct_weight builds; a second
-    # inline L @ R would be a second copy of the reconstruction
+    # reconstruct_weight builds the whole reconstruction and
+    # _reconstructed_groups streams it by row groups for the error reports;
+    # another inline L @ R would be a third copy of it
     readers = _readers_of(SRC / "pipeline.py", {"lowrank_left", "lowrank_right"})
-    assert readers == {"LayerBundle.tensors", "reconstruct_weight", "forward"}
+    assert readers == {"LayerBundle.tensors", "reconstruct_weight",
+                       "_reconstructed_groups", "forward"}
 
 
 def test_only_the_chunk_plan_reads_the_chunk_tags():
@@ -216,6 +218,8 @@ _UNCALLED_EXPORTS = {
     "formats.matmul_dequantized": "user API: one product with finite activations; "
                                   "forward runs its unchecked core and checks its output",
     "rotation.rotation_grad": "benchmark hook: the traced run wraps it per step",
+    "pipeline.reconstruct_weight": "user API: the whole effective weight; the error "
+                                   "reports stream its row groups instead",
 }
 
 
