@@ -35,7 +35,6 @@ from .formats import (
     MinifloatCodec,
     PassthroughCodec,
     QuantizedTensor,
-    add_dequantized,
     dequantize,
     fake_quant,
     make_format,

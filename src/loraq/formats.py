@@ -93,29 +93,40 @@ a row included, raises :class:`FormatError`.  Each lookup decodes a field
 of ``count`` adjacent codes through a cached, read-only table of
 ``2^(count * width)`` entries, each entry the field's ``count`` values, LSB
 first, as one raw ``8 * count``-byte element, so one lookup writes them
-all:
+all.  ``count`` is fixed per tensor by its rows of ``n_blocks *
+block_size`` codes:
 
-* when the width divides 8 (1, 2, 4 or 8 bits) and a tile row's codes
-  fill whole bytes, the field is a packed byte (``count = 8 / width``, 256
-  entries) and nothing is unpacked; for width 8 the table is the code
-  table;
-* for any other width, a tile row that fills whole words is read by the
-  word path at twice the width, so its fields are adjacent pairs (``count =
-  2``: 4096 entries, 64 KB, for 6-bit codes), built from the row's bytes
+* when the width divides 8 (1, 2, 4 or 8 bits) and the rows fill whole
+  bytes, the field is a packed byte (``count = 8 / width``, 256 entries)
+  and nothing is unpacked; for width 8 the table is the code table;
+* for any other width, rows that fill whole words are read by the word
+  path at twice the width, so their fields are adjacent pairs (``count =
+  2``: 4096 entries, 64 KB, for 6-bit codes), built from the rows' bytes
   with no zero-filled buffer;
-* a tile row that ends mid-byte or mid-word is unpacked by the word path and
+* rows that end mid-byte or mid-word are unpacked by the word path and
   looked up code by code.
 
-One tile decoder does the lookups into a preallocated tile of about
-``2^16`` values and runs the NaN check (one ``max``, which propagates NaN)
-on it while it is in cache; fields are unpacked and copied to ``intp`` by
-``np.take`` one tile at a time, never the whole matrix's.  One row-group
-decoder decodes tiles of whole rows, multiplies each by its scales and
-hands on its real columns: :func:`dequantize` writes them into a
-C-contiguous ``(rows, cols)`` result (decoding in place when the rows have
-no padded tail), and :func:`add_dequantized` adds them into a given
-matrix, so ``out += dequantize(t)`` builds no decoded matrix.  When ``x`` has at
-most an eighth as many rows as a block holds values,
+A tensor's codes are read-only from the moment it is built, so what a
+decode learns from them holds for the tensor's lifetime.  Its lookup
+fields are the packed bytes themselves when a field is one byte, else an
+unpacked ``(rows, n_blocks * block_size / count)`` array: ``uint16`` pairs
+for 6-bit codes, one byte per code.  The first decode of a tensor unpacks
+that array one row group at a time, so no temporary is the size of the
+matrix.  Each decode looks the fields up one tile at a time into a
+preallocated tile of about ``2^16`` values (``np.take`` copies one tile's
+fields to ``intp``, never the whole matrix's), and the first runs the NaN
+check (one ``max``, which propagates NaN) on each tile while it is in
+cache.  When that decode has looked up every tile without finding an
+invalid code, the tensor keeps the fields, and every later decode takes
+its tiles' fields from them and runs no check.  A decode that raised, or
+stopped early, keeps nothing.  Decoded values are never kept: a float64
+per code is eight times the fields of 6-bit codes.
+
+One row-group decoder decodes tiles of whole rows, multiplies each by its
+scales, converted from the group's stored scales, and hands on its real
+columns: :func:`dequantize` writes them into a C-contiguous ``(rows,
+cols)`` result (decoding in place when the rows have no padded tail).
+When ``x`` has at most an eighth as many rows as a block holds values,
 :func:`matmul_dequantized` multiplies the scales into ``x`` instead, block
 by block: that touches ``m * rows * n_blocks`` values where scaling the
 decoded matrix touches ``rows * n_blocks * block_size``, at the price of
@@ -123,7 +134,7 @@ one narrow matmul per block.  It decodes slabs of all rows and ``k`` whole
 block columns into one reused buffer and multiplies each slab's blocks
 with one batched matmul, so the unscaled matrix is never built.  ``k`` is
 a multiple of the blocks whose codes fill whole packed words, so a slab's
-codes start on a word and decode exactly like a row of their own.
+codes start on a word and its fields are whole columns of the tensor's.
 """
 
 from __future__ import annotations
@@ -148,7 +159,6 @@ __all__ = [
     "PASSTHROUGH",
     "quantize_blockwise",
     "dequantize",
-    "add_dequantized",
     "matmul_dequantized",
     "fake_quant",
 ]
@@ -490,8 +500,13 @@ class QuantizedTensor:
     for fp16.  A passthrough tensor's codes are its float64 values at the
     matrix's own shape, and its scales are empty.  Construction refuses any
     other dtype or shape (:meth:`FormatSpec.stored_arrays`) with
-    :class:`FormatError`; only invalid code patterns, which depend on the
-    data, are found when decoding.  ``pad_count``, the codes past the last
+    :class:`FormatError`, and makes ``codes`` read-only: the tensor keeps
+    what its first complete decode learned from them, the unpacked lookup
+    fields and the verdict that no code is an invalid pattern, so later
+    decodes skip both the unpacking and the check.  Invalid code patterns,
+    which depend on the data, are found by the first decode, and until one
+    completes every decode checks again.  ``scales`` stay writeable, since
+    nothing is kept from them.  ``pad_count``, the codes past the last
     column, is derived from the shape.  Two tensors are equal when their
     arrays hold the same bytes, so ``-0.0`` and ``0.0`` differ.
     """
@@ -510,6 +525,14 @@ class QuantizedTensor:
             if array.dtype != dtype or array.shape != shape:
                 raise FormatError(f"{self.spec.name} {name} must be {dtype} {shape}, "
                                   f"got {array.dtype} {array.shape}")
+        self.codes.flags.writeable = False
+        # the lookup fields of the first complete decode (_TileDecoder)
+        object.__setattr__(self, "_valid_fields", None)
+
+    def __reduce__(self):
+        # a copy or an unpickled tensor is built anew: checked, with its
+        # codes read-only and nothing kept from a decode
+        return QuantizedTensor, (self.shape, self.spec, self.codes, self.scales)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedTensor):
@@ -535,9 +558,14 @@ class QuantizedTensor:
 
     def scale_values(self) -> np.ndarray:
         """Per-block scales as float64, shape (rows, n_blocks)."""
-        if self.spec.scale_kind == "e8m0":
-            return np.ldexp(1.0, self.scales.astype(np.int32) - _E8M0_BIAS)
-        return self.scales.astype(np.float64)
+        return _scale_values(self.spec, self.scales)
+
+
+def _scale_values(spec: FormatSpec, stored: np.ndarray) -> np.ndarray:
+    """Stored scales of ``spec`` as float64 values, element by element."""
+    if spec.scale_kind == "e8m0":
+        return np.ldexp(1.0, stored.astype(np.int32) - _E8M0_BIAS)
+    return stored.astype(np.float64)
 
 
 def _word_layout(width: int) -> tuple[int, int, np.dtype]:
@@ -569,12 +597,20 @@ def _pack_codes(codes: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(packed.reshape(rows, words * group)[:, :row_bytes])
 
 
-def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarray:
+def _codes_dtype(width: int) -> np.dtype:
+    """The dtype of unpacked codes of ``width`` bits."""
+    return np.dtype(np.uint8 if width <= 8 else np.uint16)
+
+
+def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`_pack_codes`: ``(rows, n)`` codes, each below ``2^width``.
 
     Bits past the ``n``-th code of a row are ignored.  ``width`` may be up
     to 16: ``n`` codes of ``w`` bits, read as ``n / 2`` codes of ``2 * w``
     bits, come out as ``uint16`` pairs with the first code in the low bits.
+    The codes are written into ``out`` when it is given, a ``(rows, n)``
+    array of :func:`_codes_dtype`, which is returned.
     """
     row_bytes = -(-(n * width) // 8)
     if packed.size != rows * row_bytes:
@@ -594,11 +630,12 @@ def _unpack_codes(packed: np.ndarray, width: int, rows: int, n: int) -> np.ndarr
         for k in range(1, group):
             word |= grouped[:, :, k].astype(dtype) << dtype.type(8 * k)
     mask = word.dtype.type((1 << width) - 1)
-    codes = np.empty((rows, words, per_word), dtype=np.uint8 if width <= 8 else np.uint16)
+    codes = np.empty((rows, n), dtype=_codes_dtype(width)) if out is None else out
     for j in range(per_word):
         shifted = word >> word.dtype.type(j * width) if j else word
-        np.bitwise_and(shifted, mask, out=codes[:, :, j], casting="unsafe")
-    return codes.reshape(rows, words * per_word)[:, :n]
+        column = codes[:, j::per_word]  # code j of every word, up to the n-th code
+        np.bitwise_and(shifted[:, :column.shape[1]], mask, out=column, casting="unsafe")
+    return codes
 
 
 @lru_cache(maxsize=None)
@@ -725,24 +762,68 @@ def _invalid_message(codec: IntCodec | MinifloatCodec) -> str | None:
     return message if np.isnan(table).any() else None
 
 
-def _decode_tile(codec: IntCodec | MinifloatCodec, packed: np.ndarray,
+def _decode_tile(codec: IntCodec | MinifloatCodec, fields: np.ndarray,
                  out: np.ndarray) -> None:
-    """Decode a tile of codes into ``out``, a C-contiguous ``(rows, n)``
-    float64 array: row ``i`` of ``packed`` holds the ``n`` codes of row
-    ``i`` packed LSB-first from a word boundary on.  An invalid code
-    raises :class:`FormatError` while the tile is still in cache."""
-    rows, n = out.shape
-    count = _codes_per_lookup(codec.width, n)
-    lookup = _code_table(codec, count)
-    field = count * codec.width
-    if field != 8:  # the fields are not the packed bytes themselves
-        packed = _unpack_codes(packed, field, rows, n // count)
+    """Look a tile's fields up into ``out``, a C-contiguous ``(rows, n)``
+    float64 array: row ``i`` of ``fields`` holds the ``n`` codes of row
+    ``i`` as lookup fields of ``n / fields.shape[1]`` codes each (its
+    packed bytes, when a field is one byte)."""
+    n = out.shape[1]
+    lookup = _code_table(codec, n // fields.shape[1] if n else 1)
     # take copies a tile's indices to intp, never the matrix's
-    np.take(lookup, packed, out=out.view(lookup.dtype), mode="clip")
-    message = _invalid_message(codec)
-    # max propagates NaN and every valid code's value is finite
-    if message is not None and np.isnan(out.max(initial=-np.inf)):
-        raise FormatError(message)
+    np.take(lookup, fields, out=out.view(lookup.dtype), mode="clip")
+
+
+def _lookup_fields(t: QuantizedTensor, count: int) -> np.ndarray:
+    """The ``(rows, n_blocks * block_size / count)`` lookup fields of ``count``
+    codes each of a tensor: its packed bytes when a field is one byte, else
+    unpacked one row group at a time."""
+    width = count * t.spec.codec.width
+    if width == 8:
+        return t.codes
+    rows = t.shape[0]
+    n = t.n_blocks * t.spec.block_size // count
+    fields = np.empty((rows, n), dtype=_codes_dtype(width))
+    for group in _row_groups(rows, n * count):
+        block = fields[group]
+        _unpack_codes(t.codes[group], width, len(block), n, block)
+    return fields
+
+
+class _TileDecoder:
+    """One decode of a tensor's codes, tile by tile, which the caller
+    ends with :meth:`finish` once every code has been decoded.
+
+    Every tile is looked up from the tensor's lookup fields.  Until a
+    decode of the tensor has finished, the fields are unpacked when a
+    decode starts, and each tile's values are checked for invalid codes
+    while they are in cache; :meth:`finish` keeps the fields on the
+    tensor.  Every later decode takes them from there and checks nothing."""
+
+    def __init__(self, t: QuantizedTensor):
+        self.t = t
+        self.codec = t.spec.codec
+        self.count = _codes_per_lookup(self.codec.width, t.n_blocks * t.spec.block_size)
+        self.checked = t._valid_fields is not None
+        self.fields = t._valid_fields if self.checked else _lookup_fields(t, self.count)
+
+    def decode(self, rows: slice, first: int, out: np.ndarray) -> None:
+        """Decode codes ``first`` to ``first + n`` of ``rows`` into ``out``,
+        a C-contiguous ``(len(rows), n)`` float64 array.  ``first`` is on a
+        packed word, and ``first + n`` on a word or at the rows' end.  An
+        invalid code raises :class:`FormatError`."""
+        n = out.shape[1]
+        columns = slice(first // self.count, (first + n) // self.count)
+        _decode_tile(self.codec, self.fields[rows, columns], out)
+        message = None if self.checked else _invalid_message(self.codec)
+        # max propagates NaN and every valid code's value is finite
+        if message is not None and np.isnan(out.max(initial=-np.inf)):
+            raise FormatError(message)
+
+    def finish(self) -> None:
+        """Keep the fields on the tensor: every code decoded and was valid."""
+        if not self.checked:
+            object.__setattr__(self.t, "_valid_fields", self.fields)
 
 
 def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
@@ -753,9 +834,11 @@ def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
     values, which the caller may overwrite: a group's values are only
     valid until the next is yielded.  When the rows have no padded tail and
     ``out``, a C-contiguous ``(rows, cols)`` float64 array, is given, each
-    group is decoded into its own rows of ``out`` instead.  An invalid
-    code, the padded tail included, raises :class:`FormatError` when its
-    group is decoded."""
+    group is decoded into its own rows of ``out`` instead.  Each group's
+    scales are converted from its stored scales when its turn comes.  An
+    invalid code, the padded tail included, raises :class:`FormatError`
+    when its group is decoded.  A caller that takes every group ends a
+    decode of the tensor (:class:`_TileDecoder`)."""
     rows, cols = t.shape
     spec = t.spec
     padded = cols if spec.is_passthrough else t.n_blocks * spec.block_size
@@ -763,18 +846,20 @@ def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
     in_place = out is not None and padded == cols
     if not in_place:
         buffer = np.empty(min(groups[0].stop, rows) * padded if groups else 0)
-    scales = None if spec.is_passthrough else t.scale_values()
+    decoder = None if spec.is_passthrough else _TileDecoder(t)
     for group in groups:
         codes = t.codes[group]
         tile = (out[group] if in_place
                 else buffer[:len(codes) * padded].reshape(len(codes), padded))
-        if scales is None:
+        if decoder is None:
             tile[...] = codes
         else:
-            _decode_tile(spec.codec, codes, tile)
+            decoder.decode(group, 0, tile)
             grid = tile.reshape(len(codes), t.n_blocks, spec.block_size)
-            grid *= scales[group][:, :, None]
+            grid *= _scale_values(spec, t.scales[group])[:, :, None]
         yield group, tile[:, :cols]
+    if decoder is not None:
+        decoder.finish()
 
 
 def dequantize(t: QuantizedTensor) -> np.ndarray:
@@ -788,20 +873,6 @@ def dequantize(t: QuantizedTensor) -> np.ndarray:
     for group, values in _decoded_groups(t, out):
         if values.base is not out:  # decoded into the shared buffer
             out[group] = values
-    return out
-
-
-def add_dequantized(out: np.ndarray, t: QuantizedTensor) -> np.ndarray:
-    """``out += dequantize(t)``, bit for bit, for a writeable float64 ``out``
-    of ``t``'s shape (else :class:`ParameterError` or :class:`ShapeError`),
-    which is returned.  The codes are decoded one row group at a time, so no
-    decoded matrix is built; the groups are disjoint sets of rows and
-    addition commutes, so the sums are those of ``dequantize(t) + out``.
-    When a group holds an invalid code, the :class:`FormatError` that
-    :func:`dequantize` raises is raised with the earlier groups added."""
-    _check_out(out, t.shape)
-    for group, values in _decoded_groups(t):
-        out[group] += values
     return out
 
 
@@ -858,21 +929,20 @@ def dequantized_product(x: np.ndarray, t: QuantizedTensor) -> np.ndarray:
     if spec.is_passthrough or 8 * len(x) > spec.block_size:
         return x @ dequantize(t)
     n_blocks, size = t.n_blocks, spec.block_size
-    width = spec.codec.width
     # (n_blocks, rows, m): block b's scales times the activations, transposed
     scaled_x = np.multiply(t.scale_values().T[:, :, None], x.T, order="C")
     y = np.empty((n_blocks, size, len(x)))  # y.T, block by block
     step = _slab_blocks(spec, rows)
     buffer = np.empty(rows * min(step, n_blocks) * size)
+    decoder = _TileDecoder(t)
     for first in range(0, n_blocks, step):
         last = min(first + step, n_blocks)
         n = (last - first) * size
         slab = buffer[:rows * n].reshape(rows, n)
-        # the slab starts on a word, so its codes start on a byte
-        _decode_tile(spec.codec, t.codes[:, first * size * width // 8:
-                                          -(-last * size * width // 8)], slab)
+        decoder.decode(slice(None), first * size, slab)  # the slab starts on a word
         blocks = slab.reshape(rows, last - first, size).transpose(1, 2, 0)
         np.matmul(blocks, scaled_x[first:last], out=y[first:last])
+    decoder.finish()
     return y.transpose(2, 0, 1).reshape(len(x), n_blocks * size)[:, :cols]
 
 

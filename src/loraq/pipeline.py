@@ -25,7 +25,6 @@ from .formats import (
     MinifloatCodec,
     QuantizedTensor,
     _decoded_groups,
-    add_dequantized,
     dequantize,
     dequantized_product,
     fake_quant,
@@ -498,13 +497,16 @@ def reconstruct_weight(bundle: LayerBundle, *, desmoothed: bool = False) -> np.n
     With ``desmoothed`` the result is mapped back to the original
     (pre-smoothing) coordinates for comparison against the source weight.
     The call holds one d x n float64 array, the result: the residual is
-    decoded one row group at a time and added into the product ``L̂ @ R̂``
-    (:func:`~loraq.formats.add_dequantized`), which gives the sums of
-    ``dequantize(residual) + L̂ @ R̂`` bit for bit.  Besides it, only the
-    decoded factors, d x rank and rank x n, are held at once.
+    decoded one row group at a time and added into the product ``L̂ @ R̂``.
+    The groups are disjoint sets of rows and addition commutes, so the sums
+    are those of ``dequantize(residual) + L̂ @ R̂`` bit for bit.  Besides
+    it, only the decoded factors, d x rank and rank x n, and one row
+    group are held at once.  An invalid code raises the
+    :class:`~loraq.errors.FormatError` that ``dequantize`` raises.
     """
-    branch = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
-    w_hat = add_dequantized(branch, bundle.residual)
+    w_hat = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
+    for rows, values in _decoded_groups(bundle.residual):
+        w_hat[rows] += values
     if desmoothed and bundle.gamma is not None:
         w_hat /= bundle.gamma[:, None]
     return w_hat

@@ -155,23 +155,19 @@ def rotation_loss(left, right, omega, quantizer: FormatSpec) -> float:
 
 
 def decoded_blocks(t: QuantizedTensor) -> np.ndarray:
-    """``dequantize(t)`` by the padded decode: every row group's tile decoded
-    in place into one ``(rows, n_blocks * block_size)`` matrix and multiplied
-    by its block scales, and a view of the real columns returned.  An
-    invalid code anywhere raises :class:`FormatError`."""
+    """``dequantize(t)`` by the padded decode: the whole ``(rows, n_blocks *
+    block_size)`` matrix of codes unpacked, looked up by :func:`decode_codes`
+    and multiplied by its block scales, and a view of the real columns
+    returned.  An invalid code anywhere raises :class:`FormatError`."""
     if t.spec.is_passthrough:
         return t.codes.astype(np.float64)
     rows, cols = t.shape
     spec = t.spec
     padded = t.n_blocks * spec.block_size
-    values = np.empty((rows, padded))
-    scales = t.scale_values()
-    for group in formats._row_groups(rows, padded):
-        block = values[group]
-        formats._decode_tile(spec.codec, t.codes[group], block)
-        grid = block.reshape(len(block), t.n_blocks, spec.block_size)
-        grid *= scales[group][:, :, None]
-    return values[:, :cols]
+    codes = formats._unpack_codes(t.codes, spec.codec.width, rows, padded)
+    grid = decode_codes(spec.codec, codes).reshape(rows, t.n_blocks, spec.block_size)
+    grid *= t.scale_values()[:, :, None]
+    return grid.reshape(rows, padded)[:, :cols]
 
 
 def materialized_matmul(x, t: QuantizedTensor) -> np.ndarray:

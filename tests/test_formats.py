@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,7 +18,6 @@ from loraq import (
     QuantizedTensor,
     ShapeError,
     UnknownFormatError,
-    add_dequantized,
     dequantize,
     fake_quant,
     make_format,
@@ -1023,28 +1024,24 @@ MATMUL_SPECS = {**{name: make_format(name) for name in ALL_FORMATS},
 
 
 class TestRowGroupDecoder:
-    """``dequantize`` and ``add_dequantized`` decode through one row-group
-    buffer; both are pinned bit for bit to the padded whole-matrix decode
-    (``oracles.decoded_blocks``) they replaced."""
+    """``dequantize`` decodes through one row-group buffer and is pinned bit
+    for bit to the padded whole-matrix decode (``oracles.decoded_blocks``)
+    it replaced."""
 
     @staticmethod
-    def _check(t, rng):
+    def _check(t):
         want = decoded_blocks(t)
         got = dequantize(t)
         assert got.dtype == np.float64 and got.shape == t.shape
         assert got.flags.c_contiguous and got.flags.owndata
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-        base = rng.normal(size=t.shape)
-        out = base.copy()
-        assert add_dequantized(out, t) is out
-        assert out.tobytes() == (want + base).tobytes()
 
     @pytest.mark.parametrize("name", [*ALL_FORMATS, PASSTHROUGH.name])
     def test_registry_formats(self, name):
         spec = make_format(name)
         rng = np.random.default_rng(53)
         for shape in [(1, 1), (3, 31), (5, 72), (300, 333), (1100, 72)]:
-            self._check(quantize_blockwise(rng.standard_t(df=3, size=shape), spec), rng)
+            self._check(quantize_blockwise(rng.standard_t(df=3, size=shape), spec))
 
     @pytest.mark.parametrize("block_size", [32, 64])
     @pytest.mark.parametrize("codec", [IntCodec(4), MinifloatCodec(2, 3, 1)],
@@ -1058,21 +1055,34 @@ class TestRowGroupDecoder:
             for rows in (1, 7, 1100):
                 t = quantize_blockwise(rng.standard_t(df=3, size=(rows, 72)), spec)
                 assert t.pad_count > 0
-                self._check(t, rng)
+                self._check(t)
         for values in (1, 3 * 96):
             monkeypatch.setattr(formats, "_GROUP_VALUES", values)
-            self._check(t, rng)
+            self._check(t)
 
     @pytest.mark.parametrize("name", ["SINT4", "MXFP6e2", PASSTHROUGH.name])
     def test_no_rows(self, name):
         t = quantize_blockwise(np.empty((0, 72)), make_format(name))
-        self._check(t, np.random.default_rng(54))
+        self._check(t)
+
+    def test_groups_convert_their_own_scales(self):
+        # the whole tensor's scales as float64 take 8 bytes a block, 2 MB
+        # here; one group's buffer and lookup indices take 0.75 MB
+        t = _random_codes(make_format("MXFP4e2"), 8192, 1024, np.random.default_rng(57))
+        tracemalloc.start()
+        try:
+            for _ in formats._decoded_groups(t):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * t.scales.size
 
     @pytest.mark.parametrize("col", [17, 71, 72], ids=["inside", "last", "padded-tail"])
     @pytest.mark.parametrize("name", ["SINT4", "MXINT4"])
     def test_invalid_int4_code(self, name, col):
         # the pattern 0b1000 in row 690, in the second row group of either
-        # format, so the add has added the first group when it raises
+        # format, so the first group has decoded when it raises
         spec = make_format(name)
         valid = quantize_blockwise(np.random.default_rng(55).normal(size=(700, 72)), spec)
         t = _with_code(valid, 690, col, 0b1000)
@@ -1081,20 +1091,6 @@ class TestRowGroupDecoder:
         with pytest.raises(FormatError) as got:
             dequantize(t)
         assert str(got.value) == str(want.value)
-        with pytest.raises(FormatError) as got:
-            add_dequantized(np.zeros(t.shape), t)
-        assert str(got.value) == str(want.value)
-
-    def test_add_refuses_a_bad_destination(self):
-        t = quantize_blockwise(np.ones((3, 40)), make_format("SINT4"))
-        with pytest.raises(ShapeError):
-            add_dequantized(np.zeros((3, 41)), t)
-        with pytest.raises(ParameterError):
-            add_dequantized(np.zeros((3, 40), dtype=np.float32), t)
-        frozen = np.zeros((3, 40))
-        frozen.flags.writeable = False
-        with pytest.raises(ParameterError):
-            add_dequantized(frozen, t)
 
 
 class TestMatmulDequantized:
@@ -1166,13 +1162,14 @@ class TestMatmulDequantized:
 
 
 def _counting_tiles(monkeypatch) -> list:
-    """Record the ``(rows, n)`` shape of every tile ``formats`` decodes."""
+    """Record the ``(rows, n)`` shape of every tile ``formats`` decodes, on
+    a tensor's first decode and on later ones alike."""
     tiles = []
     decode_tile = formats._decode_tile
 
-    def counting(codec, packed, out):
+    def counting(codec, fields, out):
         tiles.append(out.shape)
-        return decode_tile(codec, packed, out)
+        return decode_tile(codec, fields, out)
 
     monkeypatch.setattr(formats, "_decode_tile", counting)
     return tiles
@@ -1238,6 +1235,107 @@ class TestSlabFold:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * t.n_blocks * t.spec.block_size * 8 / 4
+
+
+# one invalid pattern of each kind: a 4-bit and an 8-bit integer, the e4m3
+# NaN, and a 6-bit integer whose 77-code rows end mid-word
+INVALID_CODES = [("SINT4", 0b1000), ("MXINT8", 0x80), ("MXFP8e4", 0x7F),
+                 ("int6-b11-fp16", 0b100000)]
+
+
+class TestKeptFields:
+    """A tensor keeps the lookup fields of its first complete decode, and
+    with them the verdict that no code is invalid: later folds and row-group
+    decodes unpack nothing, check nothing and give the same bits."""
+
+    @pytest.mark.parametrize("fold_first", [True, False], ids=["fold", "rows"])
+    @pytest.mark.parametrize("name", MATMUL_SPECS)
+    def test_later_decodes_repeat_the_first(self, monkeypatch, name, fold_first):
+        spec = MATMUL_SPECS[name]
+        rng = np.random.default_rng(62)
+        m = rng.standard_t(df=3, size=(40, 300))
+        x = rng.standard_t(df=5, size=(1, 40))
+        monkeypatch.setattr(formats, "_GROUP_VALUES", 1)  # many slabs and groups
+
+        def fold(t):
+            return _bits(formats.matmul_dequantized(x, t)).tobytes()
+
+        def rows(t):
+            return _bits(dequantize(t)).tobytes()
+
+        first, second = (fold, rows) if fold_first else (rows, fold)
+        t = quantize_blockwise(m, spec)
+        want = {first: first(t), second: second(t)}
+        # each is a fresh tensor's first decode
+        assert want == {first: first(quantize_blockwise(m, spec)),
+                        second: second(quantize_blockwise(m, spec))}
+        calls = []
+
+        def recording(helper):
+            original = getattr(formats, helper)
+
+            def record(*args):
+                calls.append(helper)
+                return original(*args)
+            monkeypatch.setattr(formats, helper, record)
+
+        recording("_unpack_codes")  # unpacks the fields of a first decode
+        recording("_invalid_message")  # asked before a tile is checked
+        tiles = _counting_tiles(monkeypatch)
+        for _ in range(2):
+            assert {first: first(t), second: second(t)} == want
+        assert calls == [] and len(tiles) >= 4
+
+    def test_codes_are_read_only(self):
+        codes = np.zeros((2, 48), dtype=np.uint8)
+        codes[0, 0] = 1  # the smallest e2m3 subnormal, 1/8
+        t = QuantizedTensor((2, 64), make_format("MXFP6e2"), codes,
+                            np.full((2, 2), 127, dtype=np.uint8))
+        assert dequantize(t)[0, 0] == 0.125
+        for array in (t.codes, codes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 2
+        t.scales[0, 0] = 128  # nothing is kept from the scales
+        assert dequantize(t)[0, 0] == 0.25
+
+    @pytest.mark.parametrize("name,pattern", INVALID_CODES)
+    def test_a_decode_that_raised_keeps_no_verdict(self, monkeypatch, name, pattern):
+        # the last code of the padded tail, in the last slab and row group:
+        # every earlier tile decodes before the code is met
+        spec = MATMUL_SPECS[name]
+        valid = quantize_blockwise(np.random.default_rng(59).normal(size=(6, 300)), spec)
+        t = _with_code(valid, 5, valid.n_blocks * spec.block_size - 1, pattern)
+        with pytest.raises(FormatError) as want:
+            decoded_blocks(t)
+        monkeypatch.setattr(formats, "_GROUP_VALUES", 1)
+        for decode in (lambda: formats.matmul_dequantized(np.ones((1, 6)), t),
+                       lambda: dequantize(t)) * 2:
+            with pytest.raises(FormatError) as got:
+                decode()
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name,pattern", INVALID_CODES)
+    def test_a_replaced_copy_is_checked_anew(self, name, pattern):
+        spec = MATMUL_SPECS[name]
+        valid = quantize_blockwise(np.random.default_rng(60).normal(size=(6, 300)), spec)
+        formats.matmul_dequantized(np.ones((1, 6)), valid)
+        dequantize(valid)
+        t = _with_code(valid, 2, 150, pattern)
+        with pytest.raises(FormatError) as want:
+            decoded_blocks(t)
+        for decode in (lambda: formats.matmul_dequantized(np.ones((1, 6)), t),
+                       lambda: dequantize(t)):
+            with pytest.raises(FormatError) as got:
+                decode()
+            assert str(got.value) == str(want.value)
+
+    def test_copies_are_built_anew(self):
+        t = quantize_blockwise(np.random.default_rng(61).normal(size=(5, 70)),
+                               make_format("MXFP6e2"))
+        want = dequantize(t).tobytes()
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and not twin.codes.flags.writeable
+            assert dequantize(twin).tobytes() == want
 
 
 def _dividing_fake_quant(m: np.ndarray, spec: FormatSpec) -> np.ndarray:

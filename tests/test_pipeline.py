@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import dense_error_report, dense_weight_error
+from oracles import decoded_blocks, dense_error_report, dense_weight_error
 
 from loraq import (
     PASSTHROUGH,
@@ -667,6 +667,47 @@ def _small_bundles(q1: str, q2: str):
     return w, bundles
 
 
+def _with_invalid_int4_residual_code(b, row: int, col: int):
+    """``b`` with the int4 pattern 0b1000 at ``(row, col)`` of its residual."""
+    codes = b.residual.codes.copy()
+    shift = 4 * (col % 2)  # codes are packed two to a byte, LSB first
+    codes[row, col // 2] = (codes[row, col // 2] & (0xF0 >> shift)) | (0b1000 << shift)
+    return dataclasses.replace(b, residual=dataclasses.replace(b.residual, codes=codes))
+
+
+class TestReconstructWeight:
+    """``reconstruct_weight`` adds the residual's row groups into ``L̂ @ R̂``
+    and gives the bits of the padded whole-matrix decode
+    (``oracles.decoded_blocks``) plus ``L̂ @ R̂``."""
+
+    @pytest.mark.parametrize("q1", registry_names())
+    def test_bit_equal_to_the_padded_decode_plus_the_branch(self, monkeypatch, q1):
+        # 72 columns leave 24 or 56 padded codes per row; groups of one row
+        # and of three or two rows end where the default groups do not
+        _, bundles = _small_bundles(q1, "MXFP6e2")
+        for b in bundles:
+            branch = dequantize(b.lowrank_left) @ dequantize(b.lowrank_right)
+            want = (decoded_blocks(b.residual) + branch).tobytes()
+            for group_values in (formats._GROUP_VALUES, 1, 3 * 96):
+                monkeypatch.setattr(formats, "_GROUP_VALUES", group_values)
+                assert reconstruct_weight(b).tobytes() == want, group_values
+
+    @pytest.mark.parametrize("col", [17, 71, 72], ids=["inside", "last", "padded-tail"])
+    @pytest.mark.parametrize("q1", ["SINT4", "MXINT4"])
+    def test_invalid_residual_code_raises_what_dequantize_raises(self, monkeypatch,
+                                                                 q1, col):
+        # row 30 is in a later row group than the first, which has been
+        # added into the branch when the code is met
+        _, (b, _) = _small_bundles(q1, "MXFP6e2")
+        bundle = _with_invalid_int4_residual_code(b, 30, col)
+        with pytest.raises(FormatError) as want:
+            decoded_blocks(bundle.residual)
+        monkeypatch.setattr(formats, "_GROUP_VALUES", 3 * 96)
+        with pytest.raises(FormatError) as got:
+            reconstruct_weight(bundle)
+        assert str(got.value) == str(want.value)
+
+
 class TestFactoredForward:
     """``forward`` runs the low-rank branch as ``(x @ L) @ R``, which only
     reorders the sums of the dense ``x @ (L @ R)``, and a batch of at most
@@ -700,13 +741,9 @@ class TestFactoredForward:
         # 72) or the first column of its padded tail; batch 1 folds the
         # scales, batch 64 decodes them
         _, (b, _) = _small_bundles(q1, "MXFP6e2")
-        codes = b.residual.codes.copy()
-        shift = 4 * (col % 2)  # codes are packed two to a byte, LSB first
-        codes[5, col // 2] = (codes[5, col // 2] & (0xF0 >> shift)) | (0b1000 << shift)
-        residual = dataclasses.replace(b.residual, codes=codes)
+        bundle = _with_invalid_int4_residual_code(b, 5, col)
         with pytest.raises(FormatError) as want:
-            dequantize(residual)
-        bundle = dataclasses.replace(b, residual=residual)
+            dequantize(bundle.residual)
         x = np.random.default_rng(66).normal(size=(64, 40))
         for rows in (1, 64):
             with pytest.raises(FormatError) as got:

@@ -163,6 +163,15 @@ def test_only_formats_names_the_stored_dtypes():
     assert namers == {"formats.py"}
 
 
+def test_only_formats_reads_the_kept_fields():
+    # what a decode keeps on a tensor holds only under formats' rules (read-only
+    # codes, kept after a complete decode); a reader elsewhere would be a
+    # second copy of those rules
+    readers = {path.name for path in sorted(SRC.glob("*.py"))
+               if _attribute_reads(path, "_valid_fields")}
+    assert readers == {"formats.py"}
+
+
 def test_only_pipeline_reads_the_branch_factors():
     # bundle_io and cli reach the three packed tensors through
     # LayerBundle.tensors(), in the order BundleMeta.tensor_layout() names them
