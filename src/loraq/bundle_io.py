@@ -40,11 +40,14 @@ row-major concatenation of per-row byte runs (LSB-first bit packing);
 scales are one exponent byte per block for e8m0 and one float16 for
 fp16; a passthrough tensor stores its float64 values and no scales.
 Loaders validate magic, version and every declared length before
-allocating, and round-trips are bit-exact.  The manifest's formats are
-:func:`~loraq.formats.make_format` entries, read back by name, so no codec
-is built from file data.  :func:`save_bundle` refuses (with
-:class:`ParameterError`, before the file is opened) a bundle whose manifest
-or float chunks :func:`load_bundle` would refuse.
+allocating, and round-trips are bit-exact.  :func:`load_bundle` refuses a
+code chunk that holds an invalid code pattern (the int ``-2^(k-1)``, the
+e4m3 NaN), the padded tail included, with :class:`CorruptFileError` at
+the chunk's tag, so a loaded bundle decodes without raising.  The
+manifest's formats are :func:`~loraq.formats.make_format` entries, read
+back by name, so no codec is built from file data.  :func:`save_bundle`
+refuses (with :class:`ParameterError`, before the file is opened) a
+bundle whose manifest or float chunks :func:`load_bundle` would refuse.
 """
 
 from __future__ import annotations
@@ -369,7 +372,9 @@ def load_bundle(path) -> LayerBundle:
             raise CorruptFileError(
                 f"{what} chunk holds {length} bytes, expected {expected}", offset=offset
             )
-        values = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        values = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        if what != "code":  # a tensor copies its codes; scales and gamma stay writeable
+            values = values.copy()
         refusal = _bad_values(what, values)
         if refusal is not None:
             raise CorruptFileError(refusal, offset=offset)
@@ -379,7 +384,10 @@ def load_bundle(path) -> LayerBundle:
     tensors = []
     for (name, spec, shape), (codes, offset), (scales, _) in zip(
             layout, arrays[0::2], arrays[1::2]):
-        t = QuantizedTensor(shape, spec, codes, scales)
+        try:
+            t = QuantizedTensor(shape, spec, codes, scales)
+        except FormatError as exc:  # an invalid code pattern
+            raise CorruptFileError(f"{name} codes: {exc}", offset=offset) from exc
         if pads[name] != t.pad_count:
             raise CorruptFileError(
                 f"pad count {pads[name]} does not match the shape, expected {t.pad_count}",

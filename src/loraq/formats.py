@@ -88,13 +88,13 @@ Decoding looks values up in a per-codec table of ``2^width`` float64s,
 indexed by code: the two's-complement value for integers, the sign,
 exponent and mantissa value for minifloats.  The table holds NaN at the
 patterns no encoder emits (the integer ``-2^(k-1)`` and the e4m3 all-ones
-NaN), and a NaN anywhere in the looked-up block values, the padded tail of
-a row included, raises :class:`FormatError`.  Each lookup decodes a field
-of ``count`` adjacent codes through a cached, read-only table of
-``2^(count * width)`` entries, each entry the field's ``count`` values, LSB
-first, as one raw ``8 * count``-byte element, so one lookup writes them
-all.  ``count`` is fixed per tensor by its rows of ``n_blocks *
-block_size`` codes:
+NaN), and a :class:`QuantizedTensor` that holds one, the padded tail of a
+row included, cannot be built, so decoding never raises.  Each lookup
+decodes a field of ``count`` adjacent codes through a cached, read-only
+table of ``2^(count * width)`` entries, each entry the field's ``count``
+values, LSB first, as one raw ``8 * count``-byte element, so one
+lookup writes them all.  ``count`` is fixed per tensor by its rows of
+``n_blocks * block_size`` codes:
 
 * when the width divides 8 (1, 2, 4 or 8 bits) and the rows fill whole
   bytes, the field is a packed byte (``count = 8 / width``, 256 entries)
@@ -106,21 +106,14 @@ block_size`` codes:
 * rows that end mid-byte or mid-word are unpacked by the word path and
   looked up code by code.
 
-A tensor's codes are read-only from the moment it is built, so what a
-decode learns from them holds for the tensor's lifetime.  Its lookup
-fields are the packed bytes themselves when a field is one byte, else an
-unpacked ``(rows, n_blocks * block_size / count)`` array: ``uint16`` pairs
-for 6-bit codes, one byte per code.  The first decode of a tensor unpacks
-that array one row group at a time, so no temporary is the size of the
-matrix.  Each decode looks the fields up one tile at a time into a
-preallocated tile of about ``2^16`` values (``np.take`` copies one tile's
-fields to ``intp``, never the whole matrix's), and the first runs the NaN
-check (one ``max``, which propagates NaN) on each tile while it is in
-cache.  When that decode has looked up every tile without finding an
-invalid code, the tensor keeps the fields, and every later decode takes
-its tiles' fields from them and runs no check.  A decode that raised, or
-stopped early, keeps nothing.  Decoded values are never kept: a float64
-per code is eight times the fields of 6-bit codes.
+A tensor's lookup fields are a memo of its read-only codes: the packed
+bytes themselves when a field is one byte, else a ``(rows, n_blocks *
+block_size / count)`` array (``uint16`` pairs for 6-bit codes, one byte
+per code) that its first decode unpacks one row group at a time.  Each
+decode looks the fields up one tile at a time into a preallocated tile of
+about ``2^16`` values (``np.take`` copies one tile's fields to ``intp``,
+never the whole matrix's).  Decoded values are never kept: a float64 per
+code is eight times the fields of 6-bit codes.
 
 One row-group decoder decodes tiles of whole rows, multiplies each by its
 scales, converted from the group's stored scales, and hands on its real
@@ -141,7 +134,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -499,16 +492,14 @@ class QuantizedTensor:
     ``(rows, n_blocks)`` array: exponent bytes for e8m0, float16 values
     for fp16.  A passthrough tensor's codes are its float64 values at the
     matrix's own shape, and its scales are empty.  Construction refuses any
-    other dtype or shape (:meth:`FormatSpec.stored_arrays`) with
-    :class:`FormatError`, and makes ``codes`` read-only: the tensor keeps
-    what its first complete decode learned from them, the unpacked lookup
-    fields and the verdict that no code is an invalid pattern, so later
-    decodes skip both the unpacking and the check.  Invalid code patterns,
-    which depend on the data, are found by the first decode, and until one
-    completes every decode checks again.  ``scales`` stay writeable, since
-    nothing is kept from them.  ``pad_count``, the codes past the last
-    column, is derived from the shape.  Two tensors are equal when their
-    arrays hold the same bytes, so ``-0.0`` and ``0.0`` differ.
+    other dtype or shape (:meth:`FormatSpec.stored_arrays`), and any
+    invalid code pattern, the padded tail included, with
+    :class:`FormatError`, so a decode never raises.  The tensor keeps a
+    read-only copy of ``codes``, leaving the caller's array as it was, and
+    its lookup fields are a memo of that copy.  ``scales`` stay writeable,
+    since nothing is kept from them.  ``pad_count``, the codes past the
+    last column, is derived from the shape.  Two tensors are equal when
+    their arrays hold the same bytes, so ``-0.0`` and ``0.0`` differ.
     """
 
     shape: tuple[int, int]
@@ -525,14 +516,22 @@ class QuantizedTensor:
             if array.dtype != dtype or array.shape != shape:
                 raise FormatError(f"{self.spec.name} {name} must be {dtype} {shape}, "
                                   f"got {array.dtype} {array.shape}")
-        self.codes.flags.writeable = False
-        # the lookup fields of the first complete decode (_TileDecoder)
-        object.__setattr__(self, "_valid_fields", None)
+        codes = self.codes.copy()  # its own, so no caller's array can change it
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        _check_codes(self)
 
     def __reduce__(self):
-        # a copy or an unpickled tensor is built anew: checked, with its
-        # codes read-only and nothing kept from a decode
+        # a copy or an unpickled tensor is built anew: checked, and with no
+        # fields until its first decode
         return QuantizedTensor, (self.shape, self.spec, self.codes, self.scales)
+
+    @cached_property
+    def _fields(self) -> np.ndarray:
+        """The lookup fields of the codes (:func:`_lookup_fields`), which
+        every decode reads: a memo of the read-only codes, built on first
+        use."""
+        return _lookup_fields(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedTensor):
@@ -731,10 +730,10 @@ def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
     """Encode a matrix into packed codes and per-block scales."""
     m = as_matrix(m)
     rows, cols = m.shape
-    (_, codes_dtype), (scales_shape, scales_dtype) = spec.stored_arrays((rows, cols))
+    _, (scales_shape, scales_dtype) = spec.stored_arrays((rows, cols))
     stored = np.empty(scales_shape, dtype=scales_dtype)
-    if spec.is_passthrough:  # astype copies, so the tensor owns its values
-        return QuantizedTensor((rows, cols), spec, m.astype(codes_dtype), stored)
+    if spec.is_passthrough:  # the tensor copies the values it is given
+        return QuantizedTensor((rows, cols), spec, m, stored)
     padded = scales_shape[1] * spec.block_size
     codes = np.empty((rows, padded), dtype=np.uint8)
     for group in _row_groups(rows, padded):
@@ -744,22 +743,16 @@ def quantize_blockwise(m, spec: FormatSpec) -> QuantizedTensor:
     return QuantizedTensor((rows, cols), spec, packed, stored)
 
 
-def _codes_per_lookup(width: int, padded: int) -> int:
-    """How many adjacent codes one table lookup decodes, for rows of
-    ``padded`` codes: a whole packed byte's when the width divides 8 and
-    the rows fill whole bytes, a pair when the rows fill whole words of a
-    width that does not, else one."""
+def _codes_per_lookup(t: QuantizedTensor) -> int:
+    """How many adjacent codes of a tensor one table lookup decodes: a
+    whole packed byte's when the width divides 8 and the rows of ``padded
+    = n_blocks * block_size`` codes fill whole bytes, a pair when the rows
+    fill whole words of a width that does not, else one."""
+    width = t.spec.codec.width
+    padded = t.n_blocks * t.spec.block_size
     if 8 % width == 0:
         return 8 // width if padded * width % 8 == 0 else 1
     return 2 if padded % _word_layout(width)[1] == 0 else 1
-
-
-@lru_cache(maxsize=None)
-def _invalid_message(codec: IntCodec | MinifloatCodec) -> str | None:
-    """The message an invalid code of ``codec`` raises, or None when every
-    pattern decodes."""
-    table, message = codec.decode_table()
-    return message if np.isnan(table).any() else None
 
 
 def _decode_tile(codec: IntCodec | MinifloatCodec, fields: np.ndarray,
@@ -774,10 +767,11 @@ def _decode_tile(codec: IntCodec | MinifloatCodec, fields: np.ndarray,
     np.take(lookup, fields, out=out.view(lookup.dtype), mode="clip")
 
 
-def _lookup_fields(t: QuantizedTensor, count: int) -> np.ndarray:
-    """The ``(rows, n_blocks * block_size / count)`` lookup fields of ``count``
-    codes each of a tensor: its packed bytes when a field is one byte, else
-    unpacked one row group at a time."""
+def _lookup_fields(t: QuantizedTensor) -> np.ndarray:
+    """The ``(rows, n_blocks * block_size / count)`` lookup fields of
+    ``count = _codes_per_lookup(t)`` codes each of a tensor: its packed
+    bytes when a field is one byte, else unpacked one row group at a time."""
+    count = _codes_per_lookup(t)
     width = count * t.spec.codec.width
     if width == 8:
         return t.codes
@@ -790,40 +784,34 @@ def _lookup_fields(t: QuantizedTensor, count: int) -> np.ndarray:
     return fields
 
 
-class _TileDecoder:
-    """One decode of a tensor's codes, tile by tile, which the caller
-    ends with :meth:`finish` once every code has been decoded.
-
-    Every tile is looked up from the tensor's lookup fields.  Until a
-    decode of the tensor has finished, the fields are unpacked when a
-    decode starts, and each tile's values are checked for invalid codes
-    while they are in cache; :meth:`finish` keeps the fields on the
-    tensor.  Every later decode takes them from there and checks nothing."""
-
-    def __init__(self, t: QuantizedTensor):
-        self.t = t
-        self.codec = t.spec.codec
-        self.count = _codes_per_lookup(self.codec.width, t.n_blocks * t.spec.block_size)
-        self.checked = t._valid_fields is not None
-        self.fields = t._valid_fields if self.checked else _lookup_fields(t, self.count)
-
-    def decode(self, rows: slice, first: int, out: np.ndarray) -> None:
-        """Decode codes ``first`` to ``first + n`` of ``rows`` into ``out``,
-        a C-contiguous ``(len(rows), n)`` float64 array.  ``first`` is on a
-        packed word, and ``first + n`` on a word or at the rows' end.  An
-        invalid code raises :class:`FormatError`."""
-        n = out.shape[1]
-        columns = slice(first // self.count, (first + n) // self.count)
-        _decode_tile(self.codec, self.fields[rows, columns], out)
-        message = None if self.checked else _invalid_message(self.codec)
-        # max propagates NaN and every valid code's value is finite
-        if message is not None and np.isnan(out.max(initial=-np.inf)):
-            raise FormatError(message)
-
-    def finish(self) -> None:
-        """Keep the fields on the tensor: every code decoded and was valid."""
-        if not self.checked:
-            object.__setattr__(self.t, "_valid_fields", self.fields)
+def _check_codes(t: QuantizedTensor) -> None:
+    """Refuse, with :class:`FormatError`, a tensor that holds a code whose
+    value is NaN in the codec's table, the padded tail included: each row
+    group's lookup fields, unpacked and dropped when they must be, are
+    compared in each code slot with each such pattern."""
+    if t.spec.is_passthrough:
+        return
+    codec = t.spec.codec
+    table, message = codec.decode_table()
+    invalid = np.flatnonzero(np.isnan(table))
+    if not invalid.size:
+        return
+    count = _codes_per_lookup(t)
+    width = count * codec.width
+    dtype = _codes_dtype(width)
+    # each slot's mask and each invalid pattern in that slot, in the
+    # fields' dtype: int64 operands would promote every comparison
+    slots = [(dtype.type(((1 << codec.width) - 1) << shift),
+              (invalid << shift).astype(dtype))
+             for shift in range(0, width, codec.width)]
+    n = t.n_blocks * t.spec.block_size // count
+    for group in _row_groups(t.shape[0], n):  # about _GROUP_VALUES fields each
+        codes = t.codes[group]
+        fields = codes if width == 8 else _unpack_codes(codes, width, len(codes), n)
+        for mask, patterns in slots:
+            slot = fields & mask
+            if any((slot == pattern).any() for pattern in patterns):
+                raise FormatError(message)
 
 
 def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
@@ -835,10 +823,7 @@ def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
     valid until the next is yielded.  When the rows have no padded tail and
     ``out``, a C-contiguous ``(rows, cols)`` float64 array, is given, each
     group is decoded into its own rows of ``out`` instead.  Each group's
-    scales are converted from its stored scales when its turn comes.  An
-    invalid code, the padded tail included, raises :class:`FormatError`
-    when its group is decoded.  A caller that takes every group ends a
-    decode of the tensor (:class:`_TileDecoder`)."""
+    scales are converted from its stored scales when its turn comes."""
     rows, cols = t.shape
     spec = t.spec
     padded = cols if spec.is_passthrough else t.n_blocks * spec.block_size
@@ -846,20 +831,17 @@ def _decoded_groups(t: QuantizedTensor, out: np.ndarray | None = None):
     in_place = out is not None and padded == cols
     if not in_place:
         buffer = np.empty(min(groups[0].stop, rows) * padded if groups else 0)
-    decoder = None if spec.is_passthrough else _TileDecoder(t)
     for group in groups:
         codes = t.codes[group]
         tile = (out[group] if in_place
                 else buffer[:len(codes) * padded].reshape(len(codes), padded))
-        if decoder is None:
+        if spec.is_passthrough:
             tile[...] = codes
         else:
-            decoder.decode(group, 0, tile)
+            _decode_tile(spec.codec, t._fields[group], tile)
             grid = tile.reshape(len(codes), t.n_blocks, spec.block_size)
             grid *= _scale_values(spec, t.scales[group])[:, :, None]
         yield group, tile[:, :cols]
-    if decoder is not None:
-        decoder.finish()
 
 
 def dequantize(t: QuantizedTensor) -> np.ndarray:
@@ -912,8 +894,7 @@ def matmul_dequantized(x, t: QuantizedTensor) -> np.ndarray:
     scales whose row count crosses it.  Either way only the order of the
     sums may differ, except that a product with an fp16 scale rounds once
     more when folded (e8m0 scales are powers of two, so folding them is
-    exact).  Invalid codes raise the :class:`FormatError` that
-    :func:`dequantize` raises.
+    exact).
     """
     return dequantized_product(as_matrix(x, "activations"), t)
 
@@ -934,15 +915,16 @@ def dequantized_product(x: np.ndarray, t: QuantizedTensor) -> np.ndarray:
     y = np.empty((n_blocks, size, len(x)))  # y.T, block by block
     step = _slab_blocks(spec, rows)
     buffer = np.empty(rows * min(step, n_blocks) * size)
-    decoder = _TileDecoder(t)
+    fields, count = t._fields, _codes_per_lookup(t)
     for first in range(0, n_blocks, step):
         last = min(first + step, n_blocks)
         n = (last - first) * size
         slab = buffer[:rows * n].reshape(rows, n)
-        decoder.decode(slice(None), first * size, slab)  # the slab starts on a word
+        # the slab starts on a word, and ends on one or at the rows' end
+        _decode_tile(spec.codec, fields[:, first * size // count:last * size // count],
+                     slab)
         blocks = slab.reshape(rows, last - first, size).transpose(1, 2, 0)
         np.matmul(blocks, scaled_x[first:last], out=y[first:last])
-    decoder.finish()
     return y.transpose(2, 0, 1).reshape(len(x), n_blocks * size)[:, :cols]
 
 

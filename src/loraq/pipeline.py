@@ -501,8 +501,7 @@ def reconstruct_weight(bundle: LayerBundle, *, desmoothed: bool = False) -> np.n
     The groups are disjoint sets of rows and addition commutes, so the sums
     are those of ``dequantize(residual) + L̂ @ R̂`` bit for bit.  Besides
     it, only the decoded factors, d x rank and rank x n, and one row
-    group are held at once.  An invalid code raises the
-    :class:`~loraq.errors.FormatError` that ``dequantize`` raises.
+    group are held at once.
     """
     w_hat = dequantize(bundle.lowrank_left) @ dequantize(bundle.lowrank_right)
     for rows, values in _decoded_groups(bundle.residual):

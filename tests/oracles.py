@@ -12,6 +12,9 @@ optimizer loops can be checked against them bit for bit:
   (``rotation.optimize_rotation``);
 * :func:`decode_codes`, the whole-array table decode of element codes
   that ``formats.dequantize`` does by byte tables;
+* :class:`RawTensor`, a packed tensor's arrays unchecked, which the
+  decode oracles read where a ``QuantizedTensor``, which refuses an
+  invalid code when it is built, cannot hold them;
 * :func:`decoded_blocks`, ``formats.dequantize`` as it was before it
   decoded through one row-group buffer: the whole ``(rows, n_blocks *
   block_size)`` matrix, padded tail included, then a strided view of its
@@ -154,7 +157,34 @@ def rotation_loss(left, right, omega, quantizer: FormatSpec) -> float:
     return float(np.mean(np.square(err_left)) + np.mean(np.square(err_right)))
 
 
-def decoded_blocks(t: QuantizedTensor) -> np.ndarray:
+@dataclasses.dataclass(frozen=True)
+class RawTensor:
+    """The four fields of a ``QuantizedTensor``, not checked: the codes may
+    hold invalid patterns, which :func:`decoded_blocks` and
+    :func:`decode_codes` refuse with their own messages."""
+
+    shape: tuple[int, int]
+    spec: FormatSpec
+    codes: np.ndarray
+    scales: np.ndarray
+
+    @classmethod
+    def of(cls, t: QuantizedTensor) -> "RawTensor":
+        return cls(t.shape, t.spec, t.codes, t.scales)
+
+    @property
+    def n_blocks(self) -> int:
+        return self.scales.shape[1]
+
+    def scale_values(self) -> np.ndarray:
+        return formats._scale_values(self.spec, self.scales)
+
+    def built(self) -> QuantizedTensor:
+        """The tensor of these arrays; an invalid code raises :class:`FormatError`."""
+        return QuantizedTensor(self.shape, self.spec, self.codes, self.scales)
+
+
+def decoded_blocks(t: QuantizedTensor | RawTensor) -> np.ndarray:
     """``dequantize(t)`` by the padded decode: the whole ``(rows, n_blocks *
     block_size)`` matrix of codes unpacked, looked up by :func:`decode_codes`
     and multiplied by its block scales, and a view of the real columns

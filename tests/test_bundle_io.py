@@ -201,6 +201,22 @@ def test_fp16_scale_must_be_finite_and_positive(tmp_path, bits):
     assert info.value.offset == _chunk_offsets(data)["PSCL"]
 
 
+@pytest.mark.parametrize("q2,tag,at,value,message", [
+    # SINT4 over 72 columns packs 64 bytes a row, the last 28 of them the
+    # padded tail: 0x88 puts 0b1000 in both of a tail byte's codes
+    ("MXINT4", "PCOD", 64 * 7 + 63, 0x88, "int4 code 0x8 is outside"),
+    # MXINT8 over rank 3 packs 32 one-byte codes a row; 0x80 is -128
+    ("MXINT8", "LCOD", 32 * 4 + 1, 0x80, "int8 code 0x80 is outside"),
+], ids=["SINT4-residual-tail", "MXINT8-left"])
+def test_invalid_code_pattern_is_refused_at_its_chunk(tmp_path, q2, tag, at, value,
+                                                       message):
+    data = bytearray(_saved(tmp_path, q2=q2))
+    data[_payload(data, tag) + at] = value
+    with pytest.raises(CorruptFileError, match=message) as info:
+        _load_patched(tmp_path, bytes(data))
+    assert info.value.offset == _chunk_offsets(data)[tag]
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -2.0])
 def test_gamma_entries_must_be_finite_and_positive(tmp_path, value):
     data = bytearray(_saved(tmp_path))

@@ -609,6 +609,30 @@ def test_evaluate_unknown_recorded_act_format_exits_3(tmp_path, capsys):
             "unknown format 'BOGUS'; known: ")
 
 
+@pytest.mark.parametrize("q2,tag,at,value", [
+    # SINT4 over 40 columns packs 32 bytes a row, the last 12 the padded tail
+    ("MXINT4", "PCOD", 32 * 3 + 31, 0x88),
+    # MXINT8 over rank 4 packs 32 one-byte codes a row
+    ("MXINT8", "LCOD", 32 * 2 + 1, 0x80),
+], ids=["SINT4-residual-tail", "MXINT8-left"])
+def test_invalid_code_pattern_exits_3(tmp_path, capsys, q2, tag, at, value):
+    bundle = Path(_patched_bundle(tmp_path, capsys, lambda meta: None, "--q2", q2))
+    data = bytearray(bundle.read_bytes())
+    (size,) = struct.unpack_from("<I", data, 6)
+    manifest, start = json.loads(data[10:10 + size]), 10 + size
+    for entry in manifest["chunks"]:
+        if entry["tag"] == tag:
+            data[start + 12 + at] = value
+        start += 12 + entry["length"]
+    bundle.write_bytes(bytes(data))
+    [weight] = _weights(tmp_path, 1)
+    for argv in (["inspect", str(bundle)], ["evaluate", str(bundle), weight, "--machine"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+        assert "is outside the symmetric range" in _last_error_line(err)
+
+
 @pytest.mark.parametrize("value, why", [
     (np.nan, "must be finite"), (np.inf, "must be finite"), (-1.0, "cannot be negative"),
 ], ids=["nan", "inf", "negative"])

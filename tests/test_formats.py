@@ -27,6 +27,7 @@ from loraq import (
 from loraq import formats
 from loraq.formats import _minifloat_tables, _pack_codes, _unpack_codes
 from oracles import (
+    RawTensor,
     decode_codes,
     decode_element,
     decoded_blocks,
@@ -722,14 +723,15 @@ class TestConstruction:
         assert negative == quantize_blockwise(np.array([[-0.0, 1.0]]), PASSTHROUGH)
 
 
-def _with_code(t, row: int, col: int, code: int):
-    """``t`` with one element code replaced, packed by the reference packer."""
+def _with_code(t, row: int, col: int, code: int) -> RawTensor:
+    """``t``'s arrays, unchecked, with one element code replaced, packed by
+    the reference packer."""
     width = t.spec.codec.width
     rows = t.shape[0]
     padded = t.n_blocks * t.spec.block_size
     codes = _bitwise_unpack(t.codes, width, rows, padded)
     codes[row, col] = code
-    return dataclasses.replace(t, codes=_bitwise_pack(codes, width))
+    return dataclasses.replace(RawTensor.of(t), codes=_bitwise_pack(codes, width))
 
 
 @pytest.mark.parametrize("name,pattern", [
@@ -737,13 +739,14 @@ def _with_code(t, row: int, col: int, code: int):
     ("MXFP8e4", 0x7F), ("MXFP8e4", 0xFF),
 ])
 class TestInvalidPatterns:
-    """The int ``-2^(k-1)`` and e4m3 NaN patterns never decode."""
+    """A tensor that holds an int ``-2^(k-1)`` or e4m3 NaN pattern cannot
+    be built."""
 
     def test_inside_the_matrix(self, name, pattern):
         spec = make_format(name)
         t = quantize_blockwise(np.ones((3, 40)), spec)
         with pytest.raises(FormatError):
-            dequantize(_with_code(t, 1, 17, pattern))
+            _with_code(t, 1, 17, pattern).built()
 
     def test_in_a_blocks_padded_tail(self, name, pattern):
         spec = make_format(name)
@@ -751,7 +754,7 @@ class TestInvalidPatterns:
         t = quantize_blockwise(np.ones((2, cols)), spec)
         assert t.pad_count > 0
         with pytest.raises(FormatError):
-            dequantize(_with_code(t, 1, t.n_blocks * spec.block_size - 1, pattern))
+            _with_code(t, 1, t.n_blocks * spec.block_size - 1, pattern).built()
 
     def test_decode_codes_refuses_it(self, name, pattern):
         codec = make_format(name).codec
@@ -829,6 +832,17 @@ def _decoded_or_error(decode, t):
         return f"FormatError: {exc}"
 
 
+def _built_or_error(decode, raw: RawTensor):
+    """The bytes of ``decode`` of the tensor built from ``raw``, or the
+    message of the FormatError that building it raises; a tensor that is
+    built must decode without raising."""
+    try:
+        t = raw.built()
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+    return np.ascontiguousarray(decode(t)).tobytes()
+
+
 # every element width a codec can have, integer and minifloat
 DECODE_CODECS = {**{f"int{bits}": IntCodec(bits) for bits in range(2, 9)}, **MINIFLOATS}
 # block sizes 3 and 5 give rows an odd code count, so 2- and 4-bit rows
@@ -840,16 +854,17 @@ def _spec(codec, block_size: int, scale_kind: str = "e8m0") -> FormatSpec:
     return FormatSpec(f"test-w{codec.width}-b{block_size}", block_size, scale_kind, codec)
 
 
-def _random_codes(spec, rows: int, cols: int, rng) -> QuantizedTensor:
-    """A tensor of arbitrary code bytes (invalid patterns and nonzero bits
-    past a row's last code included) and arbitrary finite scales."""
+def _random_codes(spec, rows: int, cols: int, rng) -> RawTensor:
+    """A tensor's arrays, unchecked: arbitrary code bytes (invalid patterns
+    and nonzero bits past a row's last code included) and arbitrary finite
+    scales."""
     n_blocks = -(-cols // spec.block_size)
     row_bytes = -(-(n_blocks * spec.block_size * spec.codec.width) // 8)
     if spec.scale_kind == "e8m0":
         scales = rng.integers(0, 256, size=(rows, n_blocks), dtype=np.uint8)
     else:
         scales = rng.uniform(1e-3, 1e3, size=(rows, n_blocks)).astype(np.float16)
-    return QuantizedTensor(
+    return RawTensor(
         shape=(rows, cols), spec=spec,
         codes=rng.integers(0, 256, size=(rows, row_bytes), dtype=np.uint8),
         scales=scales)
@@ -889,9 +904,10 @@ class TestByteTableDecode:
         for draw in range(120):
             spec = _spec(codec, DECODE_BLOCKS[draw % len(DECODE_BLOCKS)],
                          ("e8m0", "fp16")[draw % 2])
-            t = _random_codes(spec, int(rng.integers(1, 4)), int(rng.integers(1, 13)), rng)
-            want = _decoded_or_error(_word_dequantize, t)
-            assert _decoded_or_error(dequantize, t) == want, (draw, t.shape)
+            raw = _random_codes(spec, int(rng.integers(1, 4)), int(rng.integers(1, 13)),
+                                rng)
+            want = _decoded_or_error(_word_dequantize, raw)
+            assert _built_or_error(dequantize, raw) == want, (draw, raw.shape)
             outcomes.add(isinstance(want, str))
         has_invalid = bool(np.isnan(codec.decode_table()[0]).any())
         # codecs with an invalid pattern met it in some draws and not in others
@@ -910,11 +926,10 @@ class TestByteTableDecode:
         padded = 3 * block_size
         valid = quantize_blockwise(np.ones((2, cols)), spec)
         for col in range(padded):
-            t = _with_code(QuantizedTensor(valid.shape, spec, valid.codes.copy(),
-                                           valid.scales), 1, col, pattern)
-            want = _decoded_or_error(_word_dequantize, t)
+            raw = _with_code(valid, 1, col, pattern)
+            want = _decoded_or_error(_word_dequantize, raw)
             assert want.startswith("FormatError"), col
-            assert _decoded_or_error(dequantize, t) == want, col
+            assert _built_or_error(dequantize, raw) == want, col
 
     @pytest.mark.parametrize("codec,block_size,cols,word_path", [
         (IntCodec(4), 4, 8, False),  # whole bytes: one lookup per byte
@@ -927,8 +942,8 @@ class TestByteTableDecode:
     def test_word_path_only_where_a_row_ends_mid_byte(self, monkeypatch, codec,
                                                       block_size, cols, word_path):
         spec = _spec(codec, block_size)
-        t = quantize_blockwise(np.random.default_rng(51).normal(size=(3, cols)), spec)
-        want = _word_dequantize(t)
+        valid = quantize_blockwise(np.random.default_rng(51).normal(size=(3, cols)), spec)
+        want = _word_dequantize(valid)
         calls = []
 
         def counting(*args):
@@ -936,6 +951,8 @@ class TestByteTableDecode:
             return _unpack_codes(*args)
 
         monkeypatch.setattr(formats, "_unpack_codes", counting)
+        # the check when the tensor is built and its first decode alike
+        t = RawTensor.of(valid).built()
         assert _bits(dequantize(t)).tobytes() == _bits(want).tobytes()
         assert bool(calls) == word_path
 
@@ -984,9 +1001,9 @@ class TestPairDecode:
             stored = rng.integers(0, 256, size=(rows, n_blocks), dtype=np.uint8)
         else:
             stored = rng.uniform(1e-3, 1e3, size=(rows, n_blocks)).astype(np.float16)
-        t = QuantizedTensor((rows, cols), _spec(codec, block_size, scale_kind),
-                            _bitwise_pack(codes, codec.width), stored)
-        scales = np.repeat(t.scale_values(), block_size, axis=1)
+        raw = RawTensor((rows, cols), _spec(codec, block_size, scale_kind),
+                        _bitwise_pack(codes, codec.width), stored)
+        scales = np.repeat(raw.scale_values(), block_size, axis=1)
         try:
             want = np.array([[decode_element(int(c), codec, s) for c, s in zip(cr, sr)]
                              for cr, sr in zip(codes, scales)])[:, :cols]
@@ -1000,9 +1017,10 @@ class TestPairDecode:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(formats, "_unpack_codes", recording)
-            got = _decoded_or_error(dequantize, t)
+            got = _built_or_error(dequantize, raw)
         assert got == (want if isinstance(want, str) else _bits(want).tobytes())
-        # a pair is one field of twice the width
+        # a pair is one field of twice the width, when the tensor is built
+        # and when it is decoded
         assert set(widths) == {2 * codec.width if whole_words else codec.width}
 
     def test_pair_tables_are_read_only(self):
@@ -1068,7 +1086,8 @@ class TestRowGroupDecoder:
     def test_groups_convert_their_own_scales(self):
         # the whole tensor's scales as float64 take 8 bytes a block, 2 MB
         # here; one group's buffer and lookup indices take 0.75 MB
-        t = _random_codes(make_format("MXFP4e2"), 8192, 1024, np.random.default_rng(57))
+        t = _random_codes(make_format("MXFP4e2"), 8192, 1024,
+                          np.random.default_rng(57)).built()
         tracemalloc.start()
         try:
             for _ in formats._decoded_groups(t):
@@ -1081,15 +1100,15 @@ class TestRowGroupDecoder:
     @pytest.mark.parametrize("col", [17, 71, 72], ids=["inside", "last", "padded-tail"])
     @pytest.mark.parametrize("name", ["SINT4", "MXINT4"])
     def test_invalid_int4_code(self, name, col):
-        # the pattern 0b1000 in row 690, in the second row group of either
-        # format, so the first group has decoded when it raises
+        # the pattern 0b1000 in row 690, in a later row group than the
+        # first of either format, refused when the tensor is built
         spec = make_format(name)
         valid = quantize_blockwise(np.random.default_rng(55).normal(size=(700, 72)), spec)
-        t = _with_code(valid, 690, col, 0b1000)
+        raw = _with_code(valid, 690, col, 0b1000)
         with pytest.raises(FormatError) as want:
-            decoded_blocks(t)
+            decoded_blocks(raw)
         with pytest.raises(FormatError) as got:
-            dequantize(t)
+            raw.built()
         assert str(got.value) == str(want.value)
 
 
@@ -1140,16 +1159,18 @@ class TestMatmulDequantized:
 
     @pytest.mark.parametrize("kind", ["int4", "int6", "e4m3"])
     def test_invalid_codes_raise_what_dequantize_raises(self, kind):
+        # the tensor is refused when it is built, with the padded decode's
+        # message, and a tensor that is built folds without raising
         codec = DECODE_CODECS[kind]
         rng = np.random.default_rng(57)
         outcomes = set()
         for draw in range(60):
             # blocks of 8 and 32 values, so one row of x folds
             spec = _spec(codec, (8, 32)[draw % 2], ("e8m0", "fp16")[draw // 2 % 2])
-            t = _random_codes(spec, 3, int(rng.integers(1, 40)), rng)
+            raw = _random_codes(spec, 3, int(rng.integers(1, 40)), rng)
             x = np.ones((1, 3))
-            want = _decoded_or_error(lambda t: x @ dequantize(t), t)
-            got = _decoded_or_error(lambda t: formats.matmul_dequantized(x, t), t)
+            want = _decoded_or_error(lambda r: x @ decoded_blocks(r), raw)
+            got = _built_or_error(lambda t: formats.matmul_dequantized(x, t), raw)
             if isinstance(want, str):  # the FormatError's message
                 assert got == want
             outcomes.add(isinstance(want, str))
@@ -1210,17 +1231,18 @@ class TestSlabFold:
     def test_invalid_code_in_the_last_slab(self, monkeypatch, name, pattern):
         spec = MATMUL_SPECS[name]
         valid = quantize_blockwise(np.random.default_rng(59).normal(size=(6, 300)), spec)
-        # the last code of the padded tail, in the last slab only
-        t = _with_code(valid, 4, valid.n_blocks * spec.block_size - 1, pattern)
+        # the last code of the padded tail, in the last of several slabs,
+        # and in the last row group the check reads
+        raw = _with_code(valid, 4, valid.n_blocks * spec.block_size - 1, pattern)
         with pytest.raises(FormatError) as want:
-            dequantize(t)
+            decoded_blocks(raw)
         tiles = _counting_tiles(monkeypatch)
         monkeypatch.setattr(formats, "_GROUP_VALUES", 1)
+        assert len(range(0, raw.n_blocks, formats._slab_blocks(spec, 6))) >= 3
         with pytest.raises(FormatError) as got:
-            formats.matmul_dequantized(np.ones((1, 6)), t)
+            raw.built()
         assert str(got.value) == str(want.value)
-        assert len(tiles) == len(range(0, t.n_blocks,
-                                       formats._slab_blocks(spec, 6))) >= 3
+        assert tiles == []  # refused before any tile is decoded
 
     def test_batch_one_never_holds_the_decoded_matrix(self):
         # numpy reports its buffers to tracemalloc; the materialized fold
@@ -1244,9 +1266,10 @@ INVALID_CODES = [("SINT4", 0b1000), ("MXINT8", 0x80), ("MXFP8e4", 0x7F),
 
 
 class TestKeptFields:
-    """A tensor keeps the lookup fields of its first complete decode, and
-    with them the verdict that no code is invalid: later folds and row-group
-    decodes unpack nothing, check nothing and give the same bits."""
+    """A tensor's codes are checked once, when it is built, and its lookup
+    fields are unpacked by its first decode and kept: later folds and
+    row-group decodes unpack nothing, check nothing and give the same
+    bits."""
 
     @pytest.mark.parametrize("fold_first", [True, False], ids=["fold", "rows"])
     @pytest.mark.parametrize("name", MATMUL_SPECS)
@@ -1280,7 +1303,7 @@ class TestKeptFields:
             monkeypatch.setattr(formats, helper, record)
 
         recording("_unpack_codes")  # unpacks the fields of a first decode
-        recording("_invalid_message")  # asked before a tile is checked
+        recording("_check_codes")  # runs when a tensor is built
         tiles = _counting_tiles(monkeypatch)
         for _ in range(2):
             assert {first: first(t), second: second(t)} == want
@@ -1292,27 +1315,22 @@ class TestKeptFields:
         t = QuantizedTensor((2, 64), make_format("MXFP6e2"), codes,
                             np.full((2, 2), 127, dtype=np.uint8))
         assert dequantize(t)[0, 0] == 0.125
-        for array in (t.codes, codes):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            t.codes[0, 0] = 2
+        codes[0, 0] = 2  # the caller's array stays writeable, and apart
+        assert dequantize(t)[0, 0] == 0.125
         t.scales[0, 0] = 128  # nothing is kept from the scales
         assert dequantize(t)[0, 0] == 0.25
 
-    @pytest.mark.parametrize("name,pattern", INVALID_CODES)
-    def test_a_decode_that_raised_keeps_no_verdict(self, monkeypatch, name, pattern):
-        # the last code of the padded tail, in the last slab and row group:
-        # every earlier tile decodes before the code is met
-        spec = MATMUL_SPECS[name]
-        valid = quantize_blockwise(np.random.default_rng(59).normal(size=(6, 300)), spec)
-        t = _with_code(valid, 5, valid.n_blocks * spec.block_size - 1, pattern)
-        with pytest.raises(FormatError) as want:
-            decoded_blocks(t)
-        monkeypatch.setattr(formats, "_GROUP_VALUES", 1)
-        for decode in (lambda: formats.matmul_dequantized(np.ones((1, 6)), t),
-                       lambda: dequantize(t)) * 2:
-            with pytest.raises(FormatError) as got:
-                decode()
-            assert str(got.value) == str(want.value)
+    def test_a_tensor_built_on_a_view_keeps_its_codes(self):
+        # a write into the base of the view the tensor was built on puts an
+        # invalid pattern, 0b1000, in both nibbles of the base's first byte
+        base = np.full((2, 64), 0x11, dtype=np.uint8)
+        t = QuantizedTensor((2, 64), make_format("SINT4"), base[:, :32],
+                            np.ones((2, 1), dtype=np.float16))
+        want = dequantize(t).tobytes()
+        base[0, 0] = 0x88
+        assert dequantize(t).tobytes() == want
 
     @pytest.mark.parametrize("name,pattern", INVALID_CODES)
     def test_a_replaced_copy_is_checked_anew(self, name, pattern):
@@ -1320,14 +1338,12 @@ class TestKeptFields:
         valid = quantize_blockwise(np.random.default_rng(60).normal(size=(6, 300)), spec)
         formats.matmul_dequantized(np.ones((1, 6)), valid)
         dequantize(valid)
-        t = _with_code(valid, 2, 150, pattern)
+        raw = _with_code(valid, 2, 150, pattern)
         with pytest.raises(FormatError) as want:
-            decoded_blocks(t)
-        for decode in (lambda: formats.matmul_dequantized(np.ones((1, 6)), t),
-                       lambda: dequantize(t)):
-            with pytest.raises(FormatError) as got:
-                decode()
-            assert str(got.value) == str(want.value)
+            decoded_blocks(raw)
+        with pytest.raises(FormatError) as got:
+            dataclasses.replace(valid, codes=raw.codes)
+        assert str(got.value) == str(want.value)
 
     def test_copies_are_built_anew(self):
         t = quantize_blockwise(np.random.default_rng(61).normal(size=(5, 70)),

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import decoded_blocks, dense_error_report, dense_weight_error
+from oracles import RawTensor, decoded_blocks, dense_error_report, dense_weight_error
 
 from loraq import (
     PASSTHROUGH,
@@ -667,12 +667,13 @@ def _small_bundles(q1: str, q2: str):
     return w, bundles
 
 
-def _with_invalid_int4_residual_code(b, row: int, col: int):
-    """``b`` with the int4 pattern 0b1000 at ``(row, col)`` of its residual."""
+def _with_invalid_int4_residual_code(b, row: int, col: int) -> RawTensor:
+    """The arrays of ``b``'s residual, unchecked, with the int4 pattern
+    0b1000 at ``(row, col)``."""
     codes = b.residual.codes.copy()
     shift = 4 * (col % 2)  # codes are packed two to a byte, LSB first
     codes[row, col // 2] = (codes[row, col // 2] & (0xF0 >> shift)) | (0b1000 << shift)
-    return dataclasses.replace(b, residual=dataclasses.replace(b.residual, codes=codes))
+    return dataclasses.replace(RawTensor.of(b.residual), codes=codes)
 
 
 class TestReconstructWeight:
@@ -696,15 +697,15 @@ class TestReconstructWeight:
     @pytest.mark.parametrize("q1", ["SINT4", "MXINT4"])
     def test_invalid_residual_code_raises_what_dequantize_raises(self, monkeypatch,
                                                                  q1, col):
-        # row 30 is in a later row group than the first, which has been
-        # added into the branch when the code is met
+        # row 30 is in a later row group than the first; a residual that
+        # holds the code is refused when it is built, so no bundle holds it
         _, (b, _) = _small_bundles(q1, "MXFP6e2")
-        bundle = _with_invalid_int4_residual_code(b, 30, col)
+        raw = _with_invalid_int4_residual_code(b, 30, col)
         with pytest.raises(FormatError) as want:
-            decoded_blocks(bundle.residual)
+            decoded_blocks(raw)
         monkeypatch.setattr(formats, "_GROUP_VALUES", 3 * 96)
         with pytest.raises(FormatError) as got:
-            reconstruct_weight(bundle)
+            dataclasses.replace(b.residual, codes=raw.codes)
         assert str(got.value) == str(want.value)
 
 
@@ -738,17 +739,15 @@ class TestFactoredForward:
     @pytest.mark.parametrize("q1", ["SINT4", "MXINT4"])
     def test_invalid_residual_code_raises_what_dequantize_raises(self, q1, col):
         # the int4 pattern 0b1000 in the residual's last real column (71 of
-        # 72) or the first column of its padded tail; batch 1 folds the
-        # scales, batch 64 decodes them
+        # 72) or the first column of its padded tail: the residual is
+        # refused when it is built, so no forward meets the code
         _, (b, _) = _small_bundles(q1, "MXFP6e2")
-        bundle = _with_invalid_int4_residual_code(b, 5, col)
+        raw = _with_invalid_int4_residual_code(b, 5, col)
         with pytest.raises(FormatError) as want:
-            dequantize(bundle.residual)
-        x = np.random.default_rng(66).normal(size=(64, 40))
-        for rows in (1, 64):
-            with pytest.raises(FormatError) as got:
-                forward(bundle, x[:rows])
-            assert str(got.value) == str(want.value)
+            decoded_blocks(raw)
+        with pytest.raises(FormatError) as got:
+            raw.built()
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("q1,q2", [("SINT4", "MXFP6e2"), ("MXFP4e2", "MXINT8"),

@@ -164,11 +164,11 @@ def test_only_formats_names_the_stored_dtypes():
 
 
 def test_only_formats_reads_the_kept_fields():
-    # what a decode keeps on a tensor holds only under formats' rules (read-only
-    # codes, kept after a complete decode); a reader elsewhere would be a
+    # a tensor's lookup fields are laid out by formats' rules (codes per
+    # field, packed bytes or unpacked words); a reader elsewhere would be a
     # second copy of those rules
     readers = {path.name for path in sorted(SRC.glob("*.py"))
-               if _attribute_reads(path, "_valid_fields")}
+               if _attribute_reads(path, "_fields")}
     assert readers == {"formats.py"}
 
 
@@ -207,6 +207,14 @@ def test_one_reconstruction_of_the_branch():
     readers = _readers_of(SRC / "pipeline.py", {"lowrank_left", "lowrank_right"})
     assert readers == {"LayerBundle.tensors", "reconstruct_weight",
                        "_reconstructed_groups", "forward"}
+
+
+def test_only_the_lookup_and_the_check_read_the_decode_tables():
+    # _code_table decodes by a codec's table and _check_codes refuses the
+    # patterns it marks NaN; a third reader would be a second decoder or
+    # a second check
+    readers = _readers_of(SRC / "formats.py", {"decode_table"})
+    assert readers == {"_code_table", "_check_codes"}
 
 
 def test_only_the_chunk_plan_reads_the_chunk_tags():
