@@ -40,14 +40,14 @@ row-major concatenation of per-row byte runs (LSB-first bit packing);
 scales are one exponent byte per block for e8m0 and one float16 for
 fp16; a passthrough tensor stores its float64 values and no scales.
 Loaders validate magic, version and every declared length before
-allocating, and round-trips are bit-exact.  :func:`load_bundle` refuses a
-code chunk that holds an invalid code pattern (the int ``-2^(k-1)``, the
-e4m3 NaN), the padded tail included, with :class:`CorruptFileError` at
-the chunk's tag, so a loaded bundle decodes without raising.  The
-manifest's formats are :func:`~loraq.formats.make_format` entries, read
-back by name, so no codec is built from file data.  :func:`save_bundle`
-refuses (with :class:`ParameterError`, before the file is opened) a
-bundle whose manifest or float chunks :func:`load_bundle` would refuse.
+allocating, and round-trips are bit-exact.  The manifest's formats are
+:func:`~loraq.formats.make_format` entries, read back by name, so no codec
+is built from file data.  A packed tensor or a bundle checks its values
+when it is built, and :func:`load_bundle` reports a refusal as
+:class:`CorruptFileError` at the tag of the chunk that holds the refused
+array, so a loaded bundle decodes to finite values without raising.
+:func:`save_bundle` refuses (with :class:`ParameterError`, before the file
+is opened) only a manifest that :func:`load_bundle` would refuse.
 """
 
 from __future__ import annotations
@@ -232,9 +232,7 @@ def _chunk_plan(meta: BundleMeta, has_gamma: bool) -> list[tuple]:
     Each tensor of :meth:`BundleMeta.tensor_layout` stores its codes, then
     its scales; ``GAMA`` follows when there is a smoothing vector.  A
     tensor's chunks hold the arrays :meth:`FormatSpec.stored_arrays` names,
-    at their shapes and dtypes.  The float chunks (passthrough codes, fp16
-    scales, gamma) must hold finite values, the scales and gamma positive
-    ones.
+    at their shapes and dtypes.
     """
     plan = []
     for name, spec, shape in meta.tensor_layout():
@@ -248,10 +246,9 @@ def _chunk_plan(meta: BundleMeta, has_gamma: bool) -> list[tuple]:
 
 def save_bundle(path, bundle: LayerBundle) -> None:
     """Write a layer bundle as an LRQB file; round-trips bit-exactly.  A
-    meta that :meth:`BundleMeta.from_dict` would refuse, or a float chunk
-    that :func:`load_bundle` would refuse (a passthrough value that is not
-    finite, an fp16 scale or a gamma entry that is not finite and
-    positive), raises :class:`ParameterError` before the file is opened."""
+    bundle checks its own arrays when it is built, so only a meta that
+    :meth:`BundleMeta.from_dict` would refuse is left to refuse: it raises
+    :class:`ParameterError` before the file is opened."""
     meta = bundle.meta.to_dict()
     try:
         BundleMeta.from_dict(meta)
@@ -260,14 +257,9 @@ def save_bundle(path, bundle: LayerBundle) -> None:
     layout, has_gamma = bundle.meta.tensor_layout(), bundle.gamma is not None
     arrays = [array for t in bundle.tensors() for array in (t.codes, t.scales)]
     if has_gamma:
-        arrays.append(np.asarray(bundle.gamma, dtype="<f8"))
-    chunks = []
-    for (tag, what, *_), array in zip(_chunk_plan(bundle.meta, has_gamma), arrays,
-                                      strict=True):
-        refusal = _bad_values(what, array)
-        if refusal is not None:
-            raise ParameterError(f"the bundle would not load: {refusal}")
-        chunks.append((tag, array.tobytes()))
+        arrays.append(bundle.gamma)
+    chunks = [(tag, np.asarray(array, dtype).tobytes()) for (tag, _, _, dtype), array
+              in zip(_chunk_plan(bundle.meta, has_gamma), arrays, strict=True)]
     manifest = {
         "meta": meta,
         "pad": {name: t.pad_count for (name, _, _), t in zip(layout, bundle.tensors())},
@@ -286,28 +278,10 @@ def save_bundle(path, bundle: LayerBundle) -> None:
             fh.write(data)
 
 
-# the refusal of a float chunk whose values are out of their domain
-_BAD_VALUES = {
-    "code": "passthrough payload holds an entry that is not finite",
-    "scale": "scale chunk holds a float16 scale that is not finite and positive",
-    "gamma": "gamma chunk holds an entry that is not finite and positive",
-}
-
-
-def _bad_values(what: str, values: np.ndarray) -> str | None:
-    """Why ``values``, the payload of a ``what`` chunk, would be refused at
-    load, or None: a float chunk must hold finite values, and a scale or
-    gamma chunk positive ones."""
-    if values.dtype.kind != "f":
-        return None
-    valid = np.isfinite(values)
-    if what != "code":  # scales and gamma must also be positive
-        valid = valid & (values > 0)
-    return None if np.all(valid) else _BAD_VALUES[what]
-
-
 def load_bundle(path) -> LayerBundle:
-    """Read an LRQB file, validating structure before reconstruction."""
+    """Read an LRQB file, validating structure before reconstruction.  A
+    value that a tensor's or the bundle's constructor refuses is
+    :class:`CorruptFileError` at the tag of the chunk that holds it."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     _check_magic(reader, _BUNDLE_MAGIC, "bundle")
@@ -372,27 +346,28 @@ def load_bundle(path) -> LayerBundle:
             raise CorruptFileError(
                 f"{what} chunk holds {length} bytes, expected {expected}", offset=offset
             )
-        values = np.frombuffer(payload, dtype=dtype).reshape(shape)
-        if what != "code":  # a tensor copies its codes; scales and gamma stay writeable
-            values = values.copy()
-        refusal = _bad_values(what, values)
-        if refusal is not None:
-            raise CorruptFileError(refusal, offset=offset)
-        arrays.append((values, offset))
+        arrays.append((np.frombuffer(payload, dtype=dtype).reshape(shape), offset))
     reader.expect_end("bundle chunks")
 
     tensors = []
-    for (name, spec, shape), (codes, offset), (scales, _) in zip(
+    for (name, spec, shape), (codes, offset), (scales, scales_offset) in zip(
             layout, arrays[0::2], arrays[1::2]):
         try:
             t = QuantizedTensor(shape, spec, codes, scales)
         except FormatError as exc:  # an invalid code pattern
             raise CorruptFileError(f"{name} codes: {exc}", offset=offset) from exc
+        except ParameterError as exc:  # a passthrough value or an fp16 scale
+            raise CorruptFileError(
+                f"{name}: {exc}", offset=offset if spec.is_passthrough else scales_offset
+            ) from exc
         if pads[name] != t.pad_count:
             raise CorruptFileError(
                 f"pad count {pads[name]} does not match the shape, expected {t.pad_count}",
                 offset=offset,
             )
         tensors.append(t)
-    gamma = arrays[-1][0] if has_gamma else None
-    return LayerBundle(*tensors, gamma, meta)
+    gamma, gamma_offset = arrays[-1] if has_gamma else (None, None)
+    try:
+        return LayerBundle(*tensors, gamma, meta)
+    except ParameterError as exc:  # a gamma entry that is not finite and positive
+        raise CorruptFileError(str(exc), offset=gamma_offset) from exc

@@ -80,9 +80,10 @@ That layout is decided in this module alone.  :meth:`FormatSpec.stored_arrays`
 gives the shape and dtype of a matrix's codes and scales (block count,
 bytes per code row; ``u1`` codes or a passthrough's ``<f8`` values,
 ``<f2`` or ``u1`` scales), and is the only place that picks a stored
-dtype.  :class:`QuantizedTensor` refuses arrays that do not match it when
-it is built and derives its pad count; the bundle's chunk plan and the
-budget accounting read it verbatim.
+dtype.  :class:`QuantizedTensor` refuses arrays that do not match it, or
+values out of their domain, when it is built, keeps read-only copies and
+derives its pad count; the bundle's chunk plan and the budget accounting
+read it verbatim.
 
 Decoding looks values up in a per-codec table of ``2^width`` float64s,
 indexed by code: the two's-complement value for integers, the sign,
@@ -492,14 +493,14 @@ class QuantizedTensor:
     ``(rows, n_blocks)`` array: exponent bytes for e8m0, float16 values
     for fp16.  A passthrough tensor's codes are its float64 values at the
     matrix's own shape, and its scales are empty.  Construction refuses any
-    other dtype or shape (:meth:`FormatSpec.stored_arrays`), and any
-    invalid code pattern, the padded tail included, with
-    :class:`FormatError`, so a decode never raises.  The tensor keeps a
-    read-only copy of ``codes``, leaving the caller's array as it was, and
-    its lookup fields are a memo of that copy.  ``scales`` stay writeable,
-    since nothing is kept from them.  ``pad_count``, the codes past the
-    last column, is derived from the shape.  Two tensors are equal when
-    their arrays hold the same bytes, so ``-0.0`` and ``0.0`` differ.
+    other dtype or shape (:meth:`FormatSpec.stored_arrays`) or invalid code
+    pattern, the padded tail included, with :class:`FormatError`, and an
+    fp16 scale that is not finite and positive or a passthrough value that
+    is not finite with :class:`ParameterError`, so a decode never raises
+    and is finite.  The tensor keeps read-only copies of both arrays,
+    leaving the caller's as they were; its lookup fields are a memo of its
+    codes.  ``pad_count`` is derived from the shape.  Two tensors are equal
+    when their arrays hold the same bytes, so ``-0.0`` and ``0.0`` differ.
     """
 
     shape: tuple[int, int]
@@ -516,9 +517,15 @@ class QuantizedTensor:
             if array.dtype != dtype or array.shape != shape:
                 raise FormatError(f"{self.spec.name} {name} must be {dtype} {shape}, "
                                   f"got {array.dtype} {array.shape}")
-        codes = self.codes.copy()  # its own, so no caller's array can change it
-        codes.flags.writeable = False
-        object.__setattr__(self, "codes", codes)
+            kept = array.copy()  # its own, so no caller's array can change it
+            kept.flags.writeable = False
+            object.__setattr__(self, name, kept)
+        if self.spec.is_passthrough:
+            if not np.isfinite(self.codes).all():
+                raise ParameterError("passthrough value is not finite")
+        elif self.spec.scale_kind == "fp16" and not (
+                np.isfinite(self.scales) & (self.scales > 0)).all():
+            raise ParameterError("fp16 scale is not finite and positive")
         _check_codes(self)
 
     def __reduce__(self):

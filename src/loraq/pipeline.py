@@ -40,6 +40,8 @@ from .numerics import OptimizerConfig, as_int, as_matrix
 from .rotation import fuse_rotation, optimize_rotation
 from .smoothing import (
     ChannelStats,
+    _checked_gamma,
+    apply_smoothing,
     default_migration_grid,
     grid_search_migration,
     smoothing_vector,
@@ -229,7 +231,11 @@ def _summary(value, label: str, schema: dict) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class LayerBundle:
-    """A fully assembled quantized linear layer."""
+    """A fully assembled quantized linear layer, valid once built: its
+    tensors have the shapes and formats of :meth:`BundleMeta.tensor_layout`,
+    and ``gamma``, when given, one finite, positive entry per weight row, of
+    which the bundle keeps a read-only float64 copy.  Copies and unpickled
+    bundles are built, and so checked, anew."""
 
     residual: QuantizedTensor
     lowrank_left: QuantizedTensor
@@ -244,9 +250,13 @@ class LayerBundle:
             if t.spec != spec:
                 raise FormatError(
                     f"{name} tensor is {t.spec.name}, the manifest says {spec.name}")
-        d = self.meta.shape[0]
-        if self.gamma is not None and self.gamma.shape != (d,):
-            raise ShapeError(f"gamma shape {self.gamma.shape} != ({d},)")
+        if self.gamma is not None:
+            gamma = _checked_gamma(self.gamma, self.meta.shape[0]).copy()
+            gamma.flags.writeable = False
+            object.__setattr__(self, "gamma", gamma)
+
+    def __reduce__(self):
+        return LayerBundle, (*self.tensors(), self.gamma, self.meta)
 
     def tensors(self) -> tuple[QuantizedTensor, QuantizedTensor, QuantizedTensor]:
         """The packed tensors, in the order of :meth:`BundleMeta.tensor_layout`."""
@@ -404,7 +414,7 @@ def _assemble(w, q1: FormatSpec, q2: FormatSpec, cells: list[tuple[bool, bool]],
         )
 
     gamma, smoothing_meta = _smooth(w, q1, effective_rank, calibration)
-    work = w if gamma is None else gamma[:, None] * w
+    work = w if gamma is None else apply_smoothing(w, gamma)
 
     init = init_factors(work, effective_rank)
     best, trace = optimize_factors(work, init, absorb)

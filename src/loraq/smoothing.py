@@ -92,24 +92,30 @@ def smoothing_vector(stats: ChannelStats, w, alpha_mig: float,
     safe_row = np.where(degenerate, 1.0, row_max)
     with np.errstate(over="ignore"):
         gamma = np.where(degenerate, 1.0, safe_act ** alpha_mig / safe_row ** beta_mig)
-    if not np.all(np.isfinite(gamma) & (gamma > 0)):
+    try:
+        return _checked_gamma(gamma, len(gamma))
+    except ParameterError:
         raise NumericError(
             f"the smoothing vector at migration strengths ({alpha_mig}, {beta_mig}) "
-            "overflows or underflows to 0")
+            "overflows or underflows to 0") from None
+
+
+def _checked_gamma(gamma, rows: int) -> np.ndarray:
+    """``gamma`` as a float64 vector, held to the rule of every smoothing
+    vector: ``rows`` entries (else :class:`ShapeError`), each finite and
+    positive (else :class:`ParameterError`)."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if gamma.shape != (rows,):
+        raise ShapeError(f"gamma must have length {rows}, got shape {gamma.shape}")
+    if not (np.isfinite(gamma) & (gamma > 0)).all():
+        raise ParameterError("gamma entry is not finite and positive")
     return gamma
 
 
 def apply_smoothing(w, gamma) -> np.ndarray:
     """Scale weight rows by gamma (activations divide their columns by it)."""
     w = as_matrix(w)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if gamma.shape != (w.shape[0],):
-        raise ShapeError(
-            f"gamma must have length {w.shape[0]}, got shape {gamma.shape}"
-        )
-    if not np.all(np.isfinite(gamma)) or np.any(gamma <= 0):
-        raise ParameterError("gamma entries must be positive and finite")
-    return gamma[:, None] * w
+    return _checked_gamma(gamma, w.shape[0])[:, None] * w
 
 
 def default_migration_grid() -> list[tuple[float, float]]:

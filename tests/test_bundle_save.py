@@ -1,9 +1,12 @@
-"""Saving refuses, before it opens the file, a manifest or a float chunk
-that loading would refuse: a refused save leaves no file behind and an
-existing one byte-for-byte as it was.  The same holds for an LQT1 float32
-file whose entries float32 cannot hold."""
+"""A bundle that loading would refuse never reaches a file: its float
+values cannot be built, and saving refuses its manifest before it opens
+the file, so a refused save leaves no file behind and an existing one
+byte-for-byte as it was.  The same holds for an LQT1 float32 file whose
+entries float32 cannot hold."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from loraq import (
     IntCodec,
     ParameterError,
     assemble_layer,
-    bundle_io,
     load_bundle,
     make_format,
     save_bundle,
@@ -65,7 +67,11 @@ UNLOADABLE = {
     "seed 1.5": lambda: _with_meta(_bundle(), seed=1.5),
     "lowrank_q2_mse NaN": lambda: _with_meta(_bundle(), lowrank_q2_mse=float("nan")),
     "lowrank_q2_mse inf": lambda: _with_meta(_bundle(), lowrank_q2_mse=float("inf")),
-    # float chunks out of their domain
+}
+
+# bundles with a float value out of its domain, which load_bundle would
+# refuse as corrupt: they cannot be built
+UNBUILDABLE = {
     "gamma 0": lambda: _with_gamma(0.0),
     "gamma NaN": lambda: _with_gamma(np.nan),
     "gamma all 0": lambda: dataclasses.replace(_bundle(), gamma=np.zeros(12)),
@@ -76,33 +82,63 @@ UNLOADABLE = {
 
 
 @pytest.mark.parametrize("existing", [None, b"kept bytes"], ids=["absent", "existing"])
-@pytest.mark.parametrize("case", sorted(UNLOADABLE))
+@pytest.mark.parametrize("case", sorted([*UNLOADABLE, *UNBUILDABLE]))
 def test_save_refuses_what_load_refuses(tmp_path, case, existing):
     path = tmp_path / "b.lrqb"
     if existing is not None:
         path.write_bytes(existing)
-    bundle = UNLOADABLE[case]()
-    with pytest.raises(ParameterError, match="would not load"):
-        save_bundle(path, bundle)
+    if case in UNBUILDABLE:  # refused before there is a bundle to save
+        with pytest.raises(ParameterError, match="is not finite"):
+            UNBUILDABLE[case]()
+    else:
+        bundle = UNLOADABLE[case]()
+        with pytest.raises(ParameterError, match="would not load"):
+            save_bundle(path, bundle)
     if existing is None:
         assert not path.exists()
     else:
         assert path.read_bytes() == existing
 
 
-FLOAT_CHUNKS = ["gamma 0", "gamma NaN", "gamma all 0", "fp16 scale inf", "fp16 scale 0",
-                "passthrough NaN"]
+def _chunk_payload(data: bytes, tag: str) -> tuple[int, int]:
+    """``(offset of the tag, offset of the payload)`` of chunk ``tag``,
+    walked from the manifest's chunk table."""
+    (manifest_len,) = struct.unpack_from("<I", data, 6)
+    at = 10 + manifest_len  # magic, version u16, manifest length u32, manifest
+    for chunk in json.loads(data[10:at])["chunks"]:
+        if chunk["tag"] == tag:
+            return at, at + 4 + 8
+        at += 4 + 8 + chunk["length"]
+    raise KeyError(tag)
+
+
+# the saved bytes that UNBUILDABLE's bundles would have: (q2, chunk, struct
+# format of an entry, entries patched, value)
+FLOAT_CHUNKS = {
+    "gamma 0": (None, "GAMA", "<d", [5], 0.0),
+    "gamma NaN": (None, "GAMA", "<d", [5], np.nan),
+    "gamma all 0": (None, "GAMA", "<d", range(12), 0.0),
+    "fp16 scale inf": (None, "PSCL", "<e", [0], np.inf),
+    "fp16 scale 0": (None, "PSCL", "<e", [0], 0.0),
+    "passthrough NaN": (PASSTHROUGH, "LCOD", "<d", [0], np.nan),
+}
 
 
 @pytest.mark.parametrize("case", FLOAT_CHUNKS)
-def test_load_refuses_the_float_chunks_save_refuses(tmp_path, monkeypatch, case):
-    # written with the check off, each file is refused as corrupt at load
+def test_load_refuses_the_float_chunks_save_refuses(tmp_path, case):
+    # written by patching a saved bundle's bytes, each file is refused as
+    # corrupt at the chunk's tag
+    q2, tag, fmt, entries, value = FLOAT_CHUNKS[case]
     path = tmp_path / "b.lrqb"
-    with monkeypatch.context() as patched:
-        patched.setattr(bundle_io, "_bad_values", lambda what, values: None)
-        save_bundle(path, UNLOADABLE[case]())
-    with pytest.raises(CorruptFileError, match="not finite"):
+    save_bundle(path, _bundle(q2=q2))
+    data = bytearray(path.read_bytes())
+    tag_at, payload_at = _chunk_payload(data, tag)
+    for entry in entries:
+        struct.pack_into(fmt, data, payload_at + entry * struct.calcsize(fmt), value)
+    path.write_bytes(data)
+    with pytest.raises(CorruptFileError, match="is not finite") as info:
         load_bundle(path)
+    assert info.value.offset == tag_at
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39, 3.4028236e38])

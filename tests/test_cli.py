@@ -633,6 +633,34 @@ def test_invalid_code_pattern_exits_3(tmp_path, capsys, q2, tag, at, value):
         assert "is outside the symmetric range" in _last_error_line(err)
 
 
+@pytest.mark.parametrize("q2, smoothed, tag, fmt, value, why", [
+    ("MXINT4", False, "PSCL", "<e", np.inf, "fp16 scale is not finite and positive"),
+    ("fp16-passthrough", False, "LCOD", "<d", np.nan, "passthrough value is not finite"),
+    ("MXINT4", True, "GAMA", "<d", 0.0, "gamma entry is not finite and positive"),
+], ids=["fp16-scale", "passthrough-value", "gamma"])
+def test_value_out_of_its_domain_exits_3(tmp_path, capsys, q2, smoothed, tag, fmt, value,
+                                         why):
+    # the first entry of the chunk that holds the refused array
+    stats = tmp_path / "cal.lqs"
+    save_stats(stats, compute_channel_stats(np.random.default_rng(37).normal(size=(8, 24))))
+    extra = ("--stats", str(stats)) if smoothed else ()
+    bundle = Path(_patched_bundle(tmp_path, capsys, lambda meta: None, "--q2", q2, *extra))
+    data = bytearray(bundle.read_bytes())
+    (size,) = struct.unpack_from("<I", data, 6)
+    manifest, start = json.loads(data[10:10 + size]), 10 + size
+    for entry in manifest["chunks"]:
+        if entry["tag"] == tag:
+            struct.pack_into(fmt, data, start + 12, value)
+        start += 12 + entry["length"]
+    bundle.write_bytes(bytes(data))
+    [weight] = _weights(tmp_path, 1)
+    for argv in (["inspect", str(bundle)], ["evaluate", str(bundle), weight, "--machine"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert _last_error_line(err).startswith("error: [E_FORMAT] ")
+        assert why in _last_error_line(err)
+
+
 @pytest.mark.parametrize("value, why", [
     (np.nan, "must be finite"), (np.inf, "must be finite"), (-1.0, "cannot be negative"),
 ], ids=["nan", "inf", "negative"])

@@ -1319,8 +1319,8 @@ class TestKeptFields:
             t.codes[0, 0] = 2
         codes[0, 0] = 2  # the caller's array stays writeable, and apart
         assert dequantize(t)[0, 0] == 0.125
-        t.scales[0, 0] = 128  # nothing is kept from the scales
-        assert dequantize(t)[0, 0] == 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            t.scales[0, 0] = 128
 
     def test_a_tensor_built_on_a_view_keeps_its_codes(self):
         # a write into the base of the view the tensor was built on puts an
@@ -1352,6 +1352,70 @@ class TestKeptFields:
         for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert twin == t and not twin.codes.flags.writeable
             assert dequantize(twin).tobytes() == want
+
+
+# float16 bit patterns of scales outside (0, inf), with the ids of
+# test_bundle_io.py::test_fp16_scale_must_be_finite_and_positive
+FP16_OUTSIDE = {"+inf": 0x7C00, "-inf": 0xFC00, "nan": 0x7E00, "+0": 0x0000,
+                "-0": 0x8000, "-1": 0xBC00}
+
+
+# the ways a tensor is made from ``t``, with its field ``name`` holding
+# ``array``: built, or replaced, with it, or copied from a tensor that holds
+# it past the constructor (as no caller can), which must be built anew
+BUILDS = {
+    "constructor": lambda t, name, array: QuantizedTensor(
+        t.shape, t.spec, **{"codes": t.codes, "scales": t.scales, name: array}),
+    "replace": lambda t, name, array: dataclasses.replace(t, **{name: array}),
+    "copy": lambda t, name, array: copy.copy(_tampered(t, name, array)),
+    "deepcopy": lambda t, name, array: copy.deepcopy(_tampered(t, name, array)),
+    "pickle": lambda t, name, array: pickle.loads(pickle.dumps(_tampered(t, name, array))),
+}
+
+
+def _tampered(t: QuantizedTensor, name: str, array: np.ndarray) -> QuantizedTensor:
+    tampered = copy.copy(t)
+    object.__setattr__(tampered, name, array)
+    return tampered
+
+
+class TestValueDomains:
+    """A tensor is valid once built: it refuses an fp16 scale that is not
+    finite and positive and a passthrough value that is not finite, however
+    it is made, so no decode can give an inf or a NaN."""
+
+    @pytest.mark.parametrize("bits", FP16_OUTSIDE.values(), ids=FP16_OUTSIDE.keys())
+    @pytest.mark.parametrize("how", BUILDS)
+    def test_fp16_scale_must_be_finite_and_positive(self, how, bits):
+        t = quantize_blockwise(np.random.default_rng(64).normal(size=(3, 70)),
+                               make_format("SINT4"))
+        scales = t.scales.copy()
+        scales.view(np.uint16)[1, 1] = bits
+        with pytest.raises(ParameterError, match="fp16 scale is not finite"):
+            BUILDS[how](t, "scales", scales)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=str)
+    @pytest.mark.parametrize("how", BUILDS)
+    def test_passthrough_value_must_be_finite(self, how, value):
+        t = quantize_blockwise(np.arange(15.0).reshape(3, 5) - 7, PASSTHROUGH)
+        codes = t.codes.copy()
+        codes[2, 4] = value
+        with pytest.raises(ParameterError, match="passthrough value is not finite"):
+            BUILDS[how](t, "codes", codes)
+
+    @pytest.mark.parametrize("fmt", ["SINT4", "MXINT4", PASSTHROUGH.name])
+    def test_arrays_are_read_only_copies(self, fmt):
+        t = quantize_blockwise(np.random.default_rng(65).normal(size=(3, 70)),
+                               make_format(fmt))
+        for how, build in BUILDS.items():
+            for name in ("codes", "scales"):
+                mine = getattr(t, name).copy()
+                built = build(t, name, mine)
+                assert built == t, how
+                kept = getattr(built, name)
+                assert mine.flags.writeable and not np.may_share_memory(mine, kept)
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[...] = 0
 
 
 def _dividing_fake_quant(m: np.ndarray, spec: FormatSpec) -> np.ndarray:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import os
+import pickle
 import tempfile
 import tracemalloc
 import warnings
@@ -13,6 +15,7 @@ from loraq import (
     BudgetError,
     FormatError,
     ErrorReport,
+    LayerBundle,
     NumericError,
     ParameterError,
     RankCapWarning,
@@ -578,22 +581,81 @@ class TestBatch:
 
 class TestWeightError:
     def test_non_finite_reconstruction_raises(self):
+        # finite passthrough factors whose product L̂ @ R̂ overflows to inf
         rng = np.random.default_rng(20)
         w = rng.normal(size=(8, 8))
-        b = _quick(w, make_format("SINT4"), make_format("SINT4"), rank=2,
+        b = _quick(w, make_format("SINT4"), PASSTHROUGH, rank=2,
                    optimized_lr=False, rotations=False)
-        b.residual.scales[0, 0] = np.inf
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericError):
-                weight_error(w, b)
-            with pytest.raises(NumericError):
-                error_report(w, np.eye(8), b)
+        huge = np.full((8, 2), 1e200)
+        b = dataclasses.replace(b, lowrank_left=quantize_blockwise(huge, PASSTHROUGH),
+                                lowrank_right=quantize_blockwise(huge.T, PASSTHROUGH))
+        with pytest.raises(NumericError, match="reconstructed weight is not finite"):
+            weight_error(w, b)
+        with pytest.raises(NumericError, match="reconstructed weight is not finite"):
+            error_report(w, np.eye(8), b)
 
     def test_shape_mismatch(self):
         b = _quick(np.ones((4, 4)), make_format("SINT4"), make_format("SINT4"),
                    rank=1, optimized_lr=False, rotations=False)
         with pytest.raises(ShapeError):
             weight_error(np.ones((5, 4)), b)
+
+
+def _tampered_gamma(b, gamma):
+    tampered = copy.copy(b)
+    object.__setattr__(tampered, "gamma", gamma)
+    return tampered
+
+
+# the ways a bundle is made from ``b`` with ``gamma``: built or replaced with
+# it, or copied from a bundle that holds it past the constructor (as no
+# caller can), which must be built anew
+BUNDLE_BUILDS = {
+    "constructor": lambda b, gamma: LayerBundle(*b.tensors(), gamma, b.meta),
+    "replace": lambda b, gamma: dataclasses.replace(b, gamma=gamma),
+    "copy": lambda b, gamma: copy.copy(_tampered_gamma(b, gamma)),
+    "deepcopy": lambda b, gamma: copy.deepcopy(_tampered_gamma(b, gamma)),
+    "pickle": lambda b, gamma: pickle.loads(pickle.dumps(_tampered_gamma(b, gamma))),
+}
+
+
+class TestBundleGamma:
+    """A bundle is valid once built: its smoothing vector holds one finite,
+    positive entry per weight row, however the bundle is made, and is a
+    read-only float64 copy of the one it was given."""
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -2.0], ids=str)
+    @pytest.mark.parametrize("how", BUNDLE_BUILDS)
+    def test_gamma_must_be_finite_and_positive(self, how, value):
+        _, (_, b) = _small_bundles("SINT4", "MXINT4")
+        gamma = b.gamma.copy()
+        gamma[5] = value
+        with pytest.raises(ParameterError, match="gamma entry is not finite and positive"):
+            BUNDLE_BUILDS[how](b, gamma)
+
+    @pytest.mark.parametrize("how", BUNDLE_BUILDS)
+    def test_gamma_must_have_one_entry_per_row(self, how):
+        _, (_, b) = _small_bundles("SINT4", "MXINT4")
+        with pytest.raises(ShapeError, match="gamma must have length 40"):
+            BUNDLE_BUILDS[how](b, b.gamma[:-1])
+
+    @pytest.mark.parametrize("how", BUNDLE_BUILDS)
+    def test_gamma_is_a_read_only_copy(self, how):
+        _, (_, b) = _small_bundles("SINT4", "MXINT4")
+        mine = b.gamma.copy()
+        built = BUNDLE_BUILDS[how](b, mine)
+        assert built.gamma.dtype == np.float64 and np.array_equal(built.gamma, mine)
+        assert not np.may_share_memory(built.gamma, mine)
+        with pytest.raises(ValueError, match="read-only"):
+            built.gamma[0] = 1.0
+        mine[0] = 3.0  # the caller's array stays writeable
+
+    def test_copies_equal_the_bundle(self):
+        _, bundles = _small_bundles("MXFP4e2", "MXFP6e2")
+        for b in bundles:
+            for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+                assert twin == b and save_bytes(twin) == save_bytes(b)
+                assert b.gamma is None or not twin.gamma.flags.writeable
 
 
 class TestAblateLayer:
@@ -693,21 +755,6 @@ class TestReconstructWeight:
                 monkeypatch.setattr(formats, "_GROUP_VALUES", group_values)
                 assert reconstruct_weight(b).tobytes() == want, group_values
 
-    @pytest.mark.parametrize("col", [17, 71, 72], ids=["inside", "last", "padded-tail"])
-    @pytest.mark.parametrize("q1", ["SINT4", "MXINT4"])
-    def test_invalid_residual_code_raises_what_dequantize_raises(self, monkeypatch,
-                                                                 q1, col):
-        # row 30 is in a later row group than the first; a residual that
-        # holds the code is refused when it is built, so no bundle holds it
-        _, (b, _) = _small_bundles(q1, "MXFP6e2")
-        raw = _with_invalid_int4_residual_code(b, 30, col)
-        with pytest.raises(FormatError) as want:
-            decoded_blocks(raw)
-        monkeypatch.setattr(formats, "_GROUP_VALUES", 3 * 96)
-        with pytest.raises(FormatError) as got:
-            dataclasses.replace(b.residual, codes=raw.codes)
-        assert str(got.value) == str(want.value)
-
 
 class TestFactoredForward:
     """``forward`` runs the low-rank branch as ``(x @ L) @ R``, which only
@@ -735,18 +782,27 @@ class TestFactoredForward:
                         x_q = fake_quant(x_s, act) if act is not None else x_s
                         assert _rel(got, x_q @ w_hat) <= 1e-12
 
-    @pytest.mark.parametrize("col", [71, 72], ids=["last-column", "padded-tail"])
-    @pytest.mark.parametrize("q1", ["SINT4", "MXINT4"])
-    def test_invalid_residual_code_raises_what_dequantize_raises(self, q1, col):
-        # the int4 pattern 0b1000 in the residual's last real column (71 of
-        # 72) or the first column of its padded tail: the residual is
-        # refused when it is built, so no forward meets the code
-        _, (b, _) = _small_bundles(q1, "MXFP6e2")
-        raw = _with_invalid_int4_residual_code(b, 5, col)
-        with pytest.raises(FormatError) as want:
-            decoded_blocks(raw)
+
+@pytest.mark.parametrize("group_values", [None, 3 * 96],
+                         ids=["65536-values", "288-values"])  # per row group
+@pytest.mark.parametrize("col", [17, 71, 72], ids=["inside", "last", "padded-tail"])
+@pytest.mark.parametrize("row", [5, 30])
+@pytest.mark.parametrize("q1", ["SINT4", "MXINT4"])
+def test_invalid_residual_code_cannot_be_built(monkeypatch, q1, row, col, group_values):
+    # the int4 pattern 0b1000 inside the residual, in its last real column
+    # (71 of 72) or in the first column of its padded tail, in the first row
+    # group or (row 30 of groups of three rows) a later one: building the
+    # residual raises what the padded decode raises, so no reconstruction
+    # or forward meets the code
+    _, (b, _) = _small_bundles(q1, "MXFP6e2")
+    raw = _with_invalid_int4_residual_code(b, row, col)
+    with pytest.raises(FormatError) as want:
+        decoded_blocks(raw)
+    if group_values is not None:
+        monkeypatch.setattr(formats, "_GROUP_VALUES", group_values)
+    for build in (raw.built, lambda: dataclasses.replace(b.residual, codes=raw.codes)):
         with pytest.raises(FormatError) as got:
-            raw.built()
+            build()
         assert str(got.value) == str(want.value)
 
 

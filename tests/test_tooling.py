@@ -181,23 +181,30 @@ def test_only_pipeline_reads_the_branch_factors():
     assert readers == {"pipeline.py"}
 
 
-def _readers_of(path: Path, attrs: set[str]) -> set[str]:
-    """Qualified names of the functions in ``path`` that read one of
-    ``attrs``, as an attribute or as a global."""
-    readers = set()
+def _scopes_where(path: Path, found) -> set[str]:
+    """Qualified names of the functions in ``path`` that hold a node for
+    which ``found(node)`` is true."""
+    scopes = set()
 
     def visit(node, scope):
-        if (isinstance(node, ast.Attribute) and node.attr in attrs
-                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                and node.id in attrs):
-            readers.add(".".join(scope))
+        if found(node):
+            scopes.add(".".join(scope))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = [*scope, node.name]
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), [])
-    return readers
+    return scopes
+
+
+def _readers_of(path: Path, attrs: set[str]) -> set[str]:
+    """Qualified names of the functions in ``path`` that read one of
+    ``attrs``, as an attribute or as a global."""
+    return _scopes_where(path, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in attrs
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        and node.id in attrs))
 
 
 def test_one_reconstruction_of_the_branch():
@@ -223,6 +230,30 @@ def test_only_the_chunk_plan_reads_the_chunk_tags():
     readers = {f"{path.stem}.{reader}" for path in sorted(SRC.glob("*.py"))
                for reader in _readers_of(path, {"_TAG_PREFIX", "_GAMMA_TAG"})}
     assert readers == {"bundle_io._chunk_plan"}
+
+
+def test_bundle_io_leaves_value_checks_to_the_constructors():
+    # a packed tensor and a bundle refuse values out of their domain when
+    # they are built; a finiteness check in bundle_io other than save_tensor's
+    # float32 range would be a second copy of theirs
+    assert _readers_of(SRC / "bundle_io.py", {"isfinite"}) == {"save_tensor"}
+
+
+def _tests_positive(node) -> bool:
+    """Whether ``node`` compares a value with 0 by ``>`` or ``<=``."""
+    return (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Gt, ast.LtE))
+            and any(isinstance(side, ast.Constant) and side.value == 0
+                    for side in (node.left, *node.comparators)))
+
+
+def test_one_statement_of_the_gamma_rule():
+    # a smoothing vector holds finite, positive entries; smoothing and the
+    # bundle check it through smoothing._checked_gamma, and a function that
+    # reads isfinite and tests positivity would be a second copy of the rule
+    rules = {f"{name}.{scope}" for name in ("pipeline", "smoothing")
+             for scope in _readers_of(SRC / f"{name}.py", {"isfinite"})
+             & _scopes_where(SRC / f"{name}.py", _tests_positive)}
+    assert rules == {"smoothing._checked_gamma"}
 
 
 # Exported functions that no package module calls, each with why it stays.
